@@ -6,8 +6,7 @@ from .errors import (AlignRecError, ConfigError, DataError, DimensionError,
                      InternalInvariantError, ParseError, TrainingDivergedError)
 from .evaluator import EvalReport, evaluate, longtail_evaluate, ndcg_at_k, rank_all, recall_at_k
 from .features import FeatureMatrix, align_features, load_features, read_item_list, save_features
-from .graphs import (GraphBundle, build_graphs, build_knn_similarity,
-                     build_norm_adjacency, build_norm_interaction)
+from .graphs import GraphBundle, build_graphs, build_knn_similarity, build_norm_interaction
 from .losses import (BatchSample, LossWeights, bpr_loss, cca_infonce,
                      reg_similarity, total_loss, uia_cosine)
 from .model import (ModelParams, Representations, content_gate, forward, fuse,

@@ -9,17 +9,22 @@ tensor: u32 name length, UTF-8 name, u32 ndim, ndim u64 dims, float64 payload.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .binio import read_exact, read_struct
 from .errors import ParseError
 from .model import PARAM_NAMES, ModelParams
 
 MAGIC = b"ACKP"
 VERSION = 1
+_HEAD = struct.Struct("<4sI")
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
 
 
 @dataclass
@@ -57,35 +62,43 @@ def save_checkpoint(path, params: ModelParams, config_text: str,
 def load_checkpoint(path) -> Checkpoint:
     path = Path(path)
     with open(path, "rb") as fh:
-        head = fh.read(8)
-        if len(head) != 8:
-            raise ParseError(f"{path}: truncated checkpoint")
-        magic, version = struct.unpack("<4sI", head)
+        magic, version = read_struct(fh, _HEAD, path, "checkpoint header")
         if magic != MAGIC:
             raise ParseError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise ParseError(f"{path}: unsupported version {version}")
-        (config_len,) = struct.unpack("<Q", fh.read(8))
-        header = fh.read(config_len).decode("utf-8")
-        (rng_len,) = struct.unpack("<Q", fh.read(8))
-        rng_text = fh.read(rng_len).decode("utf-8")
-        (count,) = struct.unpack("<I", fh.read(4))
+        (config_len,) = read_struct(fh, _U64, path, "config length")
+        header = _utf8(read_exact(fh, config_len, path, "config text"), path)
+        (rng_len,) = read_struct(fh, _U64, path, "RNG state length")
+        rng_text = _utf8(read_exact(fh, rng_len, path, "RNG state"), path)
+        (count,) = read_struct(fh, _U32, path, "tensor count")
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            dims = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
-            size = int(np.prod(dims)) if dims else 1
-            payload = fh.read(size * 8)
-            if len(payload) != size * 8:
-                raise ParseError(f"{path}: truncated tensor '{name}'")
-            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
+            (name_len,) = read_struct(fh, _U32, path, "tensor name length")
+            name = _utf8(read_exact(fh, name_len, path, "tensor name"), path)
+            (ndim,) = read_struct(fh, _U32, path, f"tensor '{name}' rank")
+            dims = struct.unpack(f"<{ndim}Q", read_exact(fh, 8 * ndim, path,
+                                                         f"tensor '{name}' shape"))
+            payload = read_exact(fh, 8 * math.prod(dims), path, f"tensor '{name}'")
+            try:
+                tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
+            except ValueError:
+                raise ParseError(f"{path}: tensor '{name}' has unusable shape {dims}") from None
+    try:
+        rng_state = json.loads(rng_text) if rng_text else None
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: malformed RNG state: {exc}") from None
     missing = [n for n in PARAM_NAMES if n not in tensors]
     if missing:
         raise ParseError(f"{path}: checkpoint missing tensors {missing}")
     status_line, _, config_text = header.partition("\n")
     status = status_line.partition("=")[2].strip() if "=" in status_line else "ok"
-    rng_state = json.loads(rng_text) if rng_text else None
     return Checkpoint(params=ModelParams(**{n: tensors[n] for n in PARAM_NAMES}),
                       config_text=config_text, rng_state=rng_state, status=status)
+
+
+def _utf8(blob: bytes, path) -> str:
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: invalid UTF-8 in checkpoint: {exc}") from None

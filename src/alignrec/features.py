@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .binio import read_exact, read_struct
 from .data import Dataset
 from .errors import DataError, DimensionError, ParseError
 
@@ -59,19 +60,14 @@ def load_features(path, expected_items: int) -> FeatureMatrix:
     """Read a feature file and check the stated row count."""
     path = Path(path)
     with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ParseError(f"{path}: truncated header")
-        magic, version, rows, dim = _HEADER.unpack(header)
+        magic, version, rows, dim = read_struct(fh, _HEADER, path, "header")
         if magic != MAGIC:
             raise ParseError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
         if version != VERSION:
             raise ParseError(f"{path}: unsupported format version {version}")
         if rows != expected_items:
             raise DimensionError(f"{path}: file holds {rows} rows, expected {expected_items}")
-        payload = fh.read(rows * dim * 8)
-        if len(payload) != rows * dim * 8:
-            raise ParseError(f"{path}: truncated payload")
+        payload = read_exact(fh, rows * dim * 8, path, "payload")
     data = np.frombuffer(payload, dtype="<f8").reshape(rows, dim).astype(np.float64)
     return FeatureMatrix(data)
 

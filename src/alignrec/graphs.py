@@ -1,28 +1,29 @@
 """Sparse operators the model propagates over.
 
-Three matrices are derived from a dataset and its feature matrix:
+Two matrices are derived from a dataset and its feature matrix, and each is
+stored together with its transpose:
 
-* adj_norm: symmetric degree-normalized bipartite adjacency over train edges,
-  entry (u, i) = 1 / sqrt(deg(u) * deg(i)).
-* inter_norm: the user-rows by item-cols block of adj_norm.
+* inter_norm (R): user-rows by item-cols matrix of train edges, entry
+  (u, i) = 1 / sqrt(deg(u) * deg(i)). It is the off-diagonal block of the
+  symmetric degree-normalized bipartite adjacency [[0, R], [R^T, 0]], so R
+  and R^T together apply that adjacency to user and item halves.
 * sim: item-item similarity graph. Cosine similarities per row are pruned to
   the k' largest off-diagonal entries (ties to the lower index), negatives
-  clamped to zero, then symmetrically normalized by row-sum degrees.
+  clamped to zero, then symmetrically normalized by row-sum degrees. Pruning
+  is per row, so sim is not symmetric in general.
 
-All three are built once from frozen inputs and never updated during
+All four are built once from frozen inputs and never updated during
 training.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, DataError, InternalInvariantError, ParseError
+from .errors import ConfigError, DataError, InternalInvariantError
 from .features import FeatureMatrix
 from .sparse import SparseMatrix
 
@@ -31,28 +32,15 @@ _SIM_CHUNK = 512
 
 @dataclass(frozen=True)
 class GraphBundle:
-    adj_norm: SparseMatrix    # (num_users+num_items) square
     inter_norm: SparseMatrix  # num_users x num_items
+    inter_t: SparseMatrix     # inter_norm transposed, num_items x num_users
     sim: SparseMatrix         # num_items x num_items
-
-
-def build_norm_adjacency(ds: Dataset) -> SparseMatrix:
-    """Symmetric normalization D^-1/2 A D^-1/2 of the 0/1 train adjacency."""
-    n = ds.num_users + ds.num_items
-    users = ds.train[:, 0]
-    items = ds.train[:, 1]
-    deg_u = np.bincount(users, minlength=ds.num_users).astype(np.float64)
-    deg_i = np.bincount(items, minlength=ds.num_items).astype(np.float64)
-    if np.any(deg_u == 0) or np.any(deg_i == 0):
-        raise InternalInvariantError("isolated node in train interactions")
-    w = 1.0 / np.sqrt(deg_u[users] * deg_i[items])
-    rows = np.concatenate([users, items + ds.num_users])
-    cols = np.concatenate([items + ds.num_users, users])
-    return SparseMatrix.from_coo(n, n, rows, cols, np.concatenate([w, w]))
+    sim_t: SparseMatrix       # sim transposed
 
 
 def build_norm_interaction(ds: Dataset) -> SparseMatrix:
-    """User-to-item block of the normalized adjacency."""
+    """Symmetric normalization D_u^-1/2 A D_i^-1/2 of the 0/1 train
+    interaction matrix A."""
     users = ds.train[:, 0]
     items = ds.train[:, 1]
     deg_u = np.bincount(users, minlength=ds.num_users).astype(np.float64)
@@ -118,75 +106,7 @@ def build_knn_similarity(feat: FeatureMatrix, k_prime: int) -> SparseMatrix:
 def build_graphs(ds: Dataset, feat: FeatureMatrix, k_prime: int) -> GraphBundle:
     if feat.rows != ds.num_items:
         raise DataError(f"feature matrix has {feat.rows} rows for {ds.num_items} items")
-    return GraphBundle(adj_norm=build_norm_adjacency(ds),
-                       inter_norm=build_norm_interaction(ds),
-                       sim=build_knn_similarity(feat, k_prime))
-
-
-# Binary cache for built graphs: magic `AGRF`, u32 version, u64 rows/cols/nnz,
-# then the CSR arrays (indptr u64, indices u64, data f64), little-endian.
-
-GRAPH_MAGIC = b"AGRF"
-GRAPH_VERSION = 1
-_GRAPH_HEADER = struct.Struct("<4sIQQQ")
-
-
-def save_graph(path, mat: SparseMatrix) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_GRAPH_HEADER.pack(GRAPH_MAGIC, GRAPH_VERSION, mat.rows, mat.cols, mat.nnz))
-        fh.write(mat.indptr.astype("<u8").tobytes())
-        fh.write(mat.indices.astype("<u8").tobytes())
-        fh.write(mat.data.astype("<f8").tobytes())
-
-
-def load_graph(path) -> SparseMatrix:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        header = fh.read(_GRAPH_HEADER.size)
-        if len(header) != _GRAPH_HEADER.size:
-            raise ParseError(f"{path}: truncated header")
-        magic, version, rows, cols, nnz = _GRAPH_HEADER.unpack(header)
-        if magic != GRAPH_MAGIC:
-            raise ParseError(f"{path}: bad magic {magic!r}")
-        if version != GRAPH_VERSION:
-            raise ParseError(f"{path}: unsupported version {version}")
-        indptr = np.frombuffer(fh.read((rows + 1) * 8), dtype="<u8").astype(np.int64)
-        indices = np.frombuffer(fh.read(nnz * 8), dtype="<u8").astype(np.int64)
-        data = np.frombuffer(fh.read(nnz * 8), dtype="<f8").astype(np.float64)
-    return SparseMatrix(int(rows), int(cols), indptr, indices, data)
-
-
-def bundle_cache_key(ds: Dataset, feat: FeatureMatrix, k_prime: int) -> str:
-    """Content hash of everything the graphs are derived from."""
-    import hashlib
-
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(ds.train, dtype="<i8").tobytes())
-    h.update(np.ascontiguousarray(feat.data, dtype="<f8").tobytes())
-    h.update(str(k_prime).encode())
-    h.update(f"{ds.num_users}x{ds.num_items}".encode())
-    return h.hexdigest()
-
-
-_BUNDLE_FILES = {"adj_norm": "adj_norm.agrf", "inter_norm": "inter_norm.agrf",
-                 "sim": "sim.agrf"}
-
-
-def save_bundle(cache_dir, bundle: GraphBundle, key: str) -> None:
-    cache = Path(cache_dir)
-    cache.mkdir(parents=True, exist_ok=True)
-    for field, name in _BUNDLE_FILES.items():
-        save_graph(cache / name, getattr(bundle, field))
-    (cache / "cache_key.txt").write_text(key + "\n", encoding="utf-8")
-
-
-def load_bundle(cache_dir, key: str) -> GraphBundle | None:
-    """Load a cached bundle if present and its key matches; None otherwise."""
-    cache = Path(cache_dir)
-    key_file = cache / "cache_key.txt"
-    if not key_file.exists() or key_file.read_text(encoding="utf-8").strip() != key:
-        return None
-    if not all((cache / name).exists() for name in _BUNDLE_FILES.values()):
-        return None
-    return GraphBundle(**{field: load_graph(cache / name)
-                          for field, name in _BUNDLE_FILES.items()})
+    inter = build_norm_interaction(ds)
+    sim = build_knn_similarity(feat, k_prime)
+    return GraphBundle(inter_norm=inter, inter_t=inter.transpose(),
+                       sim=sim, sim_t=sim.transpose())

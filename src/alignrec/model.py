@@ -3,7 +3,8 @@
 The computation graph is fixed:
 
     h_id          = mean of L+1 propagation layers of the ID embeddings
-                    over the normalized bipartite adjacency
+                    over the normalized bipartite adjacency [[0, R], [R^T, 0]],
+                    R = inter_norm: users take R @ items, items take R^T @ users
     h_con[i]      = item_emb[i] * logistic(mlp(feat[i]))   (elementwise gate)
     h_mm_items    = sim @ h_con                            (one layer)
     h_mm_users    = inter_norm @ h_mm_items
@@ -12,8 +13,10 @@ The computation graph is fixed:
 
 ForwardPass caches the intermediates so losses can push gradients with
 respect to any representation back to the parameters through `backward`.
-The adjacency is symmetric, which lets the backward pass reuse the same
-propagation routine for the embedding gradient.
+The bipartite adjacency is symmetric, which lets the backward pass reuse the
+same propagation routine, with the same R / R^T pair, for the embedding
+gradient. The backward pass takes R^T and sim^T from the GraphBundle, which
+builds them once.
 """
 
 from __future__ import annotations
@@ -125,18 +128,19 @@ class RepGrads:
             getattr(self, name).__iadd__(scale * getattr(other, name))
 
 
-def lightgcn_propagate(adj_norm: SparseMatrix, emb_stack: np.ndarray, layers: int) -> np.ndarray:
-    """Mean of the embedding stack and its `layers` successive propagations."""
-    if adj_norm.cols != emb_stack.shape[0]:
-        raise DimensionError(
-            f"adjacency is {adj_norm.rows}x{adj_norm.cols} but embedding stack has "
-            f"{emb_stack.shape[0]} rows")
-    acc = emb_stack.copy()
-    h = emb_stack
+def lightgcn_propagate(inter_norm: SparseMatrix, inter_t: SparseMatrix,
+                       users: np.ndarray, items: np.ndarray,
+                       layers: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of the (users, items) embeddings and their `layers` successive
+    propagations over [[0, R], [R^T, 0]], one half at a time:
+    (h_u, h_i) <- (R @ h_i, R^T @ h_u)."""
+    acc_u, acc_i = users.copy(), items.copy()
+    h_u, h_i = users, items
     for _ in range(layers):
-        h = adj_norm.dot(h)
-        acc += h
-    return acc / (layers + 1)
+        h_u, h_i = inter_norm.dot(h_i), inter_t.dot(h_u)
+        acc_u += h_u
+        acc_i += h_i
+    return acc_u / (layers + 1), acc_i / (layers + 1)
 
 
 def content_gate(params: ModelParams, feat: FeatureMatrix) -> np.ndarray:
@@ -185,8 +189,6 @@ class ForwardPass:
     _z1: np.ndarray = field(repr=False, default=None)
     _a1: np.ndarray = field(repr=False, default=None)
     _gate: np.ndarray = field(repr=False, default=None)
-    _inter_t: SparseMatrix = field(repr=False, default=None)
-    _sim_t: SparseMatrix = field(repr=False, default=None)
 
     def zero_rep_grads(self) -> RepGrads:
         p = self.params
@@ -199,9 +201,9 @@ class ForwardPass:
 
         d_mm_users = g.h_mm_users + g.h_users
         d_id_users = g.h_id_users + g.h_users
-        d_mm_items = g.h_mm_items + g.h_items + self._inter_t.dot(d_mm_users)
+        d_mm_items = g.h_mm_items + g.h_items + self.graphs.inter_t.dot(d_mm_users)
         d_id_items = g.h_id_items + g.h_items
-        d_con = g.h_con_items + self._sim_t.dot(d_mm_items)
+        d_con = g.h_con_items + self.graphs.sim_t.dot(d_mm_items)
 
         # gate path
         grads["item_emb"] += self._gate * d_con
@@ -213,12 +215,13 @@ class ForwardPass:
         grads["gate_w1"] += self.feat.data.T @ d_z1
         grads["gate_b1"] += d_z1.sum(axis=0)
 
-        # propagation path; the adjacency is symmetric, so the transposed
-        # chain is the same propagation applied to the output gradient
-        d_stack = np.concatenate([d_id_users, d_id_items], axis=0)
-        d_emb = lightgcn_propagate(self.graphs.adj_norm, d_stack, self.layers)
-        grads["user_emb"] += d_emb[:p.num_users]
-        grads["item_emb"] += d_emb[p.num_users:]
+        # propagation path; [[0, R], [R^T, 0]] is symmetric, so the
+        # transposed chain is the same propagation applied to the output
+        # gradient
+        d_users, d_items = lightgcn_propagate(self.graphs.inter_norm, self.graphs.inter_t,
+                                              d_id_users, d_id_items, self.layers)
+        grads["user_emb"] += d_users
+        grads["item_emb"] += d_items
         return grads
 
 
@@ -227,10 +230,8 @@ def forward(params: ModelParams, graphs: GraphBundle, feat: FeatureMatrix,
     """Run the full representation pipeline and retain intermediates."""
     if layers < 0:
         raise DimensionError(f"layer count must be >= 0, got {layers}")
-    emb_stack = np.concatenate([params.user_emb, params.item_emb], axis=0)
-    h_id = lightgcn_propagate(graphs.adj_norm, emb_stack, layers)
-    h_id_users = h_id[:params.num_users]
-    h_id_items = h_id[params.num_users:]
+    h_id_users, h_id_items = lightgcn_propagate(graphs.inter_norm, graphs.inter_t,
+                                                params.user_emb, params.item_emb, layers)
 
     h_con, z1, a1, gate = _gate_forward(params, feat.data)
     h_mm_items = item_multimodal(graphs.sim, h_con)
@@ -241,6 +242,4 @@ def forward(params: ModelParams, graphs: GraphBundle, feat: FeatureMatrix,
         h_mm_items=h_mm_items, h_mm_users=h_mm_users,
         h_users=fuse(h_mm_users, h_id_users), h_items=fuse(h_mm_items, h_id_items))
     return ForwardPass(reps=reps, params=params, graphs=graphs, feat=feat,
-                       layers=layers, _z1=z1, _a1=a1, _gate=gate,
-                       _inter_t=graphs.inter_norm.transpose(),
-                       _sim_t=graphs.sim.transpose())
+                       layers=layers, _z1=z1, _a1=a1, _gate=gate)

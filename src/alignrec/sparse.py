@@ -35,10 +35,17 @@ class SparseMatrix:
             raise DataError("sparse matrix contains non-finite weights")
         if np.any(self.data == 0.0):
             raise DataError("sparse matrix stores explicit zeros")
-        for r in range(self.rows):
-            cols = self.indices[self.indptr[r]:self.indptr[r + 1]]
-            if cols.size and (np.any(np.diff(cols) <= 0) or cols[0] < 0 or cols[-1] >= self.cols):
-                raise DataError(f"row {r} has unsorted or out-of-range column indices")
+        counts = np.diff(self.indptr)
+        if self.indptr[0] != 0 or self.indptr[-1] != self.nnz or np.any(counts < 0):
+            raise DataError("indptr is not a valid row pointer")
+        bad = (self.indices < 0) | (self.indices >= self.cols)
+        # an entry must exceed its predecessor unless it starts a row
+        row_start = np.zeros(self.nnz, dtype=bool)
+        row_start[self.indptr[:-1][counts > 0]] = True
+        bad[1:] |= (np.diff(self.indices) <= 0) & ~row_start[1:]
+        if np.any(bad):
+            r = int(np.searchsorted(self.indptr, np.argmax(bad), side="right")) - 1
+            raise DataError(f"row {r} has unsorted or out-of-range column indices")
         mat = sp.csr_matrix((self.data, self.indices, self.indptr),
                             shape=(self.rows, self.cols))
         object.__setattr__(self, "_scipy", mat)

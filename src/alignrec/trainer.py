@@ -83,27 +83,26 @@ def sample_batch(ds: Dataset, rng: np.random.Generator, batch_size: int,
         raise DataError("train split is empty")
     if user_train is None:
         user_train = ds.user_train_items()
-    take = min(batch_size, n)
-    rows = rng.choice(n, size=take, replace=False)
+    rows = rng.choice(n, size=min(batch_size, n), replace=False)
+    return _batch_at(ds, rows, rng, user_train)
+
+
+def _batch_at(ds: Dataset, rows: np.ndarray, rng: np.random.Generator,
+              user_train: list[set[int]]) -> BatchSample:
+    """The train interactions at `rows`, each with one negative drawn by
+    sample_negative in row order."""
     users = ds.train[rows, 0]
-    pos = ds.train[rows, 1]
     neg = np.fromiter(
         (sample_negative(rng, ds.num_items, user_train[u], int(u)) for u in users),
-        dtype=np.int64, count=take)
-    return BatchSample(users=users.copy(), pos_items=pos.copy(), neg_items=neg)
+        dtype=np.int64, count=len(rows))
+    return BatchSample(users=users, pos_items=ds.train[rows, 1], neg_items=neg)
 
 
 def _epoch_batches(ds: Dataset, rng: np.random.Generator, batch_size: int,
                    user_train: list[set[int]]):
     perm = rng.permutation(len(ds.train))
     for start in range(0, len(perm), batch_size):
-        rows = perm[start:start + batch_size]
-        users = ds.train[rows, 0]
-        pos = ds.train[rows, 1]
-        neg = np.fromiter(
-            (sample_negative(rng, ds.num_items, user_train[u], int(u)) for u in users),
-            dtype=np.int64, count=len(rows))
-        yield BatchSample(users=users.copy(), pos_items=pos.copy(), neg_items=neg)
+        yield _batch_at(ds, perm[start:start + batch_size], rng, user_train)
 
 
 def train_epoch(state: TrainState, ds: Dataset, graphs: GraphBundle,

@@ -26,7 +26,7 @@ from alignrec.synthetic import make_corpus, write_corpus
 from alignrec.trainer import TrainConfig, TrainState, sample_batch, train_epoch
 
 from oracles import (bruteforce_evaluate, dense_forward_reference,
-                     finite_diff_grads, itemcf_reference, kcore_reference,
+                     dense_norm_adjacency, finite_diff_grads, itemcf_reference, kcore_reference,
                      max_relative_error, uniform_recall_baseline)
 
 
@@ -114,10 +114,11 @@ def test_criterion_2_forward_oracle_equivalence():
         params = init_params(ds.num_users, ds.num_items, 6, d_f, 4, rng)
         layers = int(rng.integers(0, 4))
         fp = forward(params, graphs, feat, layers)
+        adj = dense_norm_adjacency(ds.num_users, ds.num_items, ds.train)
         want = dense_forward_reference(
             params.user_emb, params.item_emb, params.gate_w1, params.gate_b1,
-            params.gate_w2, params.gate_b2, graphs.adj_norm.to_dense(),
-            graphs.inter_norm.to_dense(), graphs.sim.to_dense(), feat.data, layers)
+            params.gate_w2, params.gate_b2, adj, adj[:ds.num_users, ds.num_users:],
+            graphs.sim.to_dense(), feat.data, layers)
         for name, expected in want.items():
             got = getattr(fp.reps, name)
             diff = float(np.max(np.abs(got - expected)))

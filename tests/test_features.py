@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,24 @@ def test_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 30)
     with pytest.raises(ParseError):
         load_features(path, expected_items=1)
+
+
+def test_oversized_header_rejected_before_reading(tmp_path):
+    path = tmp_path / "f.afea"
+    path.write_bytes(struct.pack("<4sIQQ", b"AFEA", 1, 1, 2 ** 58) + b"\x00" * 64)
+    with pytest.raises(ParseError, match="payload"):
+        load_features(path, expected_items=1)
+
+
+def test_truncated_at_every_offset(tmp_path):
+    full = tmp_path / "full.afea"
+    save_features(full, np.arange(6, dtype=np.float64).reshape(2, 3) + 1.0)
+    blob = full.read_bytes()
+    path = tmp_path / "cut.afea"
+    for size in range(len(blob)):
+        path.write_bytes(blob[:size])
+        with pytest.raises(ParseError):
+            load_features(path, expected_items=2)
 
 
 def _tiny_ds():

@@ -1,12 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from alignrec.data import RawInteractions, split_dataset
 from alignrec.errors import ConfigError, DataError
 from alignrec.features import FeatureMatrix
-from alignrec.graphs import (build_knn_similarity, build_norm_adjacency,
-                             build_norm_interaction, load_graph, save_graph)
-from alignrec.sparse import SparseMatrix
+from alignrec.graphs import build_graphs, build_knn_similarity, build_norm_interaction
 
 from oracles import dense_knn_reference, dense_norm_adjacency
 
@@ -21,33 +21,37 @@ def _ds_from_pairs(pairs, num_users, num_items):
 
 
 class TestAdjacency:
+    """inter_norm is the user-by-item block of the normalized adjacency."""
+
     def test_single_edge(self):
         ds = _ds_from_pairs([(0, 0)], 1, 1)
-        adj = build_norm_adjacency(ds)
-        dense = adj.to_dense()
-        assert dense[0, 1] == 1.0 and dense[1, 0] == 1.0
-        assert adj.nnz == 2
+        inter = build_norm_interaction(ds)
+        assert inter.to_dense().tolist() == [[1.0]]
+        assert inter.nnz == 1
 
     def test_closed_form_degrees(self):
         ds = _ds_from_pairs([(0, 0), (0, 1), (1, 0)], 2, 2)
-        dense = build_norm_adjacency(ds).to_dense()
+        dense = build_norm_interaction(ds).to_dense()
         # deg(u0)=2, deg(i0)=2 -> entry 1/sqrt(4)
-        assert dense[0, 2] == pytest.approx(0.5, abs=1e-15)
-        assert dense[0, 3] == pytest.approx(1 / np.sqrt(2), abs=1e-15)
-        assert dense[1, 2] == pytest.approx(1 / np.sqrt(2), abs=1e-15)
+        assert dense[0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert dense[0, 1] == pytest.approx(1 / np.sqrt(2), abs=1e-15)
+        assert dense[1, 0] == pytest.approx(1 / np.sqrt(2), abs=1e-15)
+        assert dense[1, 1] == 0.0
 
     def test_symmetry_random(self, rng):
+        # swapping the roles of users and items transposes the operator exactly
         pairs = _random_bipartite(rng, 20, 15)
         ds = _ds_from_pairs(pairs, 20, 15)
-        dense = build_norm_adjacency(ds).to_dense()
-        assert np.array_equal(dense, dense.T)
+        swapped = SimpleNamespace(num_users=15, num_items=20, train=ds.train[:, ::-1])
+        got = build_norm_interaction(swapped).to_dense()
+        assert np.array_equal(got, build_norm_interaction(ds).to_dense().T)
 
     def test_matches_dense_oracle(self, rng):
         for _ in range(5):
             pairs = _random_bipartite(rng, 20, 15)
             ds = _ds_from_pairs(pairs, 20, 15)
-            got = build_norm_adjacency(ds).to_dense()
-            want = dense_norm_adjacency(20, 15, ds.train)
+            got = build_norm_interaction(ds).to_dense()
+            want = dense_norm_adjacency(20, 15, ds.train)[:20, 20:]
             assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -67,12 +71,16 @@ class TestInteraction:
         inter = build_norm_interaction(ds)
         assert inter.to_dense()[0, 0] == 1.0
 
-    def test_is_subblock_of_adjacency(self, rng):
+    def test_bundle_stores_transposes(self, rng):
         pairs = _random_bipartite(rng, 12, 9)
         ds = _ds_from_pairs(pairs, 12, 9)
-        adj = build_norm_adjacency(ds).to_dense()
-        inter = build_norm_interaction(ds).to_dense()
-        assert np.array_equal(inter, adj[:12, 12:])
+        bundle = build_graphs(ds, FeatureMatrix(rng.normal(size=(9, 4))), k_prime=3)
+        for mat, mat_t in ((bundle.inter_norm, bundle.inter_t), (bundle.sim, bundle.sim_t)):
+            want = mat.transpose()
+            assert np.array_equal(mat_t.indptr, want.indptr)
+            assert np.array_equal(mat_t.indices, want.indices)
+            assert np.array_equal(mat_t.data, want.data)
+            assert np.array_equal(mat_t.to_dense(), mat.to_dense().T)
 
 
 class TestKnnSimilarity:
@@ -117,31 +125,3 @@ class TestKnnSimilarity:
         feat = FeatureMatrix(rng.normal(size=(4, 3)))
         with pytest.raises(ConfigError):
             build_knn_similarity(feat, 4)
-
-
-def test_bundle_cache_roundtrip(tmp_path, rng):
-    from alignrec.graphs import build_graphs, bundle_cache_key, load_bundle, save_bundle
-    pairs = _random_bipartite(rng, 8, 7)
-    ds = _ds_from_pairs(pairs, 8, 7)
-    feat = FeatureMatrix(rng.normal(size=(7, 4)))
-    bundle = build_graphs(ds, feat, k_prime=3)
-    key = bundle_cache_key(ds, feat, 3)
-    save_bundle(tmp_path, bundle, key)
-    cached = load_bundle(tmp_path, key)
-    assert cached is not None
-    for field in ("adj_norm", "inter_norm", "sim"):
-        assert np.array_equal(getattr(cached, field).to_dense(),
-                              getattr(bundle, field).to_dense())
-    assert load_bundle(tmp_path, "different-key") is None
-
-
-def test_graph_cache_roundtrip(tmp_path, rng):
-    dense = rng.normal(size=(6, 9)) * (rng.random(size=(6, 9)) < 0.4)
-    mat = SparseMatrix.from_scipy(dense)
-    path = tmp_path / "g.agrf"
-    save_graph(path, mat)
-    loaded = load_graph(path)
-    assert np.array_equal(loaded.to_dense(), mat.to_dense())
-    path2 = tmp_path / "h.agrf"
-    save_graph(path2, loaded)
-    assert path.read_bytes() == path2.read_bytes()

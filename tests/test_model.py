@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from alignrec.features import FeatureMatrix
 from alignrec.model import (content_gate, forward, fuse,
@@ -8,7 +9,7 @@ from alignrec.model import (content_gate, forward, fuse,
 from alignrec.sparse import SparseMatrix
 
 from conftest import random_instance
-from oracles import (dense_forward_reference, dense_lightgcn,
+from oracles import (dense_forward_reference, dense_lightgcn, dense_norm_adjacency,
                      gate_reference_scalar)
 
 
@@ -18,24 +19,44 @@ def _params_for(ds_users, ds_items, d_e, d_f, d_h, rng):
 
 class TestLightGCN:
     def test_zero_layers_identity(self, rng):
-        adj = SparseMatrix.from_coo(3, 3, [0, 1], [1, 0], [1.0, 1.0])
-        emb = rng.normal(size=(3, 4))
-        assert np.array_equal(lightgcn_propagate(adj, emb, 0), emb)
+        inter = SparseMatrix.from_coo(1, 1, [0], [0], [1.0])
+        users, items = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
+        out_u, out_i = lightgcn_propagate(inter, inter.transpose(), users, items, 0)
+        assert np.array_equal(out_u, users) and np.array_equal(out_i, items)
 
     def test_single_edge_hand_propagation(self):
-        adj = SparseMatrix.from_coo(2, 2, [0, 1], [1, 0], [1.0, 1.0])
-        emb = np.array([[1.0, 0.0], [0.0, 2.0]])
-        out = lightgcn_propagate(adj, emb, 1)
-        assert np.allclose(out[0], [0.5, 1.0], atol=1e-15)
-        assert np.allclose(out[1], [0.5, 1.0], atol=1e-15)
+        # one user, one item, one edge of weight 1: a layer swaps the halves
+        inter = SparseMatrix.from_coo(1, 1, [0], [0], [1.0])
+        users, items = np.array([[1.0, 0.0]]), np.array([[0.0, 2.0]])
+        out_u, out_i = lightgcn_propagate(inter, inter.transpose(), users, items, 1)
+        assert np.allclose(out_u[0], [0.5, 1.0], atol=1e-15)
+        assert np.allclose(out_i[0], [0.5, 1.0], atol=1e-15)
 
     def test_matches_dense_matrix_power_oracle(self, rng):
         ds, feat, graphs, params, _ = random_instance(rng, num_users=20, num_items=15,
                                                       per_user=5)
-        emb = np.concatenate([params.user_emb, params.item_emb])
-        got = lightgcn_propagate(graphs.adj_norm, emb, 2)
-        want = dense_lightgcn(graphs.adj_norm.to_dense(), emb, 2)
-        assert np.max(np.abs(got - want)) < 1e-10
+        got = lightgcn_propagate(graphs.inter_norm, graphs.inter_t,
+                                 params.user_emb, params.item_emb, 2)
+        adj = dense_norm_adjacency(ds.num_users, ds.num_items, ds.train)
+        want = dense_lightgcn(adj, np.concatenate([params.user_emb, params.item_emb]), 2)
+        assert np.max(np.abs(np.concatenate(got) - want)) < 1e-10
+
+    def test_matches_block_operator_bitwise(self, rng):
+        # each CSR row of [[0, R], [R^T, 0]] holds the entries of the matching
+        # row of R or R^T in the same order, so the results agree bit for bit
+        ds, feat, graphs, params, _ = random_instance(rng, num_users=20, num_items=15,
+                                                      per_user=5)
+        block = SparseMatrix.from_scipy(
+            sp.bmat([[None, graphs.inter_norm.to_scipy()],
+                     [graphs.inter_t.to_scipy(), None]]))
+        for layers in range(4):
+            got = lightgcn_propagate(graphs.inter_norm, graphs.inter_t,
+                                     params.user_emb, params.item_emb, layers)
+            acc = h = np.concatenate([params.user_emb, params.item_emb])
+            for _ in range(layers):
+                h = block.dot(h)
+                acc = acc + h
+            assert np.array_equal(np.concatenate(got), acc / (layers + 1))
 
 
 class TestContentGate:
@@ -132,10 +153,11 @@ class TestForward:
             ds, feat, graphs, params, _ = random_instance(rng, num_users=12,
                                                           num_items=10, per_user=4)
             fp = forward(params, graphs, feat, 2)
+            adj = dense_norm_adjacency(ds.num_users, ds.num_items, ds.train)
             want = dense_forward_reference(
                 params.user_emb, params.item_emb, params.gate_w1, params.gate_b1,
-                params.gate_w2, params.gate_b2, graphs.adj_norm.to_dense(),
-                graphs.inter_norm.to_dense(), graphs.sim.to_dense(), feat.data, 2)
+                params.gate_w2, params.gate_b2, adj, adj[:ds.num_users, ds.num_users:],
+                graphs.sim.to_dense(), feat.data, 2)
             for name in want:
                 got = getattr(fp.reps, name)
                 assert np.max(np.abs(got - want[name])) < 1e-10, name
