@@ -18,8 +18,8 @@ from pathlib import Path
 
 from . import checkpoint as ckpt
 from .config import RunConfig, load_config, require_features
-from .data import (file_sha256, kcore_filter, load_interactions, save_splits,
-                   split_dataset, write_manifest)
+from .data import (file_sha256, items_by_user, kcore_filter, load_interactions,
+                   save_splits, split_dataset, write_manifest)
 from .errors import (AlignRecError, ConfigError, DataError,
                      TrainingDivergedError)
 from .evaluator import evaluate, longtail_evaluate, rank_all
@@ -153,6 +153,8 @@ def cmd_recommend(cfg: RunConfig, checkpoint_path: str, user_key: str, k: int) -
         raise ConfigError("recommend requires --checkpoint")
     if not user_key:
         raise ConfigError("recommend requires --user")
+    if k < 1:
+        raise ConfigError(f"recommend requires --k >= 1, got {k}")
     loaded = ckpt.load_checkpoint(checkpoint_path)
     ds = _prepare_dataset(cfg)
     if user_key not in ds.user_index:
@@ -161,11 +163,9 @@ def cmd_recommend(cfg: RunConfig, checkpoint_path: str, user_key: str, k: int) -
     graphs = build_graphs(ds, feat, cfg.train.k_prime)
     fp = forward(loaded.params, graphs, feat, cfg.train.gcn_layers)
     user = ds.user_index[user_key]
-    exclude = {int(i) for u, i in ds.train if u == user}
-    ranked = rank_all(fp.reps, ds, user, exclude)[:k]
     scores = fp.reps.h_items @ fp.reps.h_users[user]
-    for item in ranked:
-        print(f"{ds.item_keys[int(item)]}\t{float(scores[int(item)])!r}")
+    for item in rank_all(scores, items_by_user(ds.train, ds.num_users)[user])[:k]:
+        print(f"{ds.item_keys[item]}\t{float(scores[item])!r}")
     return 0
 
 

@@ -81,10 +81,15 @@ class Dataset:
             raise ConfigError(f"unknown split '{name}'") from None
 
     def user_train_items(self) -> list[set[int]]:
-        out = [set() for _ in range(self.num_users)]
-        for u, i in self.train:
-            out[u].add(int(i))
-        return out
+        return items_by_user(self.train, self.num_users)
+
+
+def items_by_user(pairs: np.ndarray, num_users: int) -> list[set[int]]:
+    """The item set of each user in an (n, 2) array of (user, item) pairs."""
+    order = np.argsort(pairs[:, 0], kind="stable")
+    users, items = pairs[order, 0], pairs[order, 1]
+    bounds = np.searchsorted(users, np.arange(num_users + 1))
+    return [set(items[lo:hi].tolist()) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def load_interactions(path) -> RawInteractions:

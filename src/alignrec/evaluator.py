@@ -1,9 +1,14 @@
 """All-ranking top-K evaluation: Recall@K, NDCG@K, and the long-tail slice.
 
-Rankings score every non-excluded item with the inner product and break ties
-by lower item index. Seen positives are masked: the train split is always
-excluded from the candidate set, and the validation split is additionally
-excluded when scoring the test split.
+Every ranked query in the package goes through one loop: a query is a score
+vector over all items, a set of excluded items and a set of relevant items.
+rank_all orders the non-excluded items by descending score, ties to the lower
+item index, and the loop turns the top of that order into per-K recall and
+NDCG values. evaluate and longtail_evaluate score users by the inner product
+and spread chunks of users over a thread pool; the feature protocols call
+rank_report serially with cosine scores. Seen positives are masked: the train
+split is always excluded from the candidate set, and the validation split is
+additionally excluded when scoring the test split.
 
 Per-user metric values are accumulated with exactly-rounded summation
 (math.fsum) so reported means are reproducible bit for bit and can be checked
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, items_by_user
 from .errors import ConfigError
 from .model import Representations
 
@@ -70,14 +75,9 @@ class EvalReport:
         return " ".join(parts)
 
 
-def rank_all(reps: Representations, ds: Dataset, user: int,
-             exclude: set[int]) -> np.ndarray:
-    """Descending-score ordering of all non-excluded items for one user."""
-    scores = reps.h_items @ reps.h_users[user]
-    return rank_scores(scores, exclude)
-
-
-def rank_scores(scores: np.ndarray, exclude: set[int]) -> np.ndarray:
+def rank_all(scores: np.ndarray, exclude: set[int]) -> np.ndarray:
+    """Indices of the non-excluded items by descending score, ties to the
+    lower index."""
     keep = np.ones(scores.shape[0], dtype=bool)
     if exclude:
         keep[list(exclude)] = False
@@ -106,52 +106,72 @@ def ndcg_at_k(ranked, relevant: set[int], k: int) -> float:
     return dcg / ideal if ideal > 0.0 else 0.0
 
 
-def _relevant_by_user(arr: np.ndarray, num_users: int) -> list[set[int]]:
-    out = [set() for _ in range(num_users)]
-    for u, i in arr:
-        out[u].add(int(i))
-    return out
+def _sorted_ks(ks) -> tuple[int, ...]:
+    ks = tuple(sorted(ks))
+    if not ks:
+        raise ConfigError("at least one K is required")
+    return ks
 
 
-def _user_metrics(reps, ds, users, exclude_sets, relevant_sets, ks):
+def _rank_metrics(queries, ks):
+    """Per-K recall and NDCG lists over (scores, exclude, relevant) queries;
+    ks sorted ascending."""
     rec = {k: [] for k in ks}
     ndcg = {k: [] for k in ks}
-    for u in users:
-        ranked = rank_all(reps, ds, int(u), exclude_sets[u])
-        relevant = relevant_sets[u]
-        top = ranked[:max(ks)]
+    for scores, exclude, relevant in queries:
+        top = rank_all(scores, exclude)[:ks[-1]]
         for k in ks:
             rec[k].append(recall_at_k(top[:k], relevant, k))
             ndcg[k].append(ndcg_at_k(top[:k], relevant, k))
     return rec, ndcg
 
 
-def _evaluate_users(reps, ds, users, exclude_sets, relevant_sets, ks,
-                    slice_label, skipped=0) -> EvalReport:
-    ks = tuple(sorted(ks))
-    if not ks:
-        raise ConfigError("at least one K is required")
-    if len(users) == 0:
-        return EvalReport(recall={k: 0.0 for k in ks}, ndcg={k: 0.0 for k in ks},
-                          users_evaluated=0, slice_label=slice_label, skipped=skipped)
-    workers = max_workers()
+def _report(results, ks, **fields) -> EvalReport:
+    """Per-K means over the (recall, ndcg) lists of every result; zeros when
+    no query was ranked."""
+    recall = {k: [v for rec, _ in results for v in rec[k]] for k in ks}
+    ndcg = {k: [v for _, nd in results for v in nd[k]] for k in ks}
+    count = len(recall[ks[0]])
+
+    def mean(values):
+        return math.fsum(values) / count if count else 0.0
+
+    return EvalReport(recall={k: mean(recall[k]) for k in ks},
+                      ndcg={k: mean(ndcg[k]) for k in ks},
+                      users_evaluated=count, **fields)
+
+
+def rank_report(queries, ks, **fields) -> EvalReport:
+    """Serial report over (scores, exclude, relevant) queries."""
+    ks = _sorted_ks(ks)
+    return _report([_rank_metrics(queries, ks)], ks, **fields)
+
+
+def _split_sets(ds: Dataset, split: str) -> tuple[list[set[int]], list[set[int]]]:
+    """Per-user exclusion and relevance sets for ranking a split: train is
+    always excluded, and val too when ranking test."""
+    seen = ds.train if split == "val" else np.concatenate([ds.train, ds.val])
+    return (items_by_user(seen, ds.num_users),
+            items_by_user(ds.split(split), ds.num_users))
+
+
+def _evaluate_users(reps, users, exclude, relevant, ks, **fields) -> EvalReport:
+    """Report over the users' inner-product rankings, chunks spread over the
+    thread pool."""
+    ks = _sorted_ks(ks)
+
+    def chunk_metrics(chunk):
+        return _rank_metrics(((reps.h_items @ reps.h_users[u], exclude[u], relevant[u])
+                              for u in chunk), ks)
+
     chunks = [users[s:s + _CHUNK] for s in range(0, len(users), _CHUNK)]
+    workers = max_workers() if chunks else 1
     if workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda c: _user_metrics(reps, ds, c, exclude_sets, relevant_sets, ks),
-                chunks))
+            results = list(pool.map(chunk_metrics, chunks))
     else:
-        results = [_user_metrics(reps, ds, c, exclude_sets, relevant_sets, ks)
-                   for c in chunks]
-    recall, ndcg = {}, {}
-    for k in ks:
-        rec_vals = [v for rec, _ in results for v in rec[k]]
-        ndcg_vals = [v for _, nd in results for v in nd[k]]
-        recall[k] = math.fsum(rec_vals) / len(rec_vals)
-        ndcg[k] = math.fsum(ndcg_vals) / len(ndcg_vals)
-    return EvalReport(recall=recall, ndcg=ndcg, users_evaluated=len(users),
-                      slice_label=slice_label, skipped=skipped)
+        results = [chunk_metrics(c) for c in chunks]
+    return _report(results, ks, **fields)
 
 
 def evaluate(reps: Representations, ds: Dataset, split: str,
@@ -160,26 +180,19 @@ def evaluate(reps: Representations, ds: Dataset, split: str,
     split."""
     if split not in ("val", "test"):
         raise ConfigError(f"evaluation split must be val or test, got '{split}'")
-    relevant = _relevant_by_user(ds.split(split), ds.num_users)
-    exclude = _relevant_by_user(ds.train, ds.num_users)
-    if split == "test":
-        for u, i in ds.val:
-            exclude[u].add(int(i))
-    users = np.array([u for u in range(ds.num_users) if relevant[u]], dtype=np.int64)
-    return _evaluate_users(reps, ds, users, exclude, relevant, ks, "full")
+    exclude, relevant = _split_sets(ds, split)
+    users = [u for u in range(ds.num_users) if relevant[u]]
+    return _evaluate_users(reps, users, exclude, relevant, ks)
 
 
 def longtail_evaluate(reps: Representations, ds: Dataset, ks=(10, 20, 50),
                       threshold: float = 4) -> EvalReport:
     """Test-split evaluation restricted to items with a train interaction
     count strictly below the threshold."""
-    relevant = _relevant_by_user(ds.test, ds.num_users)
+    exclude, relevant = _split_sets(ds, "test")
     degrees = ds.item_train_degree
     restricted = [{i for i in rel if degrees[i] < threshold} for rel in relevant]
-    exclude = _relevant_by_user(ds.train, ds.num_users)
-    for u, i in ds.val:
-        exclude[u].add(int(i))
-    users = np.array([u for u in range(ds.num_users) if restricted[u]], dtype=np.int64)
+    users = [u for u in range(ds.num_users) if restricted[u]]
     skipped = sum(1 for u in range(ds.num_users) if relevant[u] and not restricted[u])
-    return _evaluate_users(reps, ds, users, exclude, restricted, ks,
-                           "longtail", skipped=skipped)
+    return _evaluate_users(reps, users, exclude, restricted, ks,
+                           slice_label="longtail", skipped=skipped)

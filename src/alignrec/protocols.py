@@ -15,19 +15,22 @@ mask-modality
     Replaces a seeded uniform sample of item rows with externally supplied
     single-modality rows, then reruns one of the base protocols on the
     composite matrix.
+
+Zero-shot and item-CF only build their queries (a cosine score vector, the
+excluded items and the target); ranking and the Recall@K / NDCG@K report come
+from the evaluator's shared loop, run serially through rank_report.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .data import Dataset
+from .data import Dataset, items_by_user
 from .errors import ConfigError, DimensionError
-from .evaluator import EvalReport, ndcg_at_k, rank_scores, recall_at_k
+from .evaluator import EvalReport, rank_report
 from .features import FeatureMatrix
 from .sparse import SparseMatrix
 
@@ -60,43 +63,20 @@ def zero_shot_eval(feat: FeatureMatrix, ds: Dataset, cfg: ProtocolConfig) -> Eva
     """Recall of each user's held-out item among feature-similar candidates."""
     if feat.rows != ds.num_items:
         raise DimensionError(f"feature rows {feat.rows} != items {ds.num_items}")
-    ks = tuple(sorted(cfg.ks))
-    history = [[] for _ in range(ds.num_users)]
-    for u, i in ds.train:
-        history[u].append(int(i))
     # canonical order: the mean must not depend on interaction order
-    history = [sorted(h) for h in history]
-    target: dict[int, int] = {}
-    for u, i in ds.test:
-        target[int(u)] = int(i)
+    history = [sorted(items) for items in items_by_user(ds.train, ds.num_users)]
+    target = {int(u): int(i) for u, i in ds.test}
+    users = [u for u in range(ds.num_users) if u in target and history[u]]
     unit = _unit_rows(feat.data)
 
-    rec = {k: [] for k in ks}
-    ndcg = {k: [] for k in ks}
-    skipped = 0
-    for u in range(ds.num_users):
-        if u not in target or not history[u]:
-            skipped += 1
-            continue
-        user_feat = feat.data[history[u]].mean(axis=0)
-        norm = np.linalg.norm(user_feat)
-        user_unit = user_feat / norm if norm > 0.0 else user_feat
-        scores = unit @ user_unit
-        ranked = rank_scores(scores, set(history[u]))
-        relevant = {target[u]}
-        top = ranked[:max(ks)]
-        for k in ks:
-            rec[k].append(recall_at_k(top[:k], relevant, k))
-            ndcg[k].append(ndcg_at_k(top[:k], relevant, k))
-    evaluated = len(rec[ks[0]])
-    if evaluated == 0:
-        report = EvalReport(recall={k: 0.0 for k in ks}, ndcg={k: 0.0 for k in ks},
-                            users_evaluated=0, skipped=skipped)
-    else:
-        report = EvalReport(
-            recall={k: math.fsum(rec[k]) / evaluated for k in ks},
-            ndcg={k: math.fsum(ndcg[k]) / evaluated for k in ks},
-            users_evaluated=evaluated, skipped=skipped)
+    def queries():
+        for u in users:
+            user_feat = feat.data[history[u]].mean(axis=0)
+            norm = np.linalg.norm(user_feat)
+            user_unit = user_feat / norm if norm > 0.0 else user_feat
+            yield unit @ user_unit, set(history[u]), {target[u]}
+
+    report = rank_report(queries(), cfg.ks, skipped=ds.num_users - len(users))
     report.extras["protocol"] = "zero_shot"
     return report
 
@@ -120,34 +100,15 @@ def itemcf_eval(feat: FeatureMatrix, ds: Dataset, cfg: ProtocolConfig) -> EvalRe
     candidates."""
     if feat.rows != ds.num_items:
         raise DimensionError(f"feature rows {feat.rows} != items {ds.num_items}")
-    ks = tuple(sorted(cfg.ks))
     scores_cf = itemcf_score(ds)
-    unit = _unit_rows(feat.data)
-    rec = {k: [] for k in ks}
-    ndcg = {k: [] for k in ks}
-    skipped = 0
+    target: dict[int, int] = {}
     for j in range(ds.num_items):
         cols, vals = scores_cf.row(j)
-        if cols.size == 0:
-            skipped += 1
-            continue
-        target = int(cols[np.argmax(vals)])  # columns sorted, so ties hit the lower index
-        sims = unit @ unit[j]
-        ranked = rank_scores(sims, {j})
-        relevant = {target}
-        top = ranked[:max(ks)]
-        for k in ks:
-            rec[k].append(recall_at_k(top[:k], relevant, k))
-            ndcg[k].append(ndcg_at_k(top[:k], relevant, k))
-    evaluated = len(rec[ks[0]])
-    if evaluated == 0:
-        report = EvalReport(recall={k: 0.0 for k in ks}, ndcg={k: 0.0 for k in ks},
-                            users_evaluated=0, skipped=skipped)
-    else:
-        report = EvalReport(
-            recall={k: math.fsum(rec[k]) / evaluated for k in ks},
-            ndcg={k: math.fsum(ndcg[k]) / evaluated for k in ks},
-            users_evaluated=evaluated, skipped=skipped)
+        if cols.size:
+            target[j] = int(cols[np.argmax(vals)])  # columns sorted, so ties hit the lower index
+    unit = _unit_rows(feat.data)
+    queries = ((unit @ unit[j], {j}, {t}) for j, t in target.items())
+    report = rank_report(queries, cfg.ks, skipped=ds.num_items - len(target))
     report.extras["protocol"] = "item_cf"
     return report
 

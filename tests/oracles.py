@@ -156,28 +156,67 @@ def itemcf_reference(ds):
     return s
 
 
+def _unit_rows_reference(features):
+    norms = np.linalg.norm(features, axis=1)
+    return np.where(norms[:, None] > 0, features / np.where(norms[:, None] == 0, 1, norms[:, None]), 0.0)
+
+
+def _single_target_protocol(queries, num_items, ks):
+    """Recall and NDCG means over (scores, banned, target) queries, each
+    ranked by a python sort over the non-banned items."""
+    per_k_recall = {k: [] for k in ks}
+    per_k_ndcg = {k: [] for k in ks}
+    for scores, banned, target in queries:
+        ranking = sorted((i for i in range(num_items) if i not in banned),
+                         key=lambda i: (-scores[i], i))
+        for k in ks:
+            top = ranking[:k]
+            per_k_recall[k].append(1.0 if target in top else 0.0)
+            # one relevant item: the ideal DCG is 1 / log2(2) = 1
+            per_k_ndcg[k].append(1.0 / math.log2(top.index(target) + 2.0)
+                                 if target in top else 0.0)
+    n = len(per_k_recall[ks[0]])
+    if n == 0:
+        return {k: 0.0 for k in ks}, {k: 0.0 for k in ks}, 0
+    recall = {k: math.fsum(per_k_recall[k]) / n for k in ks}
+    ndcg = {k: math.fsum(per_k_ndcg[k]) / n for k in ks}
+    return recall, ndcg, n
+
+
 def itemcf_protocol_reference(features, ds, ks):
     """Independent item-CF protocol: target from the reference score matrix,
     ranking by cosine with python sorts."""
     scores = itemcf_reference(ds)
-    norms = np.linalg.norm(features, axis=1)
-    unit = np.where(norms[:, None] > 0, features / np.where(norms[:, None] == 0, 1, norms[:, None]), 0.0)
-    per_k = {k: [] for k in ks}
-    evaluated = 0
+    unit = _unit_rows_reference(features)
+    queries = []
     for j in range(ds.num_items):
         row = scores[j]
         if not np.any(row > 0):
             continue
         best = row.max()
         target = min(i for i in range(ds.num_items) if row[i] == best)
-        sims = unit @ unit[j]
-        ranking = sorted((i for i in range(ds.num_items) if i != j),
-                         key=lambda i: (-sims[i], i))
-        evaluated += 1
-        for k in ks:
-            per_k[k].append(1.0 if target in ranking[:k] else 0.0)
-    recall = {k: math.fsum(per_k[k]) / evaluated for k in ks}
-    return recall, evaluated
+        queries.append((unit @ unit[j], {j}, target))
+    return _single_target_protocol(queries, ds.num_items, ks)
+
+
+def zero_shot_protocol_reference(features, ds, ks):
+    """Independent zero-shot protocol: the user query is the mean of the
+    history rows in item order, the target is the user's test item, and the
+    history is banned from the python-sorted ranking."""
+    history = {}
+    for u, i in ds.train:
+        history.setdefault(int(u), set()).add(int(i))
+    target = {int(u): int(i) for u, i in ds.test}
+    unit = _unit_rows_reference(features)
+    queries = []
+    for u in range(ds.num_users):
+        if u not in target or u not in history:
+            continue
+        user_feat = features[sorted(history[u])].mean(axis=0)
+        norm = np.linalg.norm(user_feat)
+        query = user_feat / norm if norm > 0.0 else user_feat
+        queries.append((unit @ query, history[u], target[u]))
+    return _single_target_protocol(queries, ds.num_items, ks)
 
 
 class ScalarAdam:

@@ -4,7 +4,11 @@ import pytest
 from alignrec.checkpoint import load_checkpoint
 from alignrec.cli import main
 from alignrec.config import load_config
-from alignrec.features import save_features
+from alignrec.data import kcore_filter, load_interactions, split_dataset
+from alignrec.features import (align_features, load_features, read_item_list,
+                               save_features)
+from alignrec.graphs import build_graphs
+from alignrec.model import forward
 from alignrec.synthetic import make_corpus, write_corpus
 
 BASE_CONFIG = """\
@@ -172,6 +176,40 @@ class TestRecommend:
             key, score = line.split("\t")
             assert key.startswith("i")
             float(score)
+
+    def test_matches_bruteforce_top_k(self, workspace, capsys):
+        assert _run(workspace, "train") == 0
+        path = workspace / "out" / "checkpoint_best.ackp"
+        capsys.readouterr()
+        assert _run(workspace, "recommend", "--checkpoint", str(path),
+                    "--user", "u00", "--k", "7") == 0
+        lines = capsys.readouterr().out.splitlines()
+        cfg = load_config(workspace / "run.ini")
+        ds = split_dataset(kcore_filter(load_interactions(cfg.interactions), cfg.k_core),
+                           cfg.ratios, cfg.split_seed, cfg.strategy)
+        keys = read_item_list(cfg.item_list)
+        feat = align_features(load_features(cfg.features, expected_items=len(keys)),
+                              keys, ds)
+        graphs = build_graphs(ds, feat, cfg.train.k_prime)
+        reps = forward(load_checkpoint(path).params, graphs, feat,
+                       cfg.train.gcn_layers).reps
+        user = ds.user_index["u00"]
+        scores = reps.h_items @ reps.h_users[user]
+        seen = {i for u, i in ds.train.tolist() if u == user}
+        ranking = sorted((j for j in range(ds.num_items) if j not in seen),
+                         key=lambda j: (-scores[j], j))
+        assert seen and len(ranking) > 7
+        assert lines == [f"{ds.item_keys[j]}\t{float(scores[j])!r}" for j in ranking[:7]]
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_k_below_one_is_config_error(self, workspace, capsys, k):
+        assert _run(workspace, "train") == 0
+        capsys.readouterr()
+        code = _run(workspace, "recommend", "--checkpoint",
+                    str(workspace / "out" / "checkpoint_best.ackp"),
+                    "--user", "u00", "--k", k)
+        assert code == 2
+        assert capsys.readouterr().out == ""
 
     def test_unknown_user_is_data_error(self, workspace):
         assert _run(workspace, "train") == 0

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alignrec.data import (RawInteractions, kcore_filter, load_interactions,
-                           read_manifest, split_dataset, write_manifest)
+from alignrec.data import (RawInteractions, items_by_user, kcore_filter,
+                           load_interactions, read_manifest, split_dataset,
+                           write_manifest)
 from alignrec.errors import (ConfigError, EmptyAfterFilterError,
                              EmptyInputError, ParseError)
 
@@ -185,6 +186,21 @@ class TestSplit:
         assert len(set(pairs)) == total
         assert set(np.unique(ds.train[:, 0])) == set(range(ds.num_users))
         assert set(np.unique(ds.train[:, 1])) == set(range(ds.num_items))
+
+
+def test_items_by_user_matches_per_edge_loop(rng):
+    # duplicate pairs, users with no pairs, and no pairs at all
+    for num_users, num_items, n in [(1, 1, 1), (7, 5, 20), (40, 30, 300),
+                                    (60, 10, 25), (50, 9, 0)]:
+        pairs = np.stack([rng.integers(num_users, size=n),
+                          rng.integers(num_items, size=n)], axis=1)
+        want = [set() for _ in range(num_users)]
+        for u, i in pairs:
+            want[u].add(int(i))
+        got = items_by_user(pairs, num_users)
+        assert got == want
+        assert all(type(i) is int for items in got for i in items)
+    assert items_by_user(np.empty((0, 2), dtype=np.int64), 0) == []
 
 
 def test_manifest_roundtrip(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from alignrec.data import Dataset
 from alignrec.evaluator import (evaluate, longtail_evaluate, ndcg_at_k,
-                                rank_all, rank_scores, recall_at_k)
+                                rank_all, recall_at_k)
 from alignrec.model import Representations
 
 from oracles import bruteforce_evaluate
@@ -33,32 +33,23 @@ def _dataset(num_users, num_items, train, val, test):
 
 class TestRanking:
     def test_simple_order(self):
-        order = rank_scores(np.array([0.5, 0.9, 0.1]), set())
+        order = rank_all(np.array([0.5, 0.9, 0.1]), set())
         assert order.tolist() == [1, 0, 2]
 
     def test_tie_breaks_by_index(self):
-        order = rank_scores(np.array([1.0, 1.0, 1.0, 1.0]), set())
+        order = rank_all(np.array([1.0, 1.0, 1.0, 1.0]), set())
         assert order.tolist() == [0, 1, 2, 3]
 
     def test_excluded_missing_from_output(self):
-        order = rank_scores(np.array([0.5, 0.9, 0.1, 0.7]), {1, 2})
+        order = rank_all(np.array([0.5, 0.9, 0.1, 0.7]), {1, 2})
         assert order.tolist() == [3, 0]
 
     def test_matches_full_sort_oracle(self, rng):
         scores = rng.normal(size=40)
-        got = rank_scores(scores, {3, 17})
+        got = rank_all(scores, {3, 17})
         want = sorted((j for j in range(40) if j not in {3, 17}),
                       key=lambda j: (-scores[j], j))
         assert got.tolist() == want
-
-    def test_rank_all_uses_inner_product(self, rng):
-        h_users = rng.normal(size=(2, 3))
-        h_items = rng.normal(size=(5, 3))
-        ds = _dataset(2, 5, [[0, 0], [1, 1]], [], [])
-        ranked = rank_all(_reps(h_users, h_items), ds, 0, {0})
-        scores = h_items @ h_users[0]
-        want = sorted((j for j in range(5) if j != 0), key=lambda j: (-scores[j], j))
-        assert ranked.tolist() == want
 
 
 class TestMetrics:
@@ -186,7 +177,7 @@ class TestLongtail:
         hits = []
         for u in (1, 3):
             exclude = {i for uu, i in ds.train.tolist() if uu == u}
-            ranked = rank_all(reps, ds, u, exclude)
+            ranked = rank_all(reps.h_items @ reps.h_users[u], exclude)
             hits.append(1.0 if 4 in ranked[:5].tolist() else 0.0)
         assert report.recall[5] == pytest.approx(sum(hits) / 2, abs=1e-15)
 

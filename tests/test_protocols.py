@@ -8,7 +8,8 @@ from alignrec.protocols import (ProtocolConfig, compose_masked, itemcf_eval,
                                 itemcf_score, mask_modality_eval,
                                 zero_shot_eval)
 
-from oracles import itemcf_protocol_reference, itemcf_reference
+from oracles import (itemcf_protocol_reference, itemcf_reference,
+                     zero_shot_protocol_reference)
 
 
 def _temporal_ds(records):
@@ -90,6 +91,19 @@ class TestZeroShot:
         r2 = zero_shot_eval(FeatureMatrix(data), ds, ProtocolConfig(ks=(3,)))
         assert r1.recall == r2.recall
 
+    def test_matches_independent_implementation(self, rng):
+        for _ in range(5):
+            ds = _random_temporal(rng, num_users=10, num_items=14, per_user=5)
+            features = rng.normal(size=(ds.num_items, 6))
+            report = zero_shot_eval(FeatureMatrix(features), ds,
+                                    ProtocolConfig(ks=(1, 3, 7)))
+            want_recall, want_ndcg, want_count = zero_shot_protocol_reference(
+                features, ds, (1, 3, 7))
+            assert report.users_evaluated == want_count
+            for k in (1, 3, 7):
+                assert report.recall[k] == want_recall[k]
+                assert report.ndcg[k] == want_ndcg[k]
+
     def test_itemcf_row_scale_invariance(self, rng):
         ds = _random_temporal(rng)
         data = rng.normal(size=(ds.num_items, 5))
@@ -148,10 +162,11 @@ class TestItemCfEval:
         ds = _random_temporal(rng, num_users=10, num_items=12, per_user=4)
         features = rng.normal(size=(ds.num_items, 6))
         report = itemcf_eval(FeatureMatrix(features), ds, ProtocolConfig(ks=(2, 5)))
-        want_recall, want_count = itemcf_protocol_reference(features, ds, (2, 5))
+        want_recall, want_ndcg, want_count = itemcf_protocol_reference(features, ds, (2, 5))
         assert report.users_evaluated == want_count
         for k in (2, 5):
             assert report.recall[k] == want_recall[k]
+            assert report.ndcg[k] == want_ndcg[k]
 
 
 class TestMaskModality:
