@@ -68,12 +68,10 @@ def cmd_prepare(cfg: RunConfig) -> int:
 
 def _checkpoint_hook(out_dir: Path, config_text: str):
     def hook(tag: str, params, state):
+        # one file per tag (best, final, failed), so a diverged run cannot
+        # overwrite the final checkpoint of an earlier run
         status = "failed" if tag == "failed" else "ok"
-        name = {"best": "checkpoint_best.ackp",
-                "final": "checkpoint_final.ackp",
-                "failed": "checkpoint_final.ackp"}[tag]
-        save_checkpoint_path = out_dir / name
-        ckpt.save_checkpoint(save_checkpoint_path, params, config_text,
+        ckpt.save_checkpoint(out_dir / f"checkpoint_{tag}.ackp", params, config_text,
                              rng_state=state.rng.bit_generator.state, status=status)
     return hook
 
@@ -202,19 +200,20 @@ def _apply_grid_point(train: TrainConfig, point: dict[str, str]) -> TrainConfig:
 def cmd_grid(cfg: RunConfig) -> int:
     if not cfg.grid:
         raise ConfigError("grid command needs a [grid] section")
+    keys = sorted(cfg.grid)
+    # every point is parsed and validated before anything is trained
+    points = [(values, _apply_grid_point(cfg.train, dict(zip(keys, values))))
+              for values in itertools.product(*(cfg.grid[k] for k in keys))]
     ds = _prepare_dataset(cfg)
     feat = _load_aligned_features(cfg, ds)
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    keys = sorted(cfg.grid)
     lines = []
     header = "\t".join(keys + ["val_recall@20"]
                        + [f"test_recall@{k}" for k in cfg.eval_ks]
                        + [f"test_ndcg@{k}" for k in cfg.eval_ks])
     lines.append(header)
-    for values in itertools.product(*(cfg.grid[k] for k in keys)):
-        point = dict(zip(keys, values))
-        train_cfg = _apply_grid_point(cfg.train, point)
+    for values, train_cfg in points:
         graphs = build_graphs(ds, feat, train_cfg.k_prime)
         params, log = fit(ds, graphs, feat, train_cfg)
         best_val = max(rec["val_recall@20"] for rec in log)

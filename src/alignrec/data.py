@@ -255,16 +255,16 @@ def _check_partition(ds: Dataset, total: int, strategy: str) -> None:
     n = len(ds.train) + len(ds.val) + len(ds.test)
     if n != total:
         raise DataError(f"splits hold {n} interactions, expected {total}")
-    pairs = set()
-    for arr in (ds.train, ds.val, ds.test):
-        for u, i in arr:
-            if (u, i) in pairs:
-                raise DataError(f"interaction ({u},{i}) appears in two splits")
-            pairs.add((int(u), int(i)))
-    users_in_train = {int(u) for u, _ in ds.train}
-    if len(users_in_train) != ds.num_users:
-        missing = set(range(ds.num_users)) - users_in_train
-        raise DataError(f"users without a train interaction: {sorted(missing)[:5]}")
+    pairs = np.concatenate([ds.train, ds.val, ds.test])
+    _, first = np.unique(pairs[:, 0] * ds.num_items + pairs[:, 1], return_index=True)
+    if first.size != len(pairs):
+        repeated = np.ones(len(pairs), dtype=bool)
+        repeated[first] = False
+        u, i = pairs[np.argmax(repeated)]
+        raise DataError(f"interaction ({u},{i}) appears in two splits")
+    missing = np.flatnonzero(np.bincount(ds.train[:, 0], minlength=ds.num_users) == 0)
+    if missing.size:
+        raise DataError(f"users without a train interaction: {missing[:5].tolist()}")
     if strategy == "random":
         if np.any(ds.item_train_degree == 0):
             bad = np.flatnonzero(ds.item_train_degree == 0)

@@ -1,11 +1,12 @@
 """Training losses and their gradients with respect to the model parameters.
 
 Each public loss returns (value, grads) where grads is a dict keyed like
-ModelParams. Internally every loss produces gradients in representation
-space; ForwardPass.backward chains them to the parameters. The combined
-objective merges the weighted representation gradients first and runs a
-single backward pass, which by linearity equals the weighted sum of the
-component parameter gradients.
+ModelParams. Internally every loss adds its weighted gradient in
+representation space into one RepGrads accumulator, touching only the rows
+it uses; ForwardPass.backward chains the accumulator to the parameters. The
+combined objective has its four losses add into the same accumulator and
+runs a single backward pass, which by linearity equals the weighted sum of
+the component parameter gradients.
 
 Conventions fixed here:
 
@@ -66,7 +67,7 @@ class BatchSample:
         return len(self.users)
 
 
-def _bpr_rep(fp: ForwardPass, batch: BatchSample) -> tuple[float, RepGrads]:
+def _bpr_rep(fp: ForwardPass, batch: BatchSample, g: RepGrads) -> float:
     reps = fp.reps
     u, i, j = batch.users, batch.pos_items, batch.neg_items
     hu = reps.h_users[u]
@@ -75,11 +76,10 @@ def _bpr_rep(fp: ForwardPass, batch: BatchSample) -> tuple[float, RepGrads]:
     margin = np.sum(hi * hu, axis=1) - np.sum(hj * hu, axis=1)
     value = float(np.mean(np.logaddexp(0.0, -margin)))
     d_margin = -expit(-margin) / len(batch)
-    g = fp.zero_rep_grads()
     np.add.at(g.h_users, u, d_margin[:, None] * (hi - hj))
     np.add.at(g.h_items, i, d_margin[:, None] * hu)
     np.add.at(g.h_items, j, -d_margin[:, None] * hu)
-    return value, g
+    return value
 
 
 def _normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -104,22 +104,27 @@ def _infonce_side(x: np.ndarray, y: np.ndarray, tau: float):
     normalization) inputs.
     """
     n = x.shape[0]
+    diag = np.arange(n)
     x_unit, x_norms, x_nz = _normalize_rows(x)
     y_unit, y_norms, y_nz = _normalize_rows(y)
     logits = (x_unit @ y_unit.T) / tau
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    log_probs = shifted - np.log(exp.sum(axis=1, keepdims=True))
-    value = float(-np.mean(np.diag(log_probs)))
-    d_logits = (probs - np.eye(n)) / n
+    row_sum = exp.sum(axis=1)
+    value = float(-np.mean(shifted[diag, diag] - np.log(row_sum)))
+    # d loss / d logits = (softmax - one-hot target) / n, built in place of exp
+    d_logits = exp
+    d_logits /= row_sum[:, None]
+    d_logits[diag, diag] -= 1.0
+    d_logits /= n
     d_x_unit = (d_logits @ y_unit) / tau
     d_y_unit = (d_logits.T @ x_unit) / tau
     return value, _normalize_backward(d_x_unit, x_unit, x_norms, x_nz), \
         _normalize_backward(d_y_unit, y_unit, y_norms, y_nz)
 
 
-def _cca_rep(fp: ForwardPass, batch: BatchSample, tau: float) -> tuple[float, RepGrads]:
+def _cca_rep(fp: ForwardPass, batch: BatchSample, tau: float,
+             g: RepGrads, weight: float) -> float:
     reps = fp.reps
     items = np.unique(batch.pos_items)
     users = np.unique(batch.users)
@@ -127,21 +132,20 @@ def _cca_rep(fp: ForwardPass, batch: BatchSample, tau: float) -> tuple[float, Re
                                             reps.h_id_items[items], tau)
     v_users, d_mm_u, d_id_u = _infonce_side(reps.h_mm_users[users],
                                             reps.h_id_users[users], tau)
-    g = fp.zero_rep_grads()
-    g.h_mm_items[items] += d_mm_i
-    g.h_id_items[items] += d_id_i
-    g.h_mm_users[users] += d_mm_u
-    g.h_id_users[users] += d_id_u
-    return v_items + v_users, g
+    g.h_mm_items[items] += weight * d_mm_i
+    g.h_id_items[items] += weight * d_id_i
+    g.h_mm_users[users] += weight * d_mm_u
+    g.h_id_users[users] += weight * d_id_u
+    return v_items + v_users
 
 
-def _reg_rep(fp: ForwardPass, feat: FeatureMatrix, batch: BatchSample) -> tuple[float, RepGrads]:
+def _reg_rep(fp: ForwardPass, feat: FeatureMatrix, batch: BatchSample,
+             g: RepGrads, weight: float) -> float:
     reps = fp.reps
     items = np.unique(batch.pos_items)
-    g = fp.zero_rep_grads()
     n = items.shape[0]
     if n < 2:
-        return 0.0, g
+        return 0.0
     x = reps.h_mm_items[items]
     x_unit, x_norms, x_nz = _normalize_rows(x)
     f_unit, _, f_nz = _normalize_rows(feat.data[items])
@@ -164,12 +168,12 @@ def _reg_rep(fp: ForwardPass, feat: FeatureMatrix, batch: BatchSample) -> tuple[
     diag_coef = np.sum(w * cos_x, axis=1, keepdims=True)
     d_x = np.zeros_like(x)
     d_x[x_nz] = (row_mix[x_nz] - diag_coef[x_nz] * x_unit[x_nz]) / x_norms[x_nz, None]
-    g.h_mm_items[items] += d_x
-    return value, g
+    g.h_mm_items[items] += weight * d_x
+    return value
 
 
-def _uia_rep(fp: ForwardPass, batch: BatchSample,
-             counters: dict | None = None) -> tuple[float, RepGrads]:
+def _uia_rep(fp: ForwardPass, batch: BatchSample, g: RepGrads, weight: float,
+             counters: dict | None = None) -> float:
     reps = fp.reps
     u, i = batch.users, batch.pos_items
     hu = reps.h_users[u]
@@ -183,7 +187,6 @@ def _uia_rep(fp: ForwardPass, batch: BatchSample,
     cos[ok] = np.sum(hu[ok] * hi[ok], axis=1) / (ru[ok] * ri[ok])
     value = float(np.mean(1.0 - cos))
 
-    g = fp.zero_rep_grads()
     scale = -1.0 / len(batch)
     d_hu = np.zeros_like(hu)
     d_hi = np.zeros_like(hi)
@@ -191,42 +194,44 @@ def _uia_rep(fp: ForwardPass, batch: BatchSample,
                         - (cos[ok] / ru[ok] ** 2)[:, None] * hu[ok])
     d_hi[ok] = scale * (hu[ok] / (ru[ok] * ri[ok])[:, None]
                         - (cos[ok] / ri[ok] ** 2)[:, None] * hi[ok])
-    np.add.at(g.h_users, u, d_hu)
-    np.add.at(g.h_items, i, d_hi)
-    return value, g
+    # a repeated user or item sums its terms first; the weight scales the total
+    for dst, index, rows in ((g.h_users, u, d_hu), (g.h_items, i, d_hi)):
+        unique, inverse = np.unique(index, return_inverse=True)
+        total = np.zeros((unique.size, rows.shape[1]))
+        np.add.at(total, inverse, rows)
+        dst[unique] += weight * total
+    return value
 
 
 def bpr_loss(fp: ForwardPass, batch: BatchSample):
-    value, g = _bpr_rep(fp, batch)
-    return value, fp.backward(g)
+    g = fp.zero_rep_grads()
+    return _bpr_rep(fp, batch, g), fp.backward(g)
 
 
 def cca_infonce(fp: ForwardPass, batch: BatchSample, tau: float):
-    value, g = _cca_rep(fp, batch, tau)
-    return value, fp.backward(g)
+    g = fp.zero_rep_grads()
+    return _cca_rep(fp, batch, tau, g, 1.0), fp.backward(g)
 
 
 def reg_similarity(fp: ForwardPass, feat: FeatureMatrix, batch: BatchSample):
-    value, g = _reg_rep(fp, feat, batch)
-    return value, fp.backward(g)
+    g = fp.zero_rep_grads()
+    return _reg_rep(fp, feat, batch, g, 1.0), fp.backward(g)
 
 
 def uia_cosine(fp: ForwardPass, batch: BatchSample, counters: dict | None = None):
-    value, g = _uia_rep(fp, batch, counters)
-    return value, fp.backward(g)
+    g = fp.zero_rep_grads()
+    return _uia_rep(fp, batch, g, 1.0, counters), fp.backward(g)
 
 
 def total_loss(fp: ForwardPass, feat: FeatureMatrix, batch: BatchSample,
                weights: LossWeights, counters: dict | None = None):
     """Weighted objective. Returns (value, grads, per-component values)."""
-    v_bpr, g_bpr = _bpr_rep(fp, batch)
-    v_cca, g_cca = _cca_rep(fp, batch, weights.tau)
-    v_uia, g_uia = _uia_rep(fp, batch, counters)
-    v_reg, g_reg = _reg_rep(fp, feat, batch)
-    combined = g_bpr
-    combined.add_scaled(g_cca, weights.alpha)
-    combined.add_scaled(g_uia, weights.beta)
-    combined.add_scaled(g_reg, weights.lambda_)
+    g = fp.zero_rep_grads()
+    # BPR has weight 1 and adds first, straight into the zeroed accumulator
+    v_bpr = _bpr_rep(fp, batch, g)
+    v_cca = _cca_rep(fp, batch, weights.tau, g, weights.alpha)
+    v_uia = _uia_rep(fp, batch, g, weights.beta, counters)
+    v_reg = _reg_rep(fp, feat, batch, g, weights.lambda_)
     value = v_bpr + weights.alpha * v_cca + weights.beta * v_uia + weights.lambda_ * v_reg
     parts = {"bpr": v_bpr, "cca": v_cca, "uia": v_uia, "reg": v_reg}
-    return value, fp.backward(combined), parts
+    return value, fp.backward(g), parts

@@ -104,8 +104,10 @@ class Representations:
 
 @dataclass
 class RepGrads:
-    """Gradient accumulators in representation space, one per tensor that a
-    loss may touch directly."""
+    """One gradient accumulator in representation space, one array per tensor
+    that a loss may touch directly. The losses of an objective add their
+    weighted gradients into the same instance, and one `backward` call chains
+    the total to the parameters."""
 
     h_users: np.ndarray
     h_items: np.ndarray
@@ -113,19 +115,13 @@ class RepGrads:
     h_mm_items: np.ndarray
     h_id_users: np.ndarray
     h_id_items: np.ndarray
-    h_con_items: np.ndarray
 
     @classmethod
     def zeros(cls, num_users: int, num_items: int, d_e: int) -> "RepGrads":
         u = lambda: np.zeros((num_users, d_e))
         i = lambda: np.zeros((num_items, d_e))
         return cls(h_users=u(), h_items=i(), h_mm_users=u(), h_mm_items=i(),
-                   h_id_users=u(), h_id_items=i(), h_con_items=i())
-
-    def add_scaled(self, other: "RepGrads", scale: float) -> None:
-        for name in ("h_users", "h_items", "h_mm_users", "h_mm_items",
-                     "h_id_users", "h_id_items", "h_con_items"):
-            getattr(self, name).__iadd__(scale * getattr(other, name))
+                   h_id_users=u(), h_id_items=i())
 
 
 def lightgcn_propagate(inter_norm: SparseMatrix, inter_t: SparseMatrix,
@@ -203,7 +199,7 @@ class ForwardPass:
         d_id_users = g.h_id_users + g.h_users
         d_mm_items = g.h_mm_items + g.h_items + self.graphs.inter_t.dot(d_mm_users)
         d_id_items = g.h_id_items + g.h_items
-        d_con = g.h_con_items + self.graphs.sim_t.dot(d_mm_items)
+        d_con = self.graphs.sim_t.dot(d_mm_items)
 
         # gate path
         grads["item_emb"] += self._gate * d_con

@@ -38,15 +38,12 @@ from .sparse import SparseMatrix
 @dataclass(frozen=True)
 class ProtocolConfig:
     ks: tuple[int, ...] = (10, 20, 50)
-    similarity: str = "cosine"
     mask_ratio: float = 0.0
     mask_seed: int = 0
 
     def __post_init__(self):
         if not self.ks:
             raise ConfigError("protocol needs at least one K")
-        if self.similarity != "cosine":
-            raise ConfigError(f"unsupported similarity '{self.similarity}'")
         if not 0.0 <= self.mask_ratio <= 1.0:
             raise ConfigError(f"mask_ratio must be in [0, 1], got {self.mask_ratio}")
 

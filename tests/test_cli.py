@@ -117,12 +117,15 @@ class TestTrain:
                                   getattr(final.params, name))
 
     def test_divergence_exit_code(self, workspace):
+        assert _run(workspace, "train") == 0
+        final_before = (workspace / "out" / "checkpoint_final.ackp").read_bytes()
         bad = BASE_CONFIG.replace("max_epochs = 3",
                                   "max_epochs = 3\nlearning_rate = 1e30\noptimizer = sgd")
         (workspace / "run.ini").write_text(bad, encoding="utf-8")
         assert _run(workspace, "train") == 4
-        final = load_checkpoint(workspace / "out" / "checkpoint_final.ackp")
-        assert final.status == "failed"
+        failed = load_checkpoint(workspace / "out" / "checkpoint_failed.ackp")
+        assert failed.status == "failed"
+        assert (workspace / "out" / "checkpoint_final.ackp").read_bytes() == final_before
 
 
 class TestEval:
@@ -227,6 +230,14 @@ class TestGrid:
         table = (workspace / "out" / "grid_results.txt").read_text().splitlines()
         assert table[0].startswith("lambda\t")
         assert len(table) == 3
+
+    @pytest.mark.parametrize("line", ["lambda = 0.1,abc", "batch_size = 8,0"])
+    def test_bad_point_fails_before_training(self, workspace, capsys, line):
+        cfg = BASE_CONFIG + f"\n[grid]\n{line}\n"
+        (workspace / "run.ini").write_text(cfg, encoding="utf-8")
+        assert _run(workspace, "grid") == 2
+        assert capsys.readouterr().out == ""
+        assert not (workspace / "out" / "grid_results.txt").exists()
 
 
 class TestConfigValidation:

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alignrec.data import (RawInteractions, items_by_user, kcore_filter,
-                           load_interactions, read_manifest, split_dataset,
-                           write_manifest)
-from alignrec.errors import (ConfigError, EmptyAfterFilterError,
+from alignrec.data import (Dataset, RawInteractions, _check_partition, items_by_user,
+                           kcore_filter, load_interactions, read_manifest,
+                           split_dataset, write_manifest)
+from alignrec.errors import (ConfigError, DataError, EmptyAfterFilterError,
                              EmptyInputError, ParseError)
 
 from oracles import kcore_reference
@@ -186,6 +186,58 @@ class TestSplit:
         assert len(set(pairs)) == total
         assert set(np.unique(ds.train[:, 0])) == set(range(ds.num_users))
         assert set(np.unique(ds.train[:, 1])) == set(range(ds.num_items))
+
+
+def _hand_built(num_users, num_items, train, val, test):
+    as_pairs = lambda rows: np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+    return Dataset(num_users=num_users, num_items=num_items, train=as_pairs(train),
+                   val=as_pairs(val), test=as_pairs(test),
+                   user_keys=[f"u{u}" for u in range(num_users)],
+                   item_keys=[f"i{i}" for i in range(num_items)],
+                   user_index={f"u{u}": u for u in range(num_users)},
+                   item_index={f"i{i}": i for i in range(num_items)})
+
+
+class TestCheckPartition:
+    def test_pair_in_two_splits_names_first_repeat_in_scan_order(self):
+        # (1,1) repeats in val before (0,0) repeats in test; sorted order
+        # would name (0,0) first
+        ds = _hand_built(2, 3, [[0, 0], [1, 1], [0, 2], [1, 2]], [[1, 1]], [[0, 0]])
+        with pytest.raises(DataError, match=r"interaction \(1,1\) appears in two splits"):
+            _check_partition(ds, 6, "random")
+
+    def test_user_without_train_row(self):
+        ds = _hand_built(3, 2, [[0, 0], [1, 1]], [[2, 0]], [])
+        with pytest.raises(DataError, match=r"users without a train interaction: \[2\]"):
+            _check_partition(ds, 3, "random")
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_pair_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        num_users, num_items = 6, 5
+        keys = rng.choice(num_users * num_items, size=20, replace=False)
+        pairs = np.stack([keys // num_items, keys % num_items], axis=1)
+        if seed % 2:
+            pairs[rng.integers(10, 20)] = pairs[rng.integers(0, 10)]
+        cut = np.sort(rng.choice(np.arange(8, 20), size=2, replace=False))
+        train, val, test = np.split(pairs, cut)
+        want = None
+        seen = set()
+        for u, i in pairs:
+            if (u, i) in seen:
+                want = f"interaction ({u},{i}) appears in two splits"
+                break
+            seen.add((u, i))
+        if want is None:
+            missing = sorted(set(range(num_users)) - {int(u) for u in train[:, 0]})
+            want = f"users without a train interaction: {missing[:5]}" if missing else None
+        ds = _hand_built(num_users, num_items, train, val, test)
+        try:
+            _check_partition(ds, len(pairs), "temporal-leave-one-out")
+            got = None
+        except DataError as exc:
+            got = str(exc)
+        assert got == want
 
 
 def test_items_by_user_matches_per_edge_loop(rng):

@@ -5,9 +5,11 @@ import pytest
 
 from alignrec.errors import ConfigError
 from alignrec.features import FeatureMatrix
-from alignrec.losses import (BatchSample, LossWeights, bpr_loss, cca_infonce,
-                             reg_similarity, total_loss, uia_cosine)
+from alignrec.losses import (BatchSample, LossWeights, _bpr_rep, _cca_rep, _reg_rep,
+                             _uia_rep, bpr_loss, cca_infonce, reg_similarity,
+                             total_loss, uia_cosine)
 from alignrec.model import PARAM_NAMES, forward
+from alignrec.trainer import sample_batch
 
 from conftest import manual_batch, random_instance
 from oracles import finite_diff_grads, max_relative_error
@@ -210,6 +212,36 @@ class TestTotal:
     def test_gradient_matches_finite_differences(self, rng):
         w = LossWeights(alpha=0.3, beta=0.7, lambda_=0.5, tau=0.2)
         _fd_check(rng, lambda fp, feat, batch: total_loss(fp, feat, batch, w))
+
+    def test_one_accumulator_matches_separate_merge_bitwise(self, rng):
+        # reference: one accumulator per loss at weight 1, merged as
+        # combined += weight * other over whole arrays, then one backward
+        for w in (LossWeights(), LossWeights(alpha=0.3, beta=0.7, lambda_=0.5, tau=0.2)):
+            for _ in range(3):
+                ds, feat, graphs, params, _ = random_instance(rng)
+                batch = sample_batch(ds, rng, batch_size=len(ds.train))
+                assert np.unique(batch.users).size < len(batch)
+                assert np.unique(batch.pos_items).size < len(batch)
+                fp = forward(params, graphs, feat, 2)
+                combined = fp.zero_rep_grads()
+                v_bpr = _bpr_rep(fp, batch, combined)
+                values = {"bpr": v_bpr}
+                for name, weight, add in (
+                        ("cca", w.alpha, lambda g: _cca_rep(fp, batch, w.tau, g, 1.0)),
+                        ("uia", w.beta, lambda g: _uia_rep(fp, batch, g, 1.0)),
+                        ("reg", w.lambda_, lambda g: _reg_rep(fp, feat, batch, g, 1.0))):
+                    g = fp.zero_rep_grads()
+                    values[name] = add(g)
+                    for field_name, dst in vars(combined).items():
+                        dst += weight * getattr(g, field_name)
+                want = fp.backward(combined)
+
+                value, grads, parts = total_loss(fp, feat, batch, w)
+                assert parts == values
+                assert value == (values["bpr"] + w.alpha * values["cca"]
+                                 + w.beta * values["uia"] + w.lambda_ * values["reg"])
+                for name in PARAM_NAMES:
+                    assert np.array_equal(grads[name], want[name]), name
 
 
 class TestProperties:
