@@ -206,6 +206,9 @@ def cmd_grid(cfg: RunConfig) -> int:
               for values in itertools.product(*(cfg.grid[k] for k in keys))]
     ds = _prepare_dataset(cfg)
     feat = _load_aligned_features(cfg, ds)
+    # fit only reads the graphs, so points that share k_prime share them
+    graphs_by_k = {k: build_graphs(ds, feat, k)
+                   for k in sorted({train_cfg.k_prime for _, train_cfg in points})}
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     lines = []
@@ -214,7 +217,7 @@ def cmd_grid(cfg: RunConfig) -> int:
                        + [f"test_ndcg@{k}" for k in cfg.eval_ks])
     lines.append(header)
     for values, train_cfg in points:
-        graphs = build_graphs(ds, feat, train_cfg.k_prime)
+        graphs = graphs_by_k[train_cfg.k_prime]
         params, log = fit(ds, graphs, feat, train_cfg)
         best_val = max(rec["val_recall@20"] for rec in log)
         fp = forward(params, graphs, feat, train_cfg.gcn_layers)

@@ -1,8 +1,10 @@
 """Interaction-log ingestion: parsing, k-core filtering, ID remapping, splits.
 
-The pipeline is load_interactions -> kcore_filter -> split_dataset. Opaque
-string keys survive until split_dataset, which assigns dense indices in
-sorted-key order so that identical inputs always produce identical datasets.
+The pipeline is load_interactions -> kcore_filter -> split_dataset over coded
+columns: a RawInteractions holds the sorted tables of the user and item keys
+and int64 user-code, item-code and timestamp columns. The codes index the
+sorted tables, so they are the dense indices of the Dataset and identical
+inputs always produce identical datasets.
 
 Split strategies:
 
@@ -23,7 +25,7 @@ temporal-leave-one-out
 from __future__ import annotations
 
 import hashlib
-import logging
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,23 +34,60 @@ import numpy as np
 from .errors import (ConfigError, DataError, EmptyAfterFilterError,
                      EmptyInputError, ParseError)
 
-log = logging.getLogger(__name__)
+_MAX_TIMESTAMP = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
 class RawInteractions:
-    """Deduplicated (user_key, item_key, timestamp) records."""
+    """Deduplicated records as coded columns, in first-appearance order.
 
-    records: list[tuple[str, str, int]]
+    `user_keys` and `item_keys` are in `sorted()` order and every key is used
+    by some record. Record n is user `user_keys[users[n]]` and item
+    `item_keys[items[n]]` at `timestamps[n]`; all three columns are int64.
+    """
+
+    user_keys: list[str]
+    item_keys: list[str]
+    users: np.ndarray
+    items: np.ndarray
+    timestamps: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.users)
 
-    def num_users(self) -> int:
-        return len({u for u, _, _ in self.records})
+    @classmethod
+    def from_records(cls, records) -> "RawInteractions":
+        """Build from (user_key, item_key, timestamp) tuples."""
+        users, items, stamps = zip(*records) if records else ((), (), ())
+        return _from_columns(users, items, stamps)
 
-    def num_items(self) -> int:
-        return len({i for _, i, _ in self.records})
+    def records(self) -> list[tuple[str, str, int]]:
+        """The (user_key, item_key, timestamp) tuples in record order."""
+        return list(zip(map(self.user_keys.__getitem__, self.users.tolist()),
+                        map(self.item_keys.__getitem__, self.items.tolist()),
+                        self.timestamps.tolist()))
+
+
+def _code(keys) -> tuple[list[str], np.ndarray]:
+    """The sorted table of distinct keys and each key's index in it."""
+    table = sorted(set(keys))
+    index = dict(zip(table, range(len(table))))
+    return table, np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys))
+
+
+def _from_columns(users, items, stamps) -> RawInteractions:
+    """Code the key columns and collapse repeated (user, item) pairs to one
+    record carrying the earliest timestamp, at the pair's first appearance."""
+    user_keys, user_codes = _code(users)
+    item_keys, item_codes = _code(items)
+    stamps = np.asarray(stamps, dtype=np.int64)
+    _, first, inverse = np.unique(user_codes * len(item_keys) + item_codes,
+                                  return_index=True, return_inverse=True)
+    earliest = np.full(first.size, _MAX_TIMESTAMP)
+    np.minimum.at(earliest, inverse, stamps)
+    keep = np.sort(first)
+    return RawInteractions(user_keys, item_keys, user_codes[keep], item_codes[keep],
+                           earliest[inverse[keep]])
 
 
 @dataclass
@@ -100,8 +139,9 @@ def load_interactions(path) -> RawInteractions:
     timestamp, ordered by first appearance.
     """
     path = Path(path)
-    seen: dict[tuple[str, str], int] = {}
-    order: list[tuple[str, str]] = []
+    users, items, stamps = [], [], array("q")
+    # one string object per distinct key, however often it repeats
+    user_strs, item_strs = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -115,17 +155,15 @@ def load_interactions(path) -> RawInteractions:
                 ts = int(ts_text)
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: timestamp '{ts_text}' is not an integer") from None
-            if ts < 0:
-                raise ParseError(f"{path}:{lineno}: negative timestamp {ts}")
-            key = (user, item)
-            if key in seen:
-                seen[key] = min(seen[key], ts)
-            else:
-                seen[key] = ts
-                order.append(key)
-    if not order:
+            if not 0 <= ts <= _MAX_TIMESTAMP:
+                what = "negative" if ts < 0 else "out-of-range"
+                raise ParseError(f"{path}:{lineno}: {what} timestamp {ts}")
+            users.append(user_strs.setdefault(user, user))
+            items.append(item_strs.setdefault(item, item))
+            stamps.append(ts)
+    if not users:
         raise EmptyInputError(f"{path}: no interaction records")
-    return RawInteractions([(u, i, seen[(u, i)]) for u, i in order])
+    return _from_columns(users, items, stamps)
 
 
 def kcore_filter(raw: RawInteractions, k: int) -> RawInteractions:
@@ -133,37 +171,28 @@ def kcore_filter(raw: RawInteractions, k: int) -> RawInteractions:
     every survivor has at least k."""
     if k < 1:
         raise ConfigError(f"k-core threshold must be >= 1, got {k}")
-    records = raw.records
+    rows = np.arange(len(raw))
     while True:
-        user_count: dict[str, int] = {}
-        item_count: dict[str, int] = {}
-        for u, i, _ in records:
-            user_count[u] = user_count.get(u, 0) + 1
-            item_count[i] = item_count.get(i, 0) + 1
-        kept = [r for r in records
-                if user_count[r[0]] >= k and item_count[r[1]] >= k]
-        if len(kept) == len(records):
+        users, items = raw.users[rows], raw.items[rows]
+        keep = (np.bincount(users)[users] >= k) & (np.bincount(items)[items] >= k)
+        if keep.all():
             break
-        records = kept
-    if not records:
+        rows = rows[keep]
+    if not rows.size:
         raise EmptyAfterFilterError(f"no interactions survive {k}-core filtering")
-    return RawInteractions(list(records))
-
-
-def _per_user_records(raw: RawInteractions, user_index, item_index):
-    """Group records by user index; within a user, order by (timestamp, item
-    index) so the pre-shuffle order is canonical."""
-    by_user: list[list[tuple[int, int]]] = [[] for _ in range(len(user_index))]
-    for u, i, ts in raw.records:
-        by_user[user_index[u]].append((ts, item_index[i]))
-    for lst in by_user:
-        lst.sort()
-    return by_user
+    # codes follow sorted-key order, so compacting the tables keeps it
+    user_codes, users = np.unique(users, return_inverse=True)
+    item_codes, items = np.unique(items, return_inverse=True)
+    return RawInteractions([raw.user_keys[c] for c in user_codes.tolist()],
+                           [raw.item_keys[c] for c in item_codes.tolist()],
+                           users.astype(np.int64), items.astype(np.int64),
+                           raw.timestamps[rows])
 
 
 def split_dataset(raw: RawInteractions, ratios: tuple[float, float, float],
                   seed: int, strategy: str = "random") -> Dataset:
-    """Assign dense indices and partition interactions into train/val/test."""
+    """Partition interactions into train/val/test; the dense indices are the
+    codes of `raw`."""
     if len(ratios) != 3 or any(r < 0 for r in ratios):
         raise ConfigError(f"ratios must be three nonnegative fractions, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
@@ -171,84 +200,77 @@ def split_dataset(raw: RawInteractions, ratios: tuple[float, float, float],
     if strategy not in ("random", "temporal-leave-one-out"):
         raise ConfigError(f"unknown split strategy '{strategy}'")
 
-    user_keys = sorted({u for u, _, _ in raw.records})
-    item_keys = sorted({i for _, i, _ in raw.records})
-    user_index = {u: n for n, u in enumerate(user_keys)}
-    item_index = {i: n for n, i in enumerate(item_keys)}
-    by_user = _per_user_records(raw, user_index, item_index)
-
-    train: list[tuple[int, int]] = []
-    val: list[tuple[int, int]] = []
-    test: list[tuple[int, int]] = []
+    num_users, num_items = len(raw.user_keys), len(raw.item_keys)
+    # group by user; within a user, order by (timestamp, item) so the
+    # pre-shuffle order is canonical
+    order = np.lexsort((raw.items, raw.timestamps, raw.users))
+    pairs = np.stack([raw.users[order], raw.items[order]], axis=1)
+    counts = np.bincount(raw.users, minlength=num_users)
+    ends = np.cumsum(counts)
+    starts = np.repeat(ends - counts, counts)
 
     if strategy == "temporal-leave-one-out":
-        for u, lst in enumerate(by_user):
-            if len(lst) == 1:
-                train.append((u, lst[0][1]))
-                continue
-            for ts, i in lst[:-1]:
-                train.append((u, i))
-            test.append((u, lst[-1][1]))
+        # the latest record of every user with more than one is held out
+        held = np.zeros(len(pairs), dtype=bool)
+        held[ends[counts > 1] - 1] = True
+        train, val, test = pairs[~held], pairs[:0], pairs[held]
     else:
         rng = np.random.default_rng(seed)
-        for u, lst in enumerate(by_user):
-            n = len(lst)
-            perm = rng.permutation(n)
-            n_val = int(np.floor(ratios[1] * n))
-            n_test = int(np.floor(ratios[2] * n))
-            n_train = n - n_val - n_test
-            if n_train == 0:
-                if n_test > 0:
-                    n_test -= 1
-                else:
-                    n_val -= 1
-                n_train = 1
-            items = [lst[p][1] for p in perm]
-            train.extend((u, i) for i in items[:n_train])
-            val.extend((u, i) for i in items[n_train:n_train + n_val])
-            test.extend((u, i) for i in items[n_train + n_val:])
-        train, val, test = _repair_item_orphans(train, val, test, len(item_keys))
+        # one permutation per user, drawn in user-index order
+        perms = [np.empty(0, dtype=np.int64)] + [rng.permutation(n) for n in counts.tolist()]
+        shuffled = pairs[starts + np.concatenate(perms)]
+        n_val = np.floor(ratios[1] * counts).astype(np.int64)
+        n_test = np.floor(ratios[2] * counts).astype(np.int64)
+        # a user whose held-out shares take everything returns one
+        # interaction to train, from test if it has any, else from val
+        empty = counts - n_val - n_test == 0
+        from_test = empty & (n_test > 0)
+        n_test -= from_test
+        n_val -= empty & ~from_test
+        n_train = counts - n_val - n_test
+        rank = np.arange(len(pairs)) - starts
+        to_train = rank < np.repeat(n_train, counts)
+        to_test = rank >= np.repeat(n_train + n_val, counts)
+        train, val, test = _repair_item_orphans(
+            shuffled[to_train], shuffled[~to_train & ~to_test], shuffled[to_test],
+            num_users, num_items)
 
-    def as_array(pairs):
-        if not pairs:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.asarray(pairs, dtype=np.int64)
-
-    ds = Dataset(num_users=len(user_keys), num_items=len(item_keys),
-                 train=as_array(train), val=as_array(val), test=as_array(test),
-                 user_keys=user_keys, item_keys=item_keys,
-                 user_index=user_index, item_index=item_index)
-    _check_partition(ds, len(raw.records), strategy)
+    ds = Dataset(num_users=num_users, num_items=num_items,
+                 train=train, val=val, test=test,
+                 user_keys=raw.user_keys, item_keys=raw.item_keys,
+                 user_index=dict(zip(raw.user_keys, range(num_users))),
+                 item_index=dict(zip(raw.item_keys, range(num_items))))
+    _check_partition(ds, len(raw), strategy)
     return ds
 
 
-def _repair_item_orphans(train, val, test, num_items):
+def _repair_item_orphans(train, val, test, num_users, num_items):
     """Move one held-out interaction back to train for any item with no
-    training presence; donor is the user with the most training rows."""
-    train_deg = np.zeros(num_items, dtype=np.int64)
-    for _, i in train:
-        train_deg[i] += 1
-    orphans = {i for i in range(num_items) if train_deg[i] == 0}
-    if not orphans:
+    training presence, orphans in index order. The donor is the user with the
+    most training rows at that moment, then the lower user index, then val
+    before test, then the earlier row."""
+    orphans = np.flatnonzero(np.bincount(train[:, 1], minlength=num_items) == 0)
+    if not orphans.size:
         return train, val, test
-    user_train = {}
-    for u, _ in train:
-        user_train[u] = user_train.get(u, 0) + 1
-    for item in sorted(orphans):
-        candidates = []
-        for split_rank, pool in ((0, val), (1, test)):
-            for pos, (u, i) in enumerate(pool):
-                if i == item:
-                    candidates.append((-user_train.get(u, 0), u, split_rank, pos))
-        if not candidates:  # unreachable: every index comes from some record
-            raise DataError(f"item index {item} appears in no split")
-        candidates.sort()
-        _, u, split_rank, pos = candidates[0]
-        pool = val if split_rank == 0 else test
-        moved = pool.pop(pos)
-        train.append(moved)
-        user_train[moved[0]] = user_train.get(moved[0], 0) + 1
-    return train, val, test
+    user_train = np.bincount(train[:, 0], minlength=num_users)
+    # val rows then test rows, so a lower row is val before test, then earlier
+    held = np.concatenate([val, test])
+    # rows of each orphan item, grouped in orphan order
+    rows = np.flatnonzero(np.isin(held[:, 1], orphans))
+    rows = rows[np.argsort(held[rows, 1], kind="stable")]
+    bounds = np.searchsorted(held[rows, 1], np.append(orphans, num_items))
+    moved = []
+    # every item is used by some record, so each orphan has a candidate
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        cand = rows[lo:hi]
+        u = held[cand, 0]
+        best = cand[np.lexsort((cand, u, -user_train[u]))[0]]
+        moved.append(best)
+        user_train[held[best, 0]] += 1
+    live = np.ones(len(held), dtype=bool)
+    live[moved] = False
+    return (np.concatenate([train, held[moved]]),
+            val[live[:len(val)]], test[live[len(val):]])
 
 
 def _check_partition(ds: Dataset, total: int, strategy: str) -> None:
@@ -277,16 +299,6 @@ def write_manifest(path, entries: dict) -> None:
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
-def read_manifest(path) -> dict[str, str]:
-    out = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.partition(" = ")
-        out[key] = value
-    return out
-
-
 def file_sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -300,13 +312,7 @@ def save_splits(ds: Dataset, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name in ("train", "val", "test"):
-        arr = ds.split(name)
+        np.savetxt(out / f"{name}.tsv", ds.split(name), fmt="%d", delimiter="\t")
+    for name, keys in (("users", ds.user_keys), ("items", ds.item_keys)):
         with open(out / f"{name}.tsv", "w", encoding="utf-8") as fh:
-            for u, i in arr:
-                fh.write(f"{u}\t{i}\n")
-    with open(out / "users.tsv", "w", encoding="utf-8") as fh:
-        for n, key in enumerate(ds.user_keys):
-            fh.write(f"{n}\t{key}\n")
-    with open(out / "items.tsv", "w", encoding="utf-8") as fh:
-        for n, key in enumerate(ds.item_keys):
-            fh.write(f"{n}\t{key}\n")
+            fh.writelines(f"{n}\t{key}\n" for n, key in enumerate(keys))

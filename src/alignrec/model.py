@@ -49,9 +49,6 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(**{name: getattr(self, name).copy() for name in PARAM_NAMES})
 
-    def total_count(self) -> int:
-        return sum(getattr(self, name).size for name in PARAM_NAMES)
-
     def all_finite(self) -> bool:
         return all(np.all(np.isfinite(getattr(self, name))) for name in PARAM_NAMES)
 
@@ -95,7 +92,6 @@ def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
 class Representations:
     h_id_users: np.ndarray
     h_id_items: np.ndarray
-    h_con_items: np.ndarray
     h_mm_items: np.ndarray
     h_mm_users: np.ndarray
     h_users: np.ndarray
@@ -169,10 +165,6 @@ def fuse(h_mm: np.ndarray, h_id: np.ndarray) -> np.ndarray:
     return h_mm + h_id
 
 
-def score(h_user: np.ndarray, h_item: np.ndarray) -> float:
-    return float(np.dot(h_user, h_item))
-
-
 @dataclass
 class ForwardPass:
     """Representations plus everything needed to run the backward pass."""
@@ -234,7 +226,7 @@ def forward(params: ModelParams, graphs: GraphBundle, feat: FeatureMatrix,
     h_mm_users = user_multimodal(graphs.inter_norm, h_mm_items)
 
     reps = Representations(
-        h_id_users=h_id_users, h_id_items=h_id_items, h_con_items=h_con,
+        h_id_users=h_id_users, h_id_items=h_id_items,
         h_mm_items=h_mm_items, h_mm_users=h_mm_users,
         h_users=fuse(h_mm_users, h_id_users), h_items=fuse(h_mm_items, h_id_items))
     return ForwardPass(reps=reps, params=params, graphs=graphs, feat=feat,

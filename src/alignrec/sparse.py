@@ -80,9 +80,6 @@ class SparseMatrix:
                    mat.indices.astype(np.int64),
                    mat.data.astype(np.float64))
 
-    def to_scipy(self) -> sp.csr_matrix:
-        return self._scipy
-
     def dot(self, dense: np.ndarray) -> np.ndarray:
         """Sparse-dense product; rows are reduced in stored order, so the
         result is reproducible bit for bit."""
@@ -94,13 +91,7 @@ class SparseMatrix:
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix.from_scipy(self._scipy.T)
 
-    def to_dense(self) -> np.ndarray:
-        return self._scipy.toarray()
-
     def row(self, r: int) -> tuple[np.ndarray, np.ndarray]:
         """(column indices, weights) of one row."""
         lo, hi = self.indptr[r], self.indptr[r + 1]
         return self.indices[lo:hi], self.data[lo:hi]
-
-    def row_nnz(self) -> np.ndarray:
-        return np.diff(self.indptr)

@@ -50,7 +50,7 @@ def make_corpus(num_users: int = 200, num_items: int = 100, clusters: int = 4,
         ukey = f"u{u:0{uwidth}d}"
         for ts, item in enumerate(chosen):
             records.append((ukey, item_keys[int(item)], ts))
-    return SyntheticCorpus(raw=RawInteractions(records), features=features,
+    return SyntheticCorpus(raw=RawInteractions.from_records(records), features=features,
                            item_keys=item_keys, user_cluster=user_cluster,
                            item_cluster=item_cluster)
 
@@ -66,7 +66,7 @@ def write_corpus(corpus: SyntheticCorpus, out_dir) -> dict[str, Path]:
     }
     with open(paths["interactions"], "w", encoding="utf-8") as fh:
         fh.write("# synthetic planted-cluster corpus\n")
-        for u, i, ts in corpus.raw.records:
+        for u, i, ts in corpus.raw.records():
             fh.write(f"{u}\t{i}\t{ts}\n")
     save_features(paths["features"], corpus.features)
     write_item_list(paths["item_list"], corpus.item_keys)

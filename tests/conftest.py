@@ -17,7 +17,7 @@ def random_instance(rng, num_users=6, num_items=7, d_e=4, d_f=5, d_h=3,
         chosen = rng.choice(num_items, size=min(per_user, num_items), replace=False)
         for ts, i in enumerate(chosen):
             records.append((f"u{u:03d}", f"i{i:03d}", int(ts)))
-    raw = RawInteractions(records)
+    raw = RawInteractions.from_records(records)
     ds = split_dataset(raw, (0.8, 0.1, 0.1), seed=int(rng.integers(1 << 30)),
                        strategy="random")
     feat = FeatureMatrix(rng.normal(size=(ds.num_items, d_f)))

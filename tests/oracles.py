@@ -7,6 +7,33 @@ arrays and plain Python loops, deliberately avoiding the engine's code paths.
 import math
 
 import numpy as np
+import scipy.sparse as sp
+
+
+def to_dense(m):
+    """Dense copy of a SparseMatrix, filled entry by entry from its CSR
+    arrays."""
+    out = np.zeros((m.rows, m.cols))
+    for r in range(m.rows):
+        for p in range(m.indptr[r], m.indptr[r + 1]):
+            out[r, m.indices[p]] = m.data[p]
+    return out
+
+
+def to_scipy(m):
+    """scipy CSR matrix over the same arrays as a SparseMatrix."""
+    return sp.csr_matrix((m.data, m.indices, m.indptr), shape=(m.rows, m.cols))
+
+
+def read_manifest(path):
+    """Parse a `key = value` manifest into a dict of strings."""
+    out = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            key, sep, value = line.rstrip("\n").partition(" = ")
+            if sep:
+                out[key] = value
+    return out
 
 
 def kcore_reference(records, k):
@@ -25,6 +52,80 @@ def kcore_reference(records, k):
             changed = True
             records = kept
     return records
+
+
+def split_reference(records, ratios, seed, strategy):
+    """Per-record split: sorted key tables, per-user lists ordered by
+    (timestamp, item index), one seeded permutation per user in user order,
+    then the orphan repair. Returns (user_keys, item_keys, train, val, test,
+    repaired) with the splits as lists of (user, item) index pairs and
+    repaired the number of interactions the repair moved."""
+    user_keys = sorted({u for u, _, _ in records})
+    item_keys = sorted({i for _, i, _ in records})
+    user_index = {u: n for n, u in enumerate(user_keys)}
+    item_index = {i: n for n, i in enumerate(item_keys)}
+    by_user = [[] for _ in range(len(user_index))]
+    for u, i, ts in records:
+        by_user[user_index[u]].append((ts, item_index[i]))
+    for lst in by_user:
+        lst.sort()
+
+    train, val, test = [], [], []
+    repaired = 0
+    if strategy == "temporal-leave-one-out":
+        for u, lst in enumerate(by_user):
+            if len(lst) == 1:
+                train.append((u, lst[0][1]))
+                continue
+            for ts, i in lst[:-1]:
+                train.append((u, i))
+            test.append((u, lst[-1][1]))
+    else:
+        rng = np.random.default_rng(seed)
+        for u, lst in enumerate(by_user):
+            n = len(lst)
+            perm = rng.permutation(n)
+            n_val = int(np.floor(ratios[1] * n))
+            n_test = int(np.floor(ratios[2] * n))
+            n_train = n - n_val - n_test
+            if n_train == 0:
+                if n_test > 0:
+                    n_test -= 1
+                else:
+                    n_val -= 1
+                n_train = 1
+            items = [lst[p][1] for p in perm]
+            train.extend((u, i) for i in items[:n_train])
+            val.extend((u, i) for i in items[n_train:n_train + n_val])
+            test.extend((u, i) for i in items[n_train + n_val:])
+        repaired = _repair_item_orphans_reference(train, val, test, len(item_keys))
+    return user_keys, item_keys, train, val, test, repaired
+
+
+def _repair_item_orphans_reference(train, val, test, num_items):
+    """Move one held-out interaction back to train, in place, for any item
+    with no training presence; the donor is the user with the most training
+    rows. Returns the number of moved interactions."""
+    train_deg = np.zeros(num_items, dtype=np.int64)
+    for _, i in train:
+        train_deg[i] += 1
+    orphans = {i for i in range(num_items) if train_deg[i] == 0}
+    user_train = {}
+    for u, _ in train:
+        user_train[u] = user_train.get(u, 0) + 1
+    for item in sorted(orphans):
+        candidates = []
+        for split_rank, pool in ((0, val), (1, test)):
+            for pos, (u, i) in enumerate(pool):
+                if i == item:
+                    candidates.append((-user_train.get(u, 0), u, split_rank, pos))
+        candidates.sort()
+        _, u, split_rank, pos = candidates[0]
+        pool = val if split_rank == 0 else test
+        moved = pool.pop(pos)
+        train.append(moved)
+        user_train[moved[0]] = user_train.get(moved[0], 0) + 1
+    return len(orphans)
 
 
 def dense_norm_adjacency(num_users, num_items, pairs):

@@ -13,12 +13,13 @@ import pytest
 from alignrec.cli import main as cli_main
 from alignrec.data import (RawInteractions, kcore_filter, load_interactions,
                            split_dataset)
+from alignrec.errors import EmptyAfterFilterError
 from alignrec.evaluator import evaluate
 from alignrec.features import FeatureMatrix
 from alignrec.graphs import build_graphs
 from alignrec.losses import (LossWeights, bpr_loss, cca_infonce,
                              reg_similarity, total_loss, uia_cosine)
-from alignrec.model import forward, init_params
+from alignrec.model import content_gate, forward, init_params
 from alignrec.optim import make_optimizer
 from alignrec.protocols import (ProtocolConfig, itemcf_score,
                                 mask_modality_eval, zero_shot_eval)
@@ -27,7 +28,7 @@ from alignrec.trainer import TrainConfig, TrainState, sample_batch, train_epoch
 
 from oracles import (bruteforce_evaluate, dense_forward_reference,
                      dense_norm_adjacency, finite_diff_grads, itemcf_reference, kcore_reference,
-                     max_relative_error, uniform_recall_baseline)
+                     max_relative_error, to_dense, uniform_recall_baseline)
 
 
 def _report(criterion, detail):
@@ -40,7 +41,7 @@ def _random_dataset(rng, num_users, num_items, per_user):
         chosen = rng.choice(num_items, size=min(per_user, num_items), replace=False)
         for ts, i in enumerate(chosen):
             records.append((f"u{u:03d}", f"i{i:03d}", int(ts)))
-    return split_dataset(RawInteractions(records), (0.8, 0.1, 0.1),
+    return split_dataset(RawInteractions.from_records(records), (0.8, 0.1, 0.1),
                          seed=int(rng.integers(1 << 30)), strategy="random")
 
 
@@ -118,9 +119,11 @@ def test_criterion_2_forward_oracle_equivalence():
         want = dense_forward_reference(
             params.user_emb, params.item_emb, params.gate_w1, params.gate_b1,
             params.gate_w2, params.gate_b2, adj, adj[:ds.num_users, ds.num_users:],
-            graphs.sim.to_dense(), feat.data, layers)
+            to_dense(graphs.sim), feat.data, layers)
         for name, expected in want.items():
-            got = getattr(fp.reps, name)
+            # the gated content embedding is not kept in the representations
+            got = (content_gate(params, feat) if name == "h_con_items"
+                   else getattr(fp.reps, name))
             diff = float(np.max(np.abs(got - expected)))
             worst = max(worst, diff)
             assert diff < 1e-10, f"{name}: max abs diff {diff}"
@@ -149,7 +152,7 @@ def test_criterion_3_metric_oracle_equivalence():
         from alignrec.model import Representations
         reps = Representations(
             h_id_users=np.zeros_like(h_users), h_id_items=np.zeros_like(h_items),
-            h_con_items=np.zeros_like(h_items), h_mm_items=np.zeros_like(h_items),
+            h_mm_items=np.zeros_like(h_items),
             h_mm_users=np.zeros_like(h_users), h_users=h_users, h_items=h_items)
         ks = (5, 10, 20)
         for split in ("val", "test"):
@@ -173,12 +176,13 @@ def test_criterion_4_kcore_correctness():
     if baby_log and Path(baby_log).exists():
         raw = load_interactions(baby_log)
         assert len(raw) == 915_446
-        assert raw.num_users() == 531_890
-        assert raw.num_items() == 71_317
+        # every key in a table is used by some record
+        assert len(raw.user_keys) == 531_890
+        assert len(raw.item_keys) == 71_317
         filtered = kcore_filter(raw, 5)
         assert len(filtered) == 160_792
-        assert filtered.num_users() == 19_445
-        assert filtered.num_items() == 7_050
+        assert len(filtered.user_keys) == 19_445
+        assert len(filtered.item_keys) == 7_050
         _report(4, "5-core on the raw Baby log reproduces the published counts")
         return
     rng = np.random.default_rng(303)
@@ -197,8 +201,8 @@ def test_criterion_4_kcore_correctness():
         k = int(rng.integers(1, 5))
         expected = kcore_reference(records, k)
         try:
-            got = kcore_filter(RawInteractions(records), k).records
-        except Exception:
+            got = kcore_filter(RawInteractions.from_records(records), k).records()
+        except EmptyAfterFilterError:
             got = []
         assert got == expected
     _report(4, f"k-core equals the fixpoint oracle exactly on {graphs_checked} "
@@ -286,7 +290,7 @@ def test_criterion_7_protocol_sanity():
         assert planted >= 3.0 * shuffled, (seed, planted, shuffled)
         ratios.append(planted / shuffled)
 
-        dense = itemcf_score(ds).to_dense()
+        dense = to_dense(itemcf_score(ds))
         assert np.array_equal(dense, itemcf_reference(ds))
 
         masked = FeatureMatrix(shuffled_rows)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from alignrec.checkpoint import load_checkpoint
+from alignrec import cli
 from alignrec.cli import main
 from alignrec.config import load_config
 from alignrec.data import kcore_filter, load_interactions, split_dataset
@@ -230,6 +231,28 @@ class TestGrid:
         table = (workspace / "out" / "grid_results.txt").read_text().splitlines()
         assert table[0].startswith("lambda\t")
         assert len(table) == 3
+
+    def test_graphs_built_once_per_k_prime(self, workspace, capsys, monkeypatch):
+        def arrays(bundle):
+            return [a.copy() for m in (bundle.inter_norm, bundle.inter_t, bundle.sim, bundle.sim_t)
+                    for a in (m.indptr, m.indices, m.data)]
+
+        built = []
+
+        def counting(ds, feat, k_prime):
+            bundle = build_graphs(ds, feat, k_prime)
+            built.append((k_prime, bundle, arrays(bundle)))
+            return bundle
+
+        monkeypatch.setattr(cli, "build_graphs", counting)
+        cfg = BASE_CONFIG + "\n[grid]\nlambda = 0.1,0.3\nk_prime = 3,4\n"
+        (workspace / "run.ini").write_text(cfg, encoding="utf-8")
+        assert _run(workspace, "grid") == 0
+        assert len((workspace / "out" / "grid_results.txt").read_text().splitlines()) == 5
+        assert [k for k, _, _ in built] == [3, 4]
+        # fit leaves the shared graphs as they were built
+        for _, bundle, before in built:
+            assert all(np.array_equal(a, b) for a, b in zip(arrays(bundle), before))
 
     @pytest.mark.parametrize("line", ["lambda = 0.1,abc", "batch_size = 8,0"])
     def test_bad_point_fails_before_training(self, workspace, capsys, line):

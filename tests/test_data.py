@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alignrec.data import (Dataset, RawInteractions, _check_partition, items_by_user,
-                           kcore_filter, load_interactions, read_manifest,
-                           split_dataset, write_manifest)
+                           kcore_filter, load_interactions, split_dataset,
+                           write_manifest)
 from alignrec.errors import (ConfigError, DataError, EmptyAfterFilterError,
                              EmptyInputError, ParseError)
 
-from oracles import kcore_reference
+from oracles import kcore_reference, read_manifest, split_reference
 
 
 def _write(tmp_path, text, name="inter.tsv"):
@@ -23,8 +23,8 @@ class TestLoadInteractions:
         path = _write(tmp_path, "u1\ti1\t5\nu1\ti1\t3\nu2\ti1\t7\n")
         raw = load_interactions(path)
         assert len(raw) == 2
-        assert raw.records[0] == ("u1", "i1", 3)
-        assert raw.records[1] == ("u2", "i1", 7)
+        assert raw.records()[0] == ("u1", "i1", 3)
+        assert raw.records()[1] == ("u2", "i1", 7)
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         path = _write(tmp_path, "# header\nu1\ti1\t0\n\nu2\ti2\t1\n")
@@ -45,10 +45,30 @@ class TestLoadInteractions:
         with pytest.raises(ParseError):
             load_interactions(path)
 
+    def test_timestamp_beyond_int64_rejected(self, tmp_path):
+        path = _write(tmp_path, "u1\ti1\t0\nu1\ti2\t9223372036854775808\n")
+        with pytest.raises(ParseError, match=":2"):
+            load_interactions(path)
+
     def test_empty_file(self, tmp_path):
         path = _write(tmp_path, "# nothing here\n")
         with pytest.raises(EmptyInputError):
             load_interactions(path)
+
+    def test_key_tables_follow_sorted_order(self, tmp_path):
+        # non-ASCII, case-only differences, trailing NULs and very long keys
+        long_key = "k" * 10_001
+        users = ["Zoë", "zoë", "ZOË", "émile", "u", "u\x00", "u\x00\x00", long_key]
+        items = ["item", "Item", "item\x00", "item\x00\x00", "日本", "ß", long_key + "z"]
+        pairs = [(u, i) for u in users for i in items]
+        order = np.random.default_rng(0).permutation(len(pairs))
+        path = _write(tmp_path, "".join(f"{pairs[n][0]}\t{pairs[n][1]}\t{n}\n" for n in order))
+        ds = split_dataset(kcore_filter(load_interactions(path), 1), (1.0, 0.0, 0.0), seed=0)
+        assert ds.user_keys == sorted(set(users))
+        assert ds.item_keys == sorted(set(items))
+        assert ds.item_index["item\x00"] != ds.item_index["item\x00\x00"]
+        assert ds.user_index["u\x00"] != ds.user_index["u\x00\x00"]
+        assert {(ds.user_keys[u], ds.item_keys[i]) for u, i in ds.train} == set(pairs)
 
 
 def _random_raw(rng, num_users, num_items, density):
@@ -64,7 +84,7 @@ def _random_raw(rng, num_users, num_items, density):
 
 class TestKcore:
     def test_star_graph_below_threshold(self):
-        raw = RawInteractions([("u0", f"i{k}", k) for k in range(3)])
+        raw = RawInteractions.from_records([("u0", f"i{k}", k) for k in range(3)])
         with pytest.raises(EmptyAfterFilterError):
             kcore_filter(raw, 5)
 
@@ -75,32 +95,32 @@ class TestKcore:
             ("u1", "i0", 3), ("u1", "i1", 4),
             ("u2", "i2", 5), ("u2", "i3", 6),
         ]
-        got = kcore_filter(RawInteractions(records), 2).records
+        got = kcore_filter(RawInteractions.from_records(records), 2).records()
         assert got == kcore_reference(records, 2)
         users = {u for u, _, _ in got}
         assert "u2" not in users
 
     def test_invalid_k(self):
         with pytest.raises(ConfigError):
-            kcore_filter(RawInteractions([("u", "i", 0)]), 0)
+            kcore_filter(RawInteractions.from_records([("u", "i", 0)]), 0)
 
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
     def test_matches_reference_and_idempotent(self, seed, k):
         rng = np.random.default_rng(seed)
         records = _random_raw(rng, 8, 8, 0.35)
-        raw = RawInteractions(records)
+        raw = RawInteractions.from_records(records)
         expected = kcore_reference(records, k)
         try:
             got = kcore_filter(raw, k)
         except EmptyAfterFilterError:
             assert expected == []
             return
-        assert got.records == expected
-        assert kcore_filter(got, k).records == got.records
+        assert got.records() == expected
+        assert kcore_filter(got, k).records() == got.records()
         user_count = {}
         item_count = {}
-        for u, i, _ in got.records:
+        for u, i, _ in got.records():
             user_count[u] = user_count.get(u, 0) + 1
             item_count[i] = item_count.get(i, 0) + 1
         assert min(user_count.values()) >= k
@@ -109,7 +129,7 @@ class TestKcore:
 
 class TestSplit:
     def _user_raw(self, n, user="u0"):
-        return RawInteractions([(user, f"i{k:02d}", k) for k in range(n)])
+        return RawInteractions.from_records([(user, f"i{k:02d}", k) for k in range(n)])
 
     def test_exact_ratio_divisibility(self):
         # one user cannot satisfy the item-coverage invariant alone; use 3
@@ -118,7 +138,7 @@ class TestSplit:
         for u in range(3):
             for k in range(10):
                 records.append((f"u{u}", f"i{k:02d}", k))
-        ds = split_dataset(RawInteractions(records), (0.8, 0.1, 0.1), seed=7)
+        ds = split_dataset(RawInteractions.from_records(records), (0.8, 0.1, 0.1), seed=7)
         per_user_train = np.bincount(ds.train[:, 0], minlength=3)
         per_user_val = np.bincount(ds.val[:, 0], minlength=3) if len(ds.val) else np.zeros(3)
         per_user_test = np.bincount(ds.test[:, 0], minlength=3) if len(ds.test) else np.zeros(3)
@@ -129,12 +149,12 @@ class TestSplit:
     def test_two_interactions_forced_to_train(self):
         records = [("u0", "iA", 0), ("u0", "iB", 1),
                    ("u1", "iA", 2), ("u1", "iB", 3)]
-        ds = split_dataset(RawInteractions(records), (0.8, 0.1, 0.1), seed=3)
+        ds = split_dataset(RawInteractions.from_records(records), (0.8, 0.1, 0.1), seed=3)
         assert len(ds.train) == 4
         assert len(ds.val) == 0 and len(ds.test) == 0
 
     def test_temporal_holds_out_max_timestamp(self):
-        raw = RawInteractions([("u0", "iA", 5), ("u0", "iB", 9), ("u0", "iC", 2)])
+        raw = RawInteractions.from_records([("u0", "iA", 5), ("u0", "iB", 9), ("u0", "iC", 2)])
         ds = split_dataset(raw, (0.8, 0.1, 0.1), seed=0,
                            strategy="temporal-leave-one-out")
         assert len(ds.test) == 1
@@ -143,7 +163,7 @@ class TestSplit:
         assert len(ds.train) == 2 and len(ds.val) == 0
 
     def test_temporal_single_interaction_stays_in_train(self):
-        raw = RawInteractions([("u0", "iA", 0), ("u1", "iA", 1), ("u1", "iB", 2)])
+        raw = RawInteractions.from_records([("u0", "iA", 0), ("u1", "iA", 1), ("u1", "iB", 2)])
         ds = split_dataset(raw, (0.8, 0.1, 0.1), seed=0,
                            strategy="temporal-leave-one-out")
         u0 = ds.user_index["u0"]
@@ -151,8 +171,8 @@ class TestSplit:
 
     def test_determinism(self, rng):
         records = _random_raw(rng, 10, 12, 0.5)
-        a = split_dataset(RawInteractions(records), (0.8, 0.1, 0.1), seed=11)
-        b = split_dataset(RawInteractions(records), (0.8, 0.1, 0.1), seed=11)
+        a = split_dataset(RawInteractions.from_records(records), (0.8, 0.1, 0.1), seed=11)
+        b = split_dataset(RawInteractions.from_records(records), (0.8, 0.1, 0.1), seed=11)
         assert np.array_equal(a.train, b.train)
         assert np.array_equal(a.val, b.val)
         assert np.array_equal(a.test, b.test)
@@ -160,8 +180,8 @@ class TestSplit:
 
     def test_different_seed_changes_split(self, rng):
         records = _random_raw(rng, 10, 12, 0.5)
-        a = split_dataset(RawInteractions(records), (0.8, 0.1, 0.1), seed=11)
-        b = split_dataset(RawInteractions(records), (0.8, 0.1, 0.1), seed=12)
+        a = split_dataset(RawInteractions.from_records(records), (0.8, 0.1, 0.1), seed=11)
+        b = split_dataset(RawInteractions.from_records(records), (0.8, 0.1, 0.1), seed=12)
         assert not (np.array_equal(a.train, b.train) and np.array_equal(a.val, b.val))
 
     def test_bad_ratios(self):
@@ -174,18 +194,48 @@ class TestSplit:
     def test_partition_property(self, seed):
         rng = np.random.default_rng(seed)
         records = _random_raw(rng, 9, 11, 0.45)
-        raw = RawInteractions(records)
+        raw = RawInteractions.from_records(records)
         try:
             filtered = kcore_filter(raw, 2)
         except EmptyAfterFilterError:
             return
         ds = split_dataset(filtered, (0.8, 0.1, 0.1), seed=seed)
         total = len(ds.train) + len(ds.val) + len(ds.test)
-        assert total == len(filtered.records)
+        assert total == len(filtered)
         pairs = [tuple(p) for arr in (ds.train, ds.val, ds.test) for p in arr]
         assert len(set(pairs)) == total
         assert set(np.unique(ds.train[:, 0])) == set(range(ds.num_users))
         assert set(np.unique(ds.train[:, 1])) == set(range(ds.num_items))
+
+
+def test_split_matches_per_record_reference():
+    repaired = []
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 9), st.integers(1, 9),
+           st.sampled_from([(0.8, 0.1, 0.1), (0.4, 0.3, 0.3), (0.2, 0.4, 0.4),
+                            (0.0, 0.5, 0.5)]),
+           st.sampled_from(["random", "temporal-leave-one-out"]))
+    @settings(max_examples=80, deadline=None)
+    def check(seed, num_users, num_items, ratios, strategy):
+        # small dense corpora with timestamp ties, in shuffled record order
+        rng = np.random.default_rng(seed)
+        records = [(f"u{u}", f"i{i}", int(rng.integers(3)))
+                   for u in range(num_users) for i in range(num_items) if rng.random() < 0.6]
+        if not records:
+            return
+        records = [records[n] for n in rng.permutation(len(records))]
+        user_keys, item_keys, train, val, test, moved = split_reference(
+            records, ratios, seed, strategy)
+        ds = split_dataset(RawInteractions.from_records(records), ratios, seed, strategy)
+        assert ds.user_keys == user_keys and ds.item_keys == item_keys
+        for got, want in ((ds.train, train), (ds.val, val), (ds.test, test)):
+            want = np.asarray(want, dtype=np.int64).reshape(-1, 2)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        repaired.append(moved)
+
+    check()
+    # the orphan repair must have been exercised
+    assert any(repaired)
 
 
 def _hand_built(num_users, num_items, train, val, test):

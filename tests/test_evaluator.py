@@ -14,8 +14,7 @@ from oracles import bruteforce_evaluate
 def _reps(h_users, h_items):
     zu = np.zeros_like(h_users)
     zi = np.zeros_like(h_items)
-    return Representations(h_id_users=zu, h_id_items=zi, h_con_items=zi,
-                           h_mm_items=zi, h_mm_users=zu,
+    return Representations(h_id_users=zu, h_id_items=zi, h_mm_items=zi, h_mm_users=zu,
                            h_users=np.asarray(h_users, dtype=float),
                            h_items=np.asarray(h_items, dtype=float))
 

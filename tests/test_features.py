@@ -71,7 +71,7 @@ def test_truncated_at_every_offset(tmp_path):
 
 
 def _tiny_ds():
-    raw = RawInteractions([("u0", "iA", 0), ("u0", "iB", 1),
+    raw = RawInteractions.from_records([("u0", "iA", 0), ("u0", "iB", 1),
                            ("u1", "iA", 2), ("u1", "iB", 3)])
     return split_dataset(raw, (1.0, 0.0, 0.0), seed=0)
 

@@ -5,12 +5,12 @@ import scipy.sparse as sp
 from alignrec.features import FeatureMatrix
 from alignrec.model import (content_gate, forward, fuse,
                             init_params, item_multimodal, lightgcn_propagate,
-                            score, user_multimodal)
+                            user_multimodal)
 from alignrec.sparse import SparseMatrix
 
 from conftest import random_instance
 from oracles import (dense_forward_reference, dense_lightgcn, dense_norm_adjacency,
-                     gate_reference_scalar)
+                     gate_reference_scalar, to_dense, to_scipy)
 
 
 def _params_for(ds_users, ds_items, d_e, d_f, d_h, rng):
@@ -47,8 +47,8 @@ class TestLightGCN:
         ds, feat, graphs, params, _ = random_instance(rng, num_users=20, num_items=15,
                                                       per_user=5)
         block = SparseMatrix.from_scipy(
-            sp.bmat([[None, graphs.inter_norm.to_scipy()],
-                     [graphs.inter_t.to_scipy(), None]]))
+            sp.bmat([[None, to_scipy(graphs.inter_norm)],
+                     [to_scipy(graphs.inter_t), None]]))
         for layers in range(4):
             got = lightgcn_propagate(graphs.inter_norm, graphs.inter_t,
                                      params.user_emb, params.item_emb, layers)
@@ -144,7 +144,7 @@ class TestForward:
         params.gate_b2[...] = 0.0
         zero_feat = FeatureMatrix(np.zeros_like(feat.data))
         fp = forward(params, graphs, zero_feat, 2)
-        want_mm = graphs.sim.to_dense() @ (0.5 * params.item_emb)
+        want_mm = to_dense(graphs.sim) @ (0.5 * params.item_emb)
         assert np.max(np.abs(fp.reps.h_mm_items - want_mm)) < 1e-12
         assert np.max(np.abs(fp.reps.h_items - (fp.reps.h_id_items + want_mm))) < 1e-12
 
@@ -157,9 +157,11 @@ class TestForward:
             want = dense_forward_reference(
                 params.user_emb, params.item_emb, params.gate_w1, params.gate_b1,
                 params.gate_w2, params.gate_b2, adj, adj[:ds.num_users, ds.num_users:],
-                graphs.sim.to_dense(), feat.data, 2)
+                to_dense(graphs.sim), feat.data, 2)
             for name in want:
-                got = getattr(fp.reps, name)
+                # the gated content embedding is not kept in the representations
+                got = (content_gate(params, feat) if name == "h_con_items"
+                       else getattr(fp.reps, name))
                 assert np.max(np.abs(got - want[name])) < 1e-10, name
 
     def test_forced_zero_multimodal_leaves_id(self, rng):
@@ -171,23 +173,30 @@ class TestForward:
 
 
 class TestScore:
+    """The user-item score every ranking path uses: h_items @ h_users[u]."""
+
     def test_orthogonal(self):
-        assert score(np.array([1.0, 0.0]), np.array([0.0, 3.0])) == 0.0
+        h_items = np.array([[0.0, 3.0], [1.0, 0.0]])
+        assert (h_items @ np.array([1.0, 0.0]))[0] == 0.0
 
     def test_unit_self(self):
         v = np.array([0.6, 0.8])
-        assert score(v, v) == pytest.approx(1.0, abs=1e-15)
+        assert (v[None, :] @ v)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_matches_loop_oracle(self, rng):
-        a, b = rng.normal(size=8), rng.normal(size=8)
-        want = sum(float(a[k]) * float(b[k]) for k in range(8))
-        assert score(a, b) == pytest.approx(want, abs=1e-12)
+        ds, feat, graphs, params, _ = random_instance(rng)
+        reps = forward(params, graphs, feat, 2).reps
+        scores = reps.h_items @ reps.h_users[1]
+        for i in range(ds.num_items):
+            want = sum(float(reps.h_items[i, k]) * float(reps.h_users[1, k])
+                       for k in range(params.d_e))
+            assert scores[i] == pytest.approx(want, abs=1e-12)
 
 
 def test_parameter_count_formula(rng):
     params = init_params(11, 7, 5, 9, 3, rng)
     want = (11 + 7) * 5 + 9 * 3 + 3 + 3 * 5 + 5
-    assert params.total_count() == want
+    assert sum(a.size for a in params.as_dict().values()) == want
 
 
 def test_params_copy_is_deep(rng):

@@ -8,12 +8,12 @@ from alignrec.protocols import (ProtocolConfig, compose_masked, itemcf_eval,
                                 itemcf_score, mask_modality_eval,
                                 zero_shot_eval)
 
-from oracles import (itemcf_protocol_reference, itemcf_reference,
+from oracles import (itemcf_protocol_reference, itemcf_reference, to_dense,
                      zero_shot_protocol_reference)
 
 
 def _temporal_ds(records):
-    return split_dataset(RawInteractions(records), (0.8, 0.1, 0.1), seed=0,
+    return split_dataset(RawInteractions.from_records(records), (0.8, 0.1, 0.1), seed=0,
                          strategy="temporal-leave-one-out")
 
 
@@ -117,28 +117,28 @@ class TestItemCfScore:
     def test_identical_user_sets(self):
         records = [("u0", "iA", 0), ("u0", "iB", 1),
                    ("u1", "iA", 2), ("u1", "iB", 3)]
-        ds = split_dataset(RawInteractions(records), (1.0, 0.0, 0.0), seed=0)
-        dense = itemcf_score(ds).to_dense()
+        ds = split_dataset(RawInteractions.from_records(records), (1.0, 0.0, 0.0), seed=0)
+        dense = to_dense(itemcf_score(ds))
         assert dense[0, 1] == pytest.approx(1.0, abs=1e-15)
         assert dense[0, 0] == 0.0
 
     def test_disjoint_user_sets(self):
         records = [("u0", "iA", 0), ("u0", "iB", 1),
                    ("u1", "iC", 2), ("u1", "iD", 3)]
-        ds = split_dataset(RawInteractions(records), (1.0, 0.0, 0.0), seed=0)
-        dense = itemcf_score(ds).to_dense()
+        ds = split_dataset(RawInteractions.from_records(records), (1.0, 0.0, 0.0), seed=0)
+        dense = to_dense(itemcf_score(ds))
         a, c = ds.item_index["iA"], ds.item_index["iC"]
         assert dense[a, c] == 0.0
 
     def test_matches_bruteforce_oracle_exactly(self, rng):
         ds = _random_temporal(rng, num_users=9, num_items=10, per_user=4)
-        got = itemcf_score(ds).to_dense()
+        got = to_dense(itemcf_score(ds))
         want = itemcf_reference(ds)
         assert np.array_equal(got, want)
 
     def test_symmetry(self, rng):
         ds = _random_temporal(rng, num_users=7, num_items=9, per_user=3)
-        dense = itemcf_score(ds).to_dense()
+        dense = to_dense(itemcf_score(ds))
         assert np.array_equal(dense, dense.T)
 
 
@@ -152,8 +152,8 @@ class TestItemCfEval:
         for u in (2, 3):
             for i in (3, 4, 5):
                 records.append((f"u{u}", f"i{i}", i))
-        ds = split_dataset(RawInteractions(records), (1.0, 0.0, 0.0), seed=0)
-        features = itemcf_score(ds).to_dense()
+        ds = split_dataset(RawInteractions.from_records(records), (1.0, 0.0, 0.0), seed=0)
+        features = to_dense(itemcf_score(ds))
         report = itemcf_eval(FeatureMatrix(features), ds, ProtocolConfig(ks=(1,)))
         assert report.recall[1] == 1.0
         assert report.users_evaluated == 6

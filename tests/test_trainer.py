@@ -21,7 +21,7 @@ def _tiny_setup(rng, **kwargs):
 
 class TestSampling:
     def test_forced_negative(self):
-        raw = RawInteractions([("u0", "iA", 0), ("u0", "iB", 1)])
+        raw = RawInteractions.from_records([("u0", "iA", 0), ("u0", "iB", 1)])
         ds = split_dataset(raw, (1.0, 0.0, 0.0), seed=0)
         # drop the iB edge: the only train row is (u0, iA), so iB is forced
         keep = ds.train[:, 1] == ds.item_index["iA"]
@@ -34,7 +34,7 @@ class TestSampling:
             assert batch.neg_items[0] == ds.item_index["iB"]
 
     def test_every_item_interacted_raises(self):
-        raw = RawInteractions([("u0", "iA", 0), ("u0", "iB", 1),
+        raw = RawInteractions.from_records([("u0", "iA", 0), ("u0", "iB", 1),
                                ("u1", "iA", 2), ("u1", "iB", 3)])
         ds = split_dataset(raw, (1.0, 0.0, 0.0), seed=0)
         rng = np.random.default_rng(0)
@@ -53,7 +53,7 @@ class TestSampling:
         # one user, 5 items, 2 positives: negatives uniform over 3 items
         records = [("u0", f"i{k}", k) for k in range(5)]
         records += [("u1", f"i{k}", 5 + k) for k in range(5)]
-        ds = split_dataset(RawInteractions(records), (1.0, 0.0, 0.0), seed=0)
+        ds = split_dataset(RawInteractions.from_records(records), (1.0, 0.0, 0.0), seed=0)
         ds.train = np.array([[0, 0], [0, 1]] + [[1, k] for k in range(5)], dtype=np.int64)
         ds.item_train_degree = np.bincount(ds.train[:, 1], minlength=5)
         rng = np.random.default_rng(31)
