@@ -40,22 +40,22 @@ def save_checkpoint(path, params: ModelParams, config_text: str,
     header = f"status = {status}\n" + config_text
     rng_text = json.dumps(rng_state, sort_keys=True) if rng_state is not None else ""
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sI", MAGIC, VERSION))
+        fh.write(_HEAD.pack(MAGIC, VERSION))
         blob = header.encode("utf-8")
-        fh.write(struct.pack("<Q", len(blob)))
+        fh.write(_U64.pack(len(blob)))
         fh.write(blob)
         blob = rng_text.encode("utf-8")
-        fh.write(struct.pack("<Q", len(blob)))
+        fh.write(_U64.pack(len(blob)))
         fh.write(blob)
-        fh.write(struct.pack("<I", len(PARAM_NAMES)))
+        fh.write(_U32.pack(len(PARAM_NAMES)))
         for name in PARAM_NAMES:
             tensor = np.ascontiguousarray(getattr(params, name), dtype="<f8")
             encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
+            fh.write(_U32.pack(len(encoded)))
             fh.write(encoded)
-            fh.write(struct.pack("<I", tensor.ndim))
+            fh.write(_U32.pack(tensor.ndim))
             for dim in tensor.shape:
-                fh.write(struct.pack("<Q", dim))
+                fh.write(_U64.pack(dim))
             fh.write(tensor.tobytes())
 
 
@@ -77,8 +77,8 @@ def load_checkpoint(path) -> Checkpoint:
             (name_len,) = read_struct(fh, _U32, path, "tensor name length")
             name = _utf8(read_exact(fh, name_len, path, "tensor name"), path)
             (ndim,) = read_struct(fh, _U32, path, f"tensor '{name}' rank")
-            dims = struct.unpack(f"<{ndim}Q", read_exact(fh, 8 * ndim, path,
-                                                         f"tensor '{name}' shape"))
+            dims = tuple(d for (d,) in _U64.iter_unpack(
+                read_exact(fh, _U64.size * ndim, path, f"tensor '{name}' shape")))
             payload = read_exact(fh, 8 * math.prod(dims), path, f"tensor '{name}'")
             try:
                 tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)

@@ -13,11 +13,10 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import checkpoint as ckpt
-from .config import RunConfig, load_config, require_features
+from .config import RunConfig, load_config, parse_train, require_features
 from .data import (file_sha256, items_by_user, kcore_filter, load_interactions,
                    save_splits, split_dataset, write_manifest)
 from .errors import (AlignRecError, ConfigError, DataError,
@@ -27,7 +26,7 @@ from .features import align_features, load_features, read_item_list
 from .graphs import build_graphs
 from .model import forward
 from .protocols import itemcf_eval, mask_modality_eval, zero_shot_eval
-from .trainer import TrainConfig, fit, format_log_record
+from .trainer import fit, format_log_record
 
 
 def _prepare_dataset(cfg: RunConfig, strategy: str | None = None):
@@ -167,42 +166,12 @@ def cmd_recommend(cfg: RunConfig, checkpoint_path: str, user_key: str, k: int) -
     return 0
 
 
-_GRID_TYPES = {
-    "learning_rate": float, "batch_size": int, "max_epochs": int,
-    "patience": int, "alpha": float, "beta": float, "lambda": float,
-    "tau": float, "gcn_layers": int, "k_prime": int, "embed_dim": int,
-    "mlp_hidden": int, "optimizer": str, "lr_decay": float, "seed": int,
-}
-
-_FIELD_FOR_KEY = {
-    "embed_dim": "d_e", "mlp_hidden": "d_h",
-}
-
-
-def _apply_grid_point(train: TrainConfig, point: dict[str, str]) -> TrainConfig:
-    weights = train.weights
-    updates = {}
-    for key, raw in point.items():
-        kind = _GRID_TYPES[key]
-        try:
-            value = kind(raw)
-        except ValueError:
-            raise ConfigError(f"[grid] {key}: cannot parse '{raw}'") from None
-        if key in ("alpha", "beta", "tau"):
-            weights = replace(weights, **{key: value})
-        elif key == "lambda":
-            weights = replace(weights, lambda_=value)
-        else:
-            updates[_FIELD_FOR_KEY.get(key, key)] = value
-    return replace(train, weights=weights, **updates)
-
-
 def cmd_grid(cfg: RunConfig) -> int:
     if not cfg.grid:
         raise ConfigError("grid command needs a [grid] section")
     keys = sorted(cfg.grid)
     # every point is parsed and validated before anything is trained
-    points = [(values, _apply_grid_point(cfg.train, dict(zip(keys, values))))
+    points = [(values, parse_train(cfg.train, dict(zip(keys, values)), "grid"))
               for values in itertools.product(*(cfg.grid[k] for k in keys))]
     ds = _prepare_dataset(cfg)
     feat = _load_aligned_features(cfg, ds)

@@ -8,26 +8,35 @@ or keys are rejected outright to catch typos in loss-weight names.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ConfigError
-from .losses import LossWeights
 from .protocols import ProtocolConfig
 from .trainer import TrainConfig
+
+# [train] key -> (field, parser); alpha, beta, lambda and tau are LossWeights
+# fields, the rest TrainConfig fields. Defaults are the dataclass defaults.
+_TRAIN_KEYS = {
+    "learning_rate": ("learning_rate", float), "batch_size": ("batch_size", int),
+    "max_epochs": ("max_epochs", int), "patience": ("patience", int),
+    "gcn_layers": ("gcn_layers", int), "k_prime": ("k_prime", int),
+    "embed_dim": ("d_e", int), "mlp_hidden": ("d_h", int),
+    "optimizer": ("optimizer", str), "lr_decay": ("lr_decay", float),
+    "seed": ("seed", int),
+    "alpha": ("alpha", float), "beta": ("beta", float),
+    "lambda": ("lambda_", float), "tau": ("tau", float),
+}
+_WEIGHT_KEYS = {"alpha", "beta", "lambda", "tau"}
 
 _SCHEMA = {
     "paths": {"interactions", "features", "item_list", "masked_features", "output_dir"},
     "split": {"k_core", "ratios", "strategy", "seed"},
-    "train": {"learning_rate", "batch_size", "max_epochs", "patience",
-              "alpha", "beta", "lambda", "tau", "gcn_layers", "k_prime",
-              "embed_dim", "mlp_hidden", "optimizer", "lr_decay", "seed"},
+    "train": _TRAIN_KEYS,
     "eval": {"ks", "longtail_threshold", "longtail"},
     "protocol": {"protocols", "ks", "mask_ratio", "mask_seed", "mask_base"},
-    "grid": None,  # free keys, but each must name a [train] key
+    "grid": _TRAIN_KEYS,  # each key sweeps the [train] key of the same name
 }
-
-_GRID_KEYS = _SCHEMA["train"]
 
 
 @dataclass
@@ -58,6 +67,10 @@ def _get(parser, section, key, default):
     return default
 
 
+def _options(parser, section) -> dict[str, str]:
+    return dict(parser.items(section)) if parser.has_section(section) else {}
+
+
 def _parse_number(text, kind, where):
     try:
         return kind(text)
@@ -81,7 +94,20 @@ def _parse_ks(text, where) -> tuple[int, ...]:
         raise ConfigError(f"{where}: expected comma-separated integers, got '{text}'") from None
     if not ks or any(k < 1 for k in ks):
         raise ConfigError(f"{where}: K values must be positive")
+    if len(set(ks)) != len(ks):
+        raise ConfigError(f"{where}: repeated K in '{text}'")
     return ks
+
+
+def parse_train(base: TrainConfig, values, section: str) -> TrainConfig:
+    """`base` with the [train] keys in `values` (key -> text) parsed in;
+    dataclasses.replace reruns the TrainConfig and LossWeights checks."""
+    train, weights = {}, {}
+    for key, text in values.items():
+        name, kind = _TRAIN_KEYS[key]
+        (weights if key in _WEIGHT_KEYS else train)[name] = _parse_number(
+            text, kind, f"[{section}] {key}")
+    return replace(base, weights=replace(base.weights, **weights), **train)
 
 
 def load_config(path, seed_override: int | None = None) -> RunConfig:
@@ -98,12 +124,8 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        allowed = _SCHEMA[section]
         for key in parser.options(section):
-            if allowed is None:
-                if key not in _GRID_KEYS:
-                    raise ConfigError(f"{path}: [grid] key '{key}' is not a train parameter")
-            elif key not in allowed:
+            if key not in _SCHEMA[section]:
                 raise ConfigError(f"{path}: unknown key '{key}' in section [{section}]")
 
     if not parser.has_section("paths") or not parser.has_option("paths", "interactions"):
@@ -123,10 +145,6 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
     output_dir = _path("output_dir", "out")
 
     split_seed = _parse_number(_get(parser, "split", "seed", "2024"), int, "[split] seed")
-    train_seed = _parse_number(_get(parser, "train", "seed", "2024"), int, "[train] seed")
-    if seed_override is not None:
-        split_seed = seed_override
-        train_seed = seed_override
 
     ratios_raw = _get(parser, "split", "ratios", "0.8,0.1,0.1")
     try:
@@ -136,37 +154,10 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
     if len(ratios) != 3:
         raise ConfigError(f"[split] ratios needs three fractions, got {len(ratios)}")
 
-    weights = LossWeights(
-        alpha=_parse_number(_get(parser, "train", "alpha", "0.01"), float, "[train] alpha"),
-        beta=_parse_number(_get(parser, "train", "beta", "0.1"), float, "[train] beta"),
-        lambda_=_parse_number(_get(parser, "train", "lambda", "0.1"), float, "[train] lambda"),
-        tau=_parse_number(_get(parser, "train", "tau", "0.2"), float, "[train] tau"))
-    train = TrainConfig(
-        learning_rate=_parse_number(_get(parser, "train", "learning_rate", "3e-4"),
-                                    float, "[train] learning_rate"),
-        batch_size=_parse_number(_get(parser, "train", "batch_size", "2048"),
-                                 int, "[train] batch_size"),
-        max_epochs=_parse_number(_get(parser, "train", "max_epochs", "1000"),
-                                 int, "[train] max_epochs"),
-        patience=_parse_number(_get(parser, "train", "patience", "20"),
-                               int, "[train] patience"),
-        weights=weights,
-        gcn_layers=_parse_number(_get(parser, "train", "gcn_layers", "2"),
-                                 int, "[train] gcn_layers"),
-        k_prime=_parse_number(_get(parser, "train", "k_prime", "10"),
-                              int, "[train] k_prime"),
-        d_e=_parse_number(_get(parser, "train", "embed_dim", "64"),
-                          int, "[train] embed_dim"),
-        d_h=_parse_number(_get(parser, "train", "mlp_hidden", "64"),
-                          int, "[train] mlp_hidden"),
-        seed=train_seed,
-        optimizer=_get(parser, "train", "optimizer", "adam"),
-        lr_decay=_parse_number(_get(parser, "train", "lr_decay", "1.0"),
-                               float, "[train] lr_decay"))
-
-    longtail_raw = _get(parser, "eval", "longtail_threshold", "4")
-    longtail_threshold = (float("inf") if str(longtail_raw).strip() == "inf"
-                          else _parse_number(longtail_raw, float, "[eval] longtail_threshold"))
+    train = parse_train(TrainConfig(), _options(parser, "train"), "train")
+    if seed_override is not None:
+        split_seed = seed_override
+        train = replace(train, seed=seed_override)
 
     protocols_raw = _get(parser, "protocol", "protocols", "zero_shot,item_cf")
     protocols = tuple(p.strip() for p in str(protocols_raw).split(",") if p.strip())
@@ -176,17 +167,16 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
     mask_base = _get(parser, "protocol", "mask_base", "zero_shot")
     if mask_base not in ("zero_shot", "item_cf"):
         raise ConfigError(f"[protocol] mask_base must be zero_shot or item_cf, got '{mask_base}'")
-    protocol = ProtocolConfig(
-        ks=_parse_ks(_get(parser, "protocol", "ks", "10,20,50"), "[protocol] ks"),
-        mask_ratio=_parse_number(_get(parser, "protocol", "mask_ratio", "0.5"),
-                                 float, "[protocol] mask_ratio"),
-        mask_seed=_parse_number(_get(parser, "protocol", "mask_seed", "2024"),
-                                int, "[protocol] mask_seed"))
+    protocol = {}
+    if parser.has_option("protocol", "ks"):
+        protocol["ks"] = _parse_ks(parser.get("protocol", "ks"), "[protocol] ks")
+    for key, kind in (("mask_ratio", float), ("mask_seed", int)):
+        if parser.has_option("protocol", key):
+            protocol[key] = _parse_number(parser.get("protocol", key), kind,
+                                          f"[protocol] {key}")
 
-    grid: dict[str, list[str]] = {}
-    if parser.has_section("grid"):
-        for key in parser.options("grid"):
-            grid[key] = [part.strip() for part in parser.get("grid", key).split(",")]
+    grid = {key: [part.strip() for part in text.split(",")]
+            for key, text in _options(parser, "grid").items()}
 
     return RunConfig(
         interactions=interactions,
@@ -200,10 +190,11 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
         split_seed=split_seed,
         train=train,
         eval_ks=_parse_ks(_get(parser, "eval", "ks", "10,20,50"), "[eval] ks"),
-        longtail_threshold=longtail_threshold,
+        longtail_threshold=_parse_number(_get(parser, "eval", "longtail_threshold", "4"),
+                                         float, "[eval] longtail_threshold"),
         longtail=_parse_bool(_get(parser, "eval", "longtail", "false"), "[eval] longtail"),
         protocols=protocols,
-        protocol=protocol,
+        protocol=ProtocolConfig(**protocol),
         mask_base=mask_base,
         grid=grid,
         text=text)

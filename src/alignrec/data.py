@@ -199,6 +199,8 @@ def split_dataset(raw: RawInteractions, ratios: tuple[float, float, float],
         raise ConfigError(f"ratios must sum to 1, got {ratios} (sum {sum(ratios)!r})")
     if strategy not in ("random", "temporal-leave-one-out"):
         raise ConfigError(f"unknown split strategy '{strategy}'")
+    if seed < 0:
+        raise ConfigError(f"split seed must be >= 0, got {seed}")
 
     num_users, num_items = len(raw.user_keys), len(raw.item_keys)
     # group by user; within a user, order by (timestamp, item) so the

@@ -107,7 +107,7 @@ def ndcg_at_k(ranked, relevant: set[int], k: int) -> float:
 
 
 def _sorted_ks(ks) -> tuple[int, ...]:
-    ks = tuple(sorted(ks))
+    ks = tuple(sorted(set(ks)))
     if not ks:
         raise ConfigError("at least one K is required")
     return ks

@@ -38,8 +38,8 @@ from .sparse import SparseMatrix
 @dataclass(frozen=True)
 class ProtocolConfig:
     ks: tuple[int, ...] = (10, 20, 50)
-    mask_ratio: float = 0.0
-    mask_seed: int = 0
+    mask_ratio: float = 0.5
+    mask_seed: int = 2024
 
     def __post_init__(self):
         if not self.ks:

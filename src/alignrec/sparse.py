@@ -58,16 +58,9 @@ class SparseMatrix:
     def from_coo(cls, rows: int, cols: int, row_idx, col_idx, values) -> "SparseMatrix":
         """Build a canonical CSR matrix; duplicate coordinates are summed,
         zeros dropped."""
-        mat = sp.coo_matrix((np.asarray(values, dtype=np.float64),
-                             (np.asarray(row_idx), np.asarray(col_idx))),
-                            shape=(rows, cols)).tocsr()
-        mat.sum_duplicates()
-        mat.sort_indices()
-        mat.eliminate_zeros()
-        return cls(rows, cols,
-                   mat.indptr.astype(np.int64),
-                   mat.indices.astype(np.int64),
-                   mat.data.astype(np.float64))
+        return cls.from_scipy(sp.coo_matrix((np.asarray(values, dtype=np.float64),
+                                             (np.asarray(row_idx), np.asarray(col_idx))),
+                                            shape=(rows, cols)))
 
     @classmethod
     def from_scipy(cls, mat) -> "SparseMatrix":

@@ -39,15 +39,13 @@ class TrainConfig:
     lr_decay: float = 1.0   # per-epoch multiplicative factor; 1.0 keeps lr constant
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.patience < 1:
-            raise ConfigError("patience must be >= 1")
-        # zero is allowed so smoke configs can verify the null update
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
-        if self.max_epochs < 1:
-            raise ConfigError("max_epochs must be >= 1")
+        # a zero learning rate is allowed so smoke configs can verify the null
+        # update; d_e and d_h are the [train] keys embed_dim and mlp_hidden
+        for name, low in (("batch_size", 1), ("patience", 1), ("learning_rate", 0),
+                          ("max_epochs", 1), ("gcn_layers", 0), ("k_prime", 1),
+                          ("d_e", 1), ("d_h", 1), ("lr_decay", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer '{self.optimizer}'")
 

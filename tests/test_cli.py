@@ -1,16 +1,21 @@
+import math
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from alignrec.checkpoint import load_checkpoint
 from alignrec import cli
 from alignrec.cli import main
-from alignrec.config import load_config
+from alignrec.config import _SCHEMA, load_config
 from alignrec.data import kcore_filter, load_interactions, split_dataset
 from alignrec.features import (align_features, load_features, read_item_list,
                                save_features)
 from alignrec.graphs import build_graphs
 from alignrec.model import forward
+from alignrec.protocols import ProtocolConfig
 from alignrec.synthetic import make_corpus, write_corpus
+from alignrec.trainer import TrainConfig
 
 BASE_CONFIG = """\
 [paths]
@@ -63,6 +68,29 @@ def _run(workspace, *argv):
 
 def _snapshot(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir()) if p.is_file()}
+
+
+def _train_config(line):
+    """BASE_CONFIG with `line` as the only setting of its [train] key."""
+    key = line.partition("=")[0].strip()
+    head, _, rest = BASE_CONFIG.partition("[train]\n")
+    body, _, tail = rest.partition("[eval]\n")
+    kept = [row for row in body.splitlines(keepends=True)
+            if row.partition("=")[0].strip() != key]
+    return f"{head}[train]\n{line}\n{''.join(kept)}[eval]\n{tail}"
+
+
+# a value other than the default for every [train] key
+NON_DEFAULT = {
+    "learning_rate": "0.01", "batch_size": "16", "max_epochs": "7",
+    "patience": "3", "gcn_layers": "1", "k_prime": "5", "embed_dim": "16",
+    "mlp_hidden": "8", "optimizer": "sgd", "lr_decay": "0.9", "seed": "7",
+    "alpha": "0.5", "beta": "0.2", "lambda": "0.3", "tau": "0.5",
+}
+
+
+class _Captured(Exception):
+    pass
 
 
 class TestPrepare:
@@ -254,7 +282,8 @@ class TestGrid:
         for _, bundle, before in built:
             assert all(np.array_equal(a, b) for a, b in zip(arrays(bundle), before))
 
-    @pytest.mark.parametrize("line", ["lambda = 0.1,abc", "batch_size = 8,0"])
+    @pytest.mark.parametrize("line", ["lambda = 0.1,abc", "batch_size = 8,0",
+                                      "embed_dim = 8,-1"])
     def test_bad_point_fails_before_training(self, workspace, capsys, line):
         cfg = BASE_CONFIG + f"\n[grid]\n{line}\n"
         (workspace / "run.ini").write_text(cfg, encoding="utf-8")
@@ -284,17 +313,107 @@ class TestConfigValidation:
         path = workspace / "minimal.ini"
         path.write_text(minimal, encoding="utf-8")
         cfg = load_config(path)
-        assert cfg.train.batch_size == 2048
-        assert cfg.train.learning_rate == 3e-4
-        assert cfg.train.weights.alpha == 0.01
-        assert cfg.train.weights.beta == 0.1
-        assert cfg.train.weights.lambda_ == 0.1
-        assert cfg.train.weights.tau == 0.2
-        assert cfg.train.gcn_layers == 2
-        assert cfg.train.k_prime == 10
-        assert cfg.train.d_e == 64
-        assert cfg.train.d_h == 64
-        assert cfg.k_core == 5
-        assert cfg.ratios == (0.8, 0.1, 0.1)
-        assert cfg.eval_ks == (10, 20, 50)
-        assert cfg.longtail_threshold == 4
+        # every field of every config dataclass, so a moved default fails here
+        assert asdict(cfg) == {
+            "interactions": workspace / "interactions.tsv",
+            "features": None,
+            "item_list": None,
+            "output_dir": workspace / "out",
+            "masked_features": None,
+            "k_core": 5,
+            "ratios": (0.8, 0.1, 0.1),
+            "strategy": "random",
+            "split_seed": 2024,
+            "train": {
+                "learning_rate": 3e-4,
+                "batch_size": 2048,
+                "max_epochs": 1000,
+                "patience": 20,
+                "weights": {"alpha": 0.01, "beta": 0.1, "lambda_": 0.1, "tau": 0.2},
+                "gcn_layers": 2,
+                "k_prime": 10,
+                "d_e": 64,
+                "d_h": 64,
+                "seed": 2024,
+                "optimizer": "adam",
+                "lr_decay": 1.0,
+            },
+            "eval_ks": (10, 20, 50),
+            "longtail_threshold": 4.0,
+            "longtail": False,
+            "protocols": ("zero_shot", "item_cf"),
+            "protocol": {"ks": (10, 20, 50), "mask_ratio": 0.5, "mask_seed": 2024},
+            "mask_base": "zero_shot",
+            "grid": {},
+            "text": minimal,
+        }
+
+    def test_library_defaults_are_config_defaults(self, workspace):
+        path = workspace / "minimal.ini"
+        path.write_text("[paths]\ninteractions = interactions.tsv\n", encoding="utf-8")
+        cfg = load_config(path)
+        assert cfg.train == TrainConfig()
+        assert cfg.protocol == ProtocolConfig()
+
+    @pytest.mark.parametrize("line", ["embed_dim = -1", "embed_dim = 0", "mlp_hidden = -2",
+                                      "mlp_hidden = 0", "gcn_layers = -1", "k_prime = 0",
+                                      "lr_decay = -0.5", "seed = -1"])
+    def test_train_value_out_of_range(self, workspace, capsys, line):
+        (workspace / "run.ini").write_text(_train_config(line), encoding="utf-8")
+        assert _run(workspace, "train") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:")
+        assert not (workspace / "out").exists()
+
+    def test_negative_seed_is_config_error(self, workspace, capsys):
+        # the --seed override sets both seeds; [split] seed reaches split_dataset
+        assert _run(workspace, "train", "--seed", "-1") == 2
+        cfg = BASE_CONFIG.replace("k_core = 2\nseed = 9", "k_core = 2\nseed = -1")
+        (workspace / "run.ini").write_text(cfg, encoding="utf-8")
+        assert _run(workspace, "prepare") == 2
+        assert capsys.readouterr().out == ""
+        assert not (workspace / "out").exists()
+
+    def test_train_value_at_lower_bound_accepted(self, workspace):
+        text = _train_config("gcn_layers = 0").replace("k_prime = 4", "k_prime = 1")
+        (workspace / "run.ini").write_text(text, encoding="utf-8")
+        cfg = load_config(workspace / "run.ini")
+        assert (cfg.train.gcn_layers, cfg.train.k_prime) == (0, 1)
+
+    @pytest.mark.parametrize("old, new", [("[eval]\nks = 5,10", "[eval]\nks = 20,20"),
+                                          ("[protocol]\nks = 5", "[protocol]\nks = 5,10,5")],
+                             ids=["eval", "protocol"])
+    def test_repeated_k_rejected(self, workspace, capsys, old, new):
+        (workspace / "run.ini").write_text(BASE_CONFIG.replace(old, new), encoding="utf-8")
+        assert _run(workspace, "train") == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("text, value", [("inf", math.inf), ("24", 24.0), ("0.5", 0.5)])
+    def test_longtail_threshold_parsed_as_float(self, workspace, text, value):
+        path = workspace / "lt.ini"
+        path.write_text("[paths]\ninteractions = interactions.tsv\n"
+                        f"[eval]\nlongtail_threshold = {text}\n", encoding="utf-8")
+        assert load_config(path).longtail_threshold == value
+
+
+class TestTrainKeys:
+    # a key without a NON_DEFAULT value fails here with KeyError
+    @pytest.mark.parametrize("key", sorted(_SCHEMA["train"]))
+    def test_train_and_grid_give_equal_configs(self, workspace, monkeypatch, key):
+        paths = ("[paths]\ninteractions = interactions.tsv\nfeatures = features.afea\n"
+                 "item_list = items.txt\n[split]\nk_core = 2\n")
+        as_train = workspace / "as_train.ini"
+        as_train.write_text(paths + f"[train]\n{key} = {NON_DEFAULT[key]}\n", encoding="utf-8")
+        as_grid = workspace / "as_grid.ini"
+        as_grid.write_text(paths + f"[grid]\n{key} = {NON_DEFAULT[key]}\n", encoding="utf-8")
+
+        def capture(ds, graphs, feat, train_cfg, **kwargs):
+            raise _Captured(train_cfg)
+
+        monkeypatch.setattr(cli, "fit", capture)
+        with pytest.raises(_Captured) as caught:
+            main(["grid", "--config", str(as_grid)])
+        from_train = load_config(as_train).train
+        assert from_train != TrainConfig()
+        assert caught.value.args[0] == from_train

@@ -144,6 +144,16 @@ class TestEvaluate:
         b = evaluate(_reps(3.0 * h_users, 3.0 * h_items), ds, "test", (5,))
         assert a.recall == b.recall and a.ndcg == b.ndcg
 
+    def test_repeated_k_counts_each_user_once(self, rng):
+        train = [[u, u] for u in range(6)]
+        test = [[u, (u + 3) % 12] for u in range(6)]
+        ds = _dataset(6, 12, train, [], test)
+        reps = _reps(rng.normal(size=(6, 4)), rng.normal(size=(12, 4)))
+        assert evaluate(reps, ds, "test", (20, 20)) == evaluate(reps, ds, "test", (20,))
+        assert evaluate(reps, ds, "test", (20, 5, 20)) == evaluate(reps, ds, "test", (5, 20))
+        assert (longtail_evaluate(reps, ds, (5, 5), threshold=2)
+                == longtail_evaluate(reps, ds, (5,), threshold=2))
+
 
 class TestLongtail:
     def _setup(self, rng):
