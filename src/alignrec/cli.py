@@ -17,8 +17,8 @@ from pathlib import Path
 
 from . import checkpoint as ckpt
 from .config import RunConfig, load_config, parse_train, require_features
-from .data import (file_sha256, items_by_user, kcore_filter, load_interactions,
-                   save_splits, split_dataset, write_manifest)
+from .data import (file_sha256, kcore_filter, load_interactions, save_splits,
+                   split_dataset, write_manifest)
 from .errors import (AlignRecError, ConfigError, DataError,
                      TrainingDivergedError)
 from .evaluator import evaluate, longtail_evaluate, rank_all
@@ -161,7 +161,8 @@ def cmd_recommend(cfg: RunConfig, checkpoint_path: str, user_key: str, k: int) -
     fp = forward(loaded.params, graphs, feat, cfg.train.gcn_layers)
     user = ds.user_index[user_key]
     scores = fp.reps.h_items @ fp.reps.h_users[user]
-    for item in rank_all(scores, items_by_user(ds.train, ds.num_users)[user])[:k]:
+    seen = ds.train[ds.train[:, 0] == user, 1]
+    for item in rank_all(scores, seen, k):
         print(f"{ds.item_keys[item]}\t{float(scores[item])!r}")
     return 0
 

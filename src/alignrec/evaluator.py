@@ -2,9 +2,11 @@
 
 Every ranked query in the package goes through one loop: a query is a score
 vector over all items, a set of excluded items and a set of relevant items.
-rank_all orders the non-excluded items by descending score, ties to the lower
-item index, and the loop turns the top of that order into per-K recall and
-NDCG values. evaluate and longtail_evaluate score users by the inner product
+rank_all selects the top K of the non-excluded items by descending score, ties
+to the lower item index. The selection is exact but partial: it partitions to
+the K-th value and sorts only the items that reach it, so its output is the
+prefix of the full sort. The loop turns that top into per-K recall and NDCG
+values. evaluate and longtail_evaluate score users by the inner product
 and spread chunks of users over a thread pool; the feature protocols call
 rank_report serially with cosine scores. Seen positives are masked: the train
 split is always excluded from the candidate set, and the validation split is
@@ -27,6 +29,7 @@ import numpy as np
 from .data import Dataset, items_by_user
 from .errors import ConfigError
 from .model import Representations
+from .sparse import top_k
 
 _CHUNK = 256
 
@@ -75,15 +78,8 @@ class EvalReport:
         return " ".join(parts)
 
 
-def rank_all(scores: np.ndarray, exclude: set[int]) -> np.ndarray:
-    """Indices of the non-excluded items by descending score, ties to the
-    lower index."""
-    keep = np.ones(scores.shape[0], dtype=bool)
-    if exclude:
-        keep[list(exclude)] = False
-    idx = np.flatnonzero(keep)
-    order = np.lexsort((idx, -scores[idx]))
-    return idx[order]
+# the ranking kernel; _rank_metrics calls it through this module global
+rank_all = top_k
 
 
 def recall_at_k(ranked, relevant: set[int], k: int) -> float:
@@ -119,7 +115,7 @@ def _rank_metrics(queries, ks):
     rec = {k: [] for k in ks}
     ndcg = {k: [] for k in ks}
     for scores, exclude, relevant in queries:
-        top = rank_all(scores, exclude)[:ks[-1]]
+        top = rank_all(scores, exclude, ks[-1]).tolist()
         for k in ks:
             rec[k].append(recall_at_k(top[:k], relevant, k))
             ndcg[k].append(ndcg_at_k(top[:k], relevant, k))

@@ -10,7 +10,9 @@ stored together with its transpose:
 * sim: item-item similarity graph. Cosine similarities per row are pruned to
   the k' largest off-diagonal entries (ties to the lower index), negatives
   clamped to zero, then symmetrically normalized by row-sum degrees. Pruning
-  is per row, so sim is not symmetric in general.
+  is per row, so sim is not symmetric in general. The cosines come from one
+  GEMM per 512-row block, and each row is pruned by the same exact partial
+  top-K selection the rankings use, with the row's own item excluded.
 
 All four are built once from frozen inputs and never updated during
 training.
@@ -25,7 +27,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError, DataError, InternalInvariantError
 from .features import FeatureMatrix
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, top_k
 
 _SIM_CHUNK = 512
 
@@ -72,15 +74,13 @@ def build_knn_similarity(feat: FeatureMatrix, k_prime: int) -> SparseMatrix:
     unit = feat.data / norms[:, None]
 
     rows_out, cols_out, vals_out = [], [], []
-    arange = np.arange(n)
     for start in range(0, n, _SIM_CHUNK):
         stop = min(start + _SIM_CHUNK, n)
         block = unit[start:stop] @ unit.T
         for off in range(stop - start):
             r = start + off
             row = block[off]
-            row[r] = -np.inf  # diagonal never competes
-            order = np.lexsort((arange, -row))[:k_prime]
+            order = top_k(row, (r,), k_prime)  # the diagonal never competes
             kept = row[order]
             pos = kept > 0.0
             if np.any(pos):

@@ -25,6 +25,7 @@ Conventions fixed here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +45,13 @@ class LossWeights:
 
     def __post_init__(self):
         # alpha/beta/lambda may be zero for ablation runs; tau must not be
+        # NaN fails every chained comparison, inf fails the upper bound
         for name in ("alpha", "beta", "lambda_"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"loss weight {name} must be >= 0")
-        if self.tau <= 0:
-            raise ConfigError(f"temperature must be > 0, got {self.tau}")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"loss weight {name} must be finite and >= 0, "
+                                  f"got {getattr(self, name)}")
+        if not 0 < self.tau < math.inf:
+            raise ConfigError(f"temperature must be finite and > 0, got {self.tau}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Compressed-sparse-row matrices used by the graph operators.
+"""Compressed-sparse-row matrices used by the graph operators, and the exact
+top-K row selection shared by the kNN graph build and every ranking.
 
 Thin immutable wrapper around canonical CSR arrays. scipy does the heavy
 lifting for products; the wrapper pins down the invariants the rest of the
@@ -88,3 +89,25 @@ class SparseMatrix:
         """(column indices, weights) of one row."""
         lo, hi = self.indptr[r], self.indptr[r + 1]
         return self.indices[lo:hi], self.data[lo:hi]
+
+
+def top_k(scores: np.ndarray, exclude, k: int) -> np.ndarray:
+    """The first min(k, candidates) indices not in `exclude` (k >= 1) by
+    descending score, ties to the lower index: the prefix of the full
+    lexsort((idx, -scores[idx])) order, bit for bit.
+
+    A partition finds the K-th value; every candidate at or above it is
+    admitted, so the whole tie group at the cut is sorted with the rest.
+    A NaN K-th value (fewer than k comparable scores) falls back to the full
+    sort, which puts NaN last."""
+    keep = np.ones(scores.shape[0], dtype=bool)
+    if len(exclude):
+        keep[list(exclude)] = False
+    idx = np.flatnonzero(keep)
+    neg = -scores[idx]
+    if k < idx.size:
+        kth = np.partition(neg, k - 1)[k - 1]
+        if not np.isnan(kth):
+            admitted = neg <= kth
+            idx, neg = idx[admitted], neg[admitted]
+    return idx[np.lexsort((idx, neg))[:k]]

@@ -8,6 +8,7 @@ ties), not the last.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -44,8 +45,9 @@ class TrainConfig:
         for name, low in (("batch_size", 1), ("patience", 1), ("learning_rate", 0),
                           ("max_epochs", 1), ("gcn_layers", 0), ("k_prime", 1),
                           ("d_e", 1), ("d_h", 1), ("lr_decay", 0), ("seed", 0)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+            # the chained form is false for NaN, so NaN and inf both fail
+            if not low <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= {low}, got {getattr(self, name)}")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer '{self.optimizer}'")
 

@@ -158,6 +158,38 @@ def dense_knn_reference(feat, k_prime):
     return np.diag(inv) @ s @ np.diag(inv)
 
 
+def knn_full_sort_reference(feat, k_prime):
+    """The kNN graph as built before the partial selection: cosines from one
+    GEMM per 512 rows, the diagonal set to -inf, a full lexsort of every
+    row (ties to the lower index), the first k' kept if positive, then
+    row-sum degree normalization. Returns a canonical scipy CSR matrix."""
+    n = feat.shape[0]
+    unit = feat / np.linalg.norm(feat, axis=1)[:, None]
+    arange = np.arange(n)
+    rows, cols, vals = [], [], []
+    for start in range(0, n, 512):
+        sims = unit[start:start + 512] @ unit.T
+        for off, row in enumerate(sims):
+            r = start + off
+            row[r] = -np.inf
+            order = np.lexsort((arange, -row))[:k_prime]
+            kept = row[order]
+            rows.append(np.full(int(np.sum(kept > 0.0)), r))
+            cols.append(order[kept > 0.0])
+            vals.append(kept[kept > 0.0])
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    deg = np.zeros(n)
+    np.add.at(deg, rows, vals)
+    inv = np.zeros(n)
+    inv[deg > 0.0] = 1.0 / np.sqrt(deg[deg > 0.0])
+    mat = sp.csr_matrix(sp.coo_matrix((vals * inv[rows] * inv[cols], (rows, cols)),
+                                      shape=(n, n)))
+    mat.sum_duplicates()
+    mat.sort_indices()
+    mat.eliminate_zeros()
+    return mat
+
+
 def dense_lightgcn(adj_dense, emb, layers):
     acc = emb.copy()
     for l in range(1, layers + 1):

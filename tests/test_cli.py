@@ -1,10 +1,11 @@
 import math
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from alignrec.checkpoint import load_checkpoint
+from alignrec.checkpoint import load_checkpoint, save_checkpoint
 from alignrec import cli
 from alignrec.cli import main
 from alignrec.config import _SCHEMA, load_config
@@ -12,7 +13,7 @@ from alignrec.data import kcore_filter, load_interactions, split_dataset
 from alignrec.features import (align_features, load_features, read_item_list,
                                save_features)
 from alignrec.graphs import build_graphs
-from alignrec.model import forward
+from alignrec.model import forward, init_params
 from alignrec.protocols import ProtocolConfig
 from alignrec.synthetic import make_corpus, write_corpus
 from alignrec.trainer import TrainConfig
@@ -86,6 +87,15 @@ NON_DEFAULT = {
     "patience": "3", "gcn_layers": "1", "k_prime": "5", "embed_dim": "16",
     "mlp_hidden": "8", "optimizer": "sgd", "lr_decay": "0.9", "seed": "7",
     "alpha": "0.5", "beta": "0.2", "lambda": "0.3", "tau": "0.5",
+}
+
+
+# `recommend --user u00 --k <k>` on the workspace corpus with rigged scores,
+# as printed by the full-sort ranking before the partial top-K selection
+RECOMMEND_TIE_STDOUT = {
+    "6": "i01\t1.0\ni07\t1.0\ni03\t0.5\ni05\t0.5\ni09\t0.5\ni11\t0.5\n",
+    "10": ("i01\t1.0\ni07\t1.0\ni03\t0.5\ni05\t0.5\ni09\t0.5\ni11\t0.5\n"
+           "i13\t0.25\ni19\t0.25\ni04\t0.0\ni06\t0.0\n"),
 }
 
 
@@ -233,6 +243,26 @@ class TestRecommend:
         assert seen and len(ranking) > 7
         assert lines == [f"{ds.item_keys[j]}\t{float(scores[j])!r}" for j in ranking[:7]]
 
+    @pytest.mark.parametrize("k", sorted(RECOMMEND_TIE_STDOUT))
+    def test_stdout_pinned_with_tie_at_cut(self, workspace, capsys, monkeypatch, tmp_path, k):
+        # scores from a small pool with repeats and both signed zeros: the
+        # 0.5 group straddles the cut at k = 6 and the zero group the cut at
+        # k = 10; the user's train items hold some of the best scores, so any
+        # leak of them shows
+        pool = np.array([0.5, 1.0, 0.25, 0.5, -0.0, 0.5, 0.0, 1.0, 0.25, 0.5, -0.5])
+
+        def rigged(params, graphs, feat, layers):
+            h_items = np.resize(pool, feat.rows)[:, None]
+            h_users = np.ones((graphs.inter_norm.rows, 1))
+            return SimpleNamespace(reps=SimpleNamespace(h_users=h_users, h_items=h_items))
+
+        monkeypatch.setattr(cli, "forward", rigged)
+        path = tmp_path / "any.ackp"
+        save_checkpoint(path, init_params(1, 1, 1, 1, 1, np.random.default_rng(0)), "")
+        assert _run(workspace, "recommend", "--checkpoint", str(path),
+                    "--user", "u00", "--k", k) == 0
+        assert capsys.readouterr().out == RECOMMEND_TIE_STDOUT[k]
+
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_k_below_one_is_config_error(self, workspace, capsys, k):
         assert _run(workspace, "train") == 0
@@ -364,6 +394,23 @@ class TestConfigValidation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("config error:")
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("key, text", [("tau", "nan"), ("learning_rate", "nan"),
+                                           ("lr_decay", "nan"), ("alpha", "inf")])
+    def test_non_finite_train_float_rejected(self, workspace, capsys, monkeypatch, key, text):
+        def no_load(path):
+            raise AssertionError("data loaded for an invalid config")
+
+        monkeypatch.setattr(cli, "load_interactions", no_load)
+        (workspace / "run.ini").write_text(_train_config(f"{key} = {text}"), encoding="utf-8")
+        assert _run(workspace, "train") == 2
+        (workspace / "run.ini").write_text(
+            BASE_CONFIG + f"\n[grid]\n{key} = {NON_DEFAULT[key]},{text}\n", encoding="utf-8")
+        assert _run(workspace, "grid") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("config error:") == 2
         assert not (workspace / "out").exists()
 
     def test_negative_seed_is_config_error(self, workspace, capsys):

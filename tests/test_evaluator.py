@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignrec.data import Dataset
 from alignrec.evaluator import (evaluate, longtail_evaluate, ndcg_at_k,
@@ -32,23 +34,40 @@ def _dataset(num_users, num_items, train, val, test):
 
 class TestRanking:
     def test_simple_order(self):
-        order = rank_all(np.array([0.5, 0.9, 0.1]), set())
+        order = rank_all(np.array([0.5, 0.9, 0.1]), set(), 3)
         assert order.tolist() == [1, 0, 2]
 
     def test_tie_breaks_by_index(self):
-        order = rank_all(np.array([1.0, 1.0, 1.0, 1.0]), set())
+        order = rank_all(np.array([1.0, 1.0, 1.0, 1.0]), set(), 4)
         assert order.tolist() == [0, 1, 2, 3]
 
     def test_excluded_missing_from_output(self):
-        order = rank_all(np.array([0.5, 0.9, 0.1, 0.7]), {1, 2})
+        order = rank_all(np.array([0.5, 0.9, 0.1, 0.7]), {1, 2}, 4)
         assert order.tolist() == [3, 0]
 
     def test_matches_full_sort_oracle(self, rng):
         scores = rng.normal(size=40)
-        got = rank_all(scores, {3, 17})
+        got = rank_all(scores, {3, 17}, len(scores))
         want = sorted((j for j in range(40) if j not in {3, 17}),
                       key=lambda j: (-scores[j], j))
         assert got.tolist() == want
+
+
+# few distinct values, so most scores tie; signed zeros compare equal, and NaN
+# sorts last in the full order
+_TIE_POOL = [0.0, -0.0, 0.5, 0.5, -1.0, np.inf, -np.inf, np.nan]
+
+
+@given(st.lists(st.sampled_from(_TIE_POOL), min_size=1, max_size=40), st.data())
+@settings(max_examples=200, deadline=None)
+def test_top_k_is_prefix_of_full_sort_under_ties(values, data):
+    scores = np.array(values)
+    n = scores.size
+    exclude = data.draw(st.sets(st.integers(0, n - 1)))
+    idx = np.array([j for j in range(n) if j not in exclude], dtype=np.int64)
+    full = idx[np.lexsort((idx, -scores[idx]))].tolist()
+    for k in range(1, n + 2):
+        assert rank_all(scores, exclude, k).tolist() == full[:k]
 
 
 class TestMetrics:
@@ -186,7 +205,7 @@ class TestLongtail:
         hits = []
         for u in (1, 3):
             exclude = {i for uu, i in ds.train.tolist() if uu == u}
-            ranked = rank_all(reps.h_items @ reps.h_users[u], exclude)
+            ranked = rank_all(reps.h_items @ reps.h_users[u], exclude, ds.num_items)
             hits.append(1.0 if 4 in ranked[:5].tolist() else 0.0)
         assert report.recall[5] == pytest.approx(sum(hits) / 2, abs=1e-15)
 

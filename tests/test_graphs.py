@@ -8,7 +8,8 @@ from alignrec.errors import ConfigError, DataError
 from alignrec.features import FeatureMatrix
 from alignrec.graphs import build_graphs, build_knn_similarity, build_norm_interaction
 
-from oracles import dense_knn_reference, dense_norm_adjacency, to_dense
+from oracles import (dense_knn_reference, dense_norm_adjacency, knn_full_sort_reference,
+                     to_dense)
 
 
 def _ds_from_pairs(pairs, num_users, num_items):
@@ -115,6 +116,26 @@ class TestKnnSimilarity:
         s1 = to_dense(build_knn_similarity(FeatureMatrix(feat), 3))
         s2 = to_dense(build_knn_similarity(FeatureMatrix(feat[perm]), 3))
         assert np.max(np.abs(s2 - s1[np.ix_(perm, perm)])) < 1e-12
+
+    @pytest.mark.parametrize("k_prime", [1, 10, 50])
+    def test_exact_ties_match_full_sort_bitwise(self, k_prime):
+        # one-hot and two-hot rows over 12 dims: cosines are exactly 0, 1/2,
+        # 1/sqrt(2) or 1, so every row has large tie groups at its cut
+        rng = np.random.default_rng(7)
+        n, d = 1100, 12
+        feat = np.zeros((n, d))
+        first = rng.integers(d, size=n)
+        feat[np.arange(n), first] = 1.0
+        two = rng.random(n) < 0.5
+        feat[np.flatnonzero(two), (first[two] + rng.integers(1, d, size=two.sum())) % d] = 1.0
+        # duplicates on both sides of the 512-row block boundaries
+        feat[[509, 510, 513, 514, 1022, 1025]] = feat[511]
+        feat[[512, 1023, 1024]] = feat[0]
+        got = build_knn_similarity(FeatureMatrix(feat), k_prime)
+        want = knn_full_sort_reference(feat, k_prime)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
 
     def test_zero_norm_row_rejected(self):
         feat = FeatureMatrix(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
