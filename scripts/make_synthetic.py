@@ -18,20 +18,12 @@ item_list = items.txt
 output_dir = out
 
 [split]
-k_core = 5
 seed = {seed}
 
 [train]
 max_epochs = 200
 patience = 200
 seed = {seed}
-
-[eval]
-ks = 10,20,50
-
-[protocol]
-ks = 10,20,50
-protocols = zero_shot,item_cf
 
 [grid]
 lambda = 0.1,0.2,0.3

@@ -25,7 +25,7 @@ from .evaluator import evaluate, longtail_evaluate, rank_all
 from .features import align_features, load_features, read_item_list
 from .graphs import build_graphs
 from .model import forward
-from .protocols import itemcf_eval, mask_modality_eval, zero_shot_eval
+from .protocols import BASE_PROTOCOLS, mask_modality_eval
 from .trainer import fit, format_log_record
 
 
@@ -127,10 +127,8 @@ def cmd_intermediate(cfg: RunConfig) -> int:
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     for name in cfg.protocols:
-        if name == "zero_shot":
-            report = zero_shot_eval(feat, ds, cfg.protocol)
-        elif name == "item_cf":
-            report = itemcf_eval(feat, ds, cfg.protocol)
+        if name in BASE_PROTOCOLS:
+            report = BASE_PROTOCOLS[name](feat, ds, cfg.protocol)
         else:
             if cfg.masked_features is None or not cfg.masked_features.exists():
                 raise ConfigError("[paths] masked_features is required for mask_modality")

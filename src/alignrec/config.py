@@ -8,109 +8,142 @@ or keys are rejected outright to catch typos in loss-weight names.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .data import check_split
 from .errors import ConfigError
-from .protocols import ProtocolConfig
+from .evaluator import check_ks
+from .losses import LossWeights
+from .protocols import BASE_PROTOCOLS, ProtocolConfig
 from .trainer import TrainConfig
-
-# [train] key -> (field, parser); alpha, beta, lambda and tau are LossWeights
-# fields, the rest TrainConfig fields. Defaults are the dataclass defaults.
-_TRAIN_KEYS = {
-    "learning_rate": ("learning_rate", float), "batch_size": ("batch_size", int),
-    "max_epochs": ("max_epochs", int), "patience": ("patience", int),
-    "gcn_layers": ("gcn_layers", int), "k_prime": ("k_prime", int),
-    "embed_dim": ("d_e", int), "mlp_hidden": ("d_h", int),
-    "optimizer": ("optimizer", str), "lr_decay": ("lr_decay", float),
-    "seed": ("seed", int),
-    "alpha": ("alpha", float), "beta": ("beta", float),
-    "lambda": ("lambda_", float), "tau": ("tau", float),
-}
-_WEIGHT_KEYS = {"alpha", "beta", "lambda", "tau"}
-
-_SCHEMA = {
-    "paths": {"interactions", "features", "item_list", "masked_features", "output_dir"},
-    "split": {"k_core", "ratios", "strategy", "seed"},
-    "train": _TRAIN_KEYS,
-    "eval": {"ks", "longtail_threshold", "longtail"},
-    "protocol": {"protocols", "ks", "mask_ratio", "mask_seed", "mask_base"},
-    "grid": _TRAIN_KEYS,  # each key sweeps the [train] key of the same name
-}
 
 
 @dataclass
 class RunConfig:
+    """Everything a run reads from the config file. The [split], [eval] and
+    [protocol] defaults are the field defaults here; [train] ones live in
+    TrainConfig and LossWeights, protocol ones in ProtocolConfig."""
+
     interactions: Path
-    features: Path | None
-    item_list: Path | None
-    output_dir: Path
-    masked_features: Path | None
-    k_core: int
-    ratios: tuple[float, float, float]
-    strategy: str
-    split_seed: int
-    train: TrainConfig
-    eval_ks: tuple[int, ...]
-    longtail_threshold: float
-    longtail: bool
-    protocols: tuple[str, ...]
-    protocol: ProtocolConfig
-    mask_base: str
+    features: Path | None = None
+    item_list: Path | None = None
+    output_dir: Path = Path("out")
+    masked_features: Path | None = None
+    k_core: int = 5
+    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
+    strategy: str = "random"
+    split_seed: int = 2024
+    train: TrainConfig = field(default_factory=TrainConfig)
+    eval_ks: tuple[int, ...] = (10, 20, 50)
+    longtail_threshold: float = 4.0
+    longtail: bool = False
+    protocols: tuple[str, ...] = tuple(BASE_PROTOCOLS)
+    protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
+    mask_base: str = "zero_shot"
     grid: dict[str, list[str]] = field(default_factory=dict)
     text: str = ""
 
-
-def _get(parser, section, key, default):
-    if parser.has_option(section, key):
-        return parser.get(section, key)
-    return default
-
-
-def _options(parser, section) -> dict[str, str]:
-    return dict(parser.items(section)) if parser.has_section(section) else {}
-
-
-def _parse_number(text, kind, where):
-    try:
-        return kind(text)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: cannot parse '{text}' as {kind.__name__}") from None
+    def __post_init__(self):
+        if self.output_dir is None:
+            raise ConfigError("[paths] output_dir must not be empty")
+        check_split(self.k_core, self.ratios, self.strategy, self.split_seed)
+        check_ks(self.eval_ks, "[eval] ks")
+        if math.isnan(self.longtail_threshold):
+            raise ConfigError("[eval] longtail_threshold must not be nan")
+        for name in self.protocols:
+            if name not in BASE_PROTOCOLS and name != "mask_modality":
+                raise ConfigError(f"[protocol] unknown protocol '{name}'")
+        if self.mask_base not in BASE_PROTOCOLS:
+            raise ConfigError(f"[protocol] mask_base must be one of "
+                              f"{', '.join(BASE_PROTOCOLS)}, got '{self.mask_base}'")
 
 
-def _parse_bool(text, where):
-    lowered = str(text).strip().lower()
+def _bool(text: str) -> bool:
+    lowered = text.strip().lower()
     if lowered in ("true", "yes", "1", "on"):
         return True
     if lowered in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"{where}: cannot parse '{text}' as a boolean")
+    raise ValueError(text)
 
 
-def _parse_ks(text, where) -> tuple[int, ...]:
-    try:
-        ks = tuple(int(part) for part in str(text).split(","))
-    except ValueError:
-        raise ConfigError(f"{where}: expected comma-separated integers, got '{text}'") from None
-    if not ks or any(k < 1 for k in ks):
-        raise ConfigError(f"{where}: K values must be positive")
-    if len(set(ks)) != len(ks):
-        raise ConfigError(f"{where}: repeated K in '{text}'")
-    return ks
+def _path(text: str) -> Path | None:
+    return Path(text) if text else None
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split(","))
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in text.split(","))
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+# section -> key -> (owner, field, parser). A key the file leaves out keeps
+# its owner's field default, and the owner's __post_init__ range-checks it.
+_SCHEMA = {
+    "paths": {key: (RunConfig, key, _path) for key in (
+        "interactions", "features", "item_list", "masked_features", "output_dir")},
+    "split": {
+        "k_core": (RunConfig, "k_core", int), "ratios": (RunConfig, "ratios", _floats),
+        "strategy": (RunConfig, "strategy", str), "seed": (RunConfig, "split_seed", int),
+    },
+    "train": {
+        "learning_rate": (TrainConfig, "learning_rate", float),
+        "batch_size": (TrainConfig, "batch_size", int),
+        "max_epochs": (TrainConfig, "max_epochs", int),
+        "patience": (TrainConfig, "patience", int),
+        "gcn_layers": (TrainConfig, "gcn_layers", int),
+        "k_prime": (TrainConfig, "k_prime", int),
+        "embed_dim": (TrainConfig, "d_e", int), "mlp_hidden": (TrainConfig, "d_h", int),
+        "optimizer": (TrainConfig, "optimizer", str),
+        "lr_decay": (TrainConfig, "lr_decay", float), "seed": (TrainConfig, "seed", int),
+        "alpha": (LossWeights, "alpha", float), "beta": (LossWeights, "beta", float),
+        "lambda": (LossWeights, "lambda_", float), "tau": (LossWeights, "tau", float),
+    },
+    "eval": {
+        "ks": (RunConfig, "eval_ks", _ints),
+        "longtail_threshold": (RunConfig, "longtail_threshold", float),
+        "longtail": (RunConfig, "longtail", _bool),
+    },
+    "protocol": {
+        "protocols": (RunConfig, "protocols", _names), "ks": (ProtocolConfig, "ks", _ints),
+        "mask_ratio": (ProtocolConfig, "mask_ratio", float),
+        "mask_seed": (ProtocolConfig, "mask_seed", int),
+        "mask_base": (RunConfig, "mask_base", str),
+    },
+}
+_SCHEMA["grid"] = _SCHEMA["train"]  # each key sweeps the [train] key of the same name
+
+
+def _parse(values, section: str, into: dict) -> dict:
+    """Parse `values` (key -> text) of a known section into `into`, a dict of
+    owner -> {field: value}."""
+    for key, text in values.items():
+        owner, name, parse = _SCHEMA[section][key]
+        try:
+            into[owner][name] = parse(text)
+        except ValueError:
+            raise ConfigError(f"[{section}] {key}: cannot parse '{text}'") from None
+    return into
 
 
 def parse_train(base: TrainConfig, values, section: str) -> TrainConfig:
     """`base` with the [train] keys in `values` (key -> text) parsed in;
     dataclasses.replace reruns the TrainConfig and LossWeights checks."""
-    train, weights = {}, {}
-    for key, text in values.items():
-        name, kind = _TRAIN_KEYS[key]
-        (weights if key in _WEIGHT_KEYS else train)[name] = _parse_number(
-            text, kind, f"[{section}] {key}")
-    return replace(base, weights=replace(base.weights, **weights), **train)
+    parsed = _parse(values, section, {TrainConfig: {}, LossWeights: {}})
+    return replace(base, weights=replace(base.weights, **parsed[LossWeights]),
+                   **parsed[TrainConfig])
 
 
 def load_config(path, seed_override: int | None = None) -> RunConfig:
+    """Parse and range-check every section of a config file; no data is read."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
@@ -121,83 +154,35 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
+    parsed = {RunConfig: {}, TrainConfig: {}, LossWeights: {}, ProtocolConfig: {}}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        for key in parser.options(section):
+        values = dict(parser.items(section))
+        for key in values:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"{path}: unknown key '{key}' in section [{section}]")
+        if section == "grid":
+            parsed[RunConfig]["grid"] = {key: [part.strip() for part in raw.split(",")]
+                                         for key, raw in values.items()}
+        else:
+            _parse(values, section, parsed)
 
-    if not parser.has_section("paths") or not parser.has_option("paths", "interactions"):
+    if not parsed[RunConfig].get("interactions"):
         raise ConfigError(f"{path}: [paths] interactions is required")
-    base = path.parent
-
-    def _path(key, default=None):
-        raw = _get(parser, "paths", key, default)
-        if raw is None or raw == "":
-            return None
-        p = Path(raw)
-        return p if p.is_absolute() else base / p
-
-    interactions = _path("interactions")
-    if not interactions.exists():
-        raise ConfigError(f"interactions file {interactions} does not exist")
-    output_dir = _path("output_dir", "out")
-
-    split_seed = _parse_number(_get(parser, "split", "seed", "2024"), int, "[split] seed")
-
-    ratios_raw = _get(parser, "split", "ratios", "0.8,0.1,0.1")
-    try:
-        ratios = tuple(float(part) for part in str(ratios_raw).split(","))
-    except ValueError:
-        raise ConfigError(f"[split] ratios: cannot parse '{ratios_raw}'") from None
-    if len(ratios) != 3:
-        raise ConfigError(f"[split] ratios needs three fractions, got {len(ratios)}")
-
-    train = parse_train(TrainConfig(), _options(parser, "train"), "train")
     if seed_override is not None:
-        split_seed = seed_override
-        train = replace(train, seed=seed_override)
-
-    protocols_raw = _get(parser, "protocol", "protocols", "zero_shot,item_cf")
-    protocols = tuple(p.strip() for p in str(protocols_raw).split(",") if p.strip())
-    for p in protocols:
-        if p not in ("zero_shot", "item_cf", "mask_modality"):
-            raise ConfigError(f"[protocol] unknown protocol '{p}'")
-    mask_base = _get(parser, "protocol", "mask_base", "zero_shot")
-    if mask_base not in ("zero_shot", "item_cf"):
-        raise ConfigError(f"[protocol] mask_base must be zero_shot or item_cf, got '{mask_base}'")
-    protocol = {}
-    if parser.has_option("protocol", "ks"):
-        protocol["ks"] = _parse_ks(parser.get("protocol", "ks"), "[protocol] ks")
-    for key, kind in (("mask_ratio", float), ("mask_seed", int)):
-        if parser.has_option("protocol", key):
-            protocol[key] = _parse_number(parser.get("protocol", key), kind,
-                                          f"[protocol] {key}")
-
-    grid = {key: [part.strip() for part in text.split(",")]
-            for key, text in _options(parser, "grid").items()}
-
-    return RunConfig(
-        interactions=interactions,
-        features=_path("features"),
-        item_list=_path("item_list"),
-        output_dir=output_dir,
-        masked_features=_path("masked_features"),
-        k_core=_parse_number(_get(parser, "split", "k_core", "5"), int, "[split] k_core"),
-        ratios=ratios,
-        strategy=_get(parser, "split", "strategy", "random"),
-        split_seed=split_seed,
-        train=train,
-        eval_ks=_parse_ks(_get(parser, "eval", "ks", "10,20,50"), "[eval] ks"),
-        longtail_threshold=_parse_number(_get(parser, "eval", "longtail_threshold", "4"),
-                                         float, "[eval] longtail_threshold"),
-        longtail=_parse_bool(_get(parser, "eval", "longtail", "false"), "[eval] longtail"),
-        protocols=protocols,
-        protocol=ProtocolConfig(**protocol),
-        mask_base=mask_base,
-        grid=grid,
-        text=text)
+        parsed[RunConfig]["split_seed"] = parsed[TrainConfig]["seed"] = seed_override
+    cfg = RunConfig(
+        train=TrainConfig(weights=LossWeights(**parsed[LossWeights]), **parsed[TrainConfig]),
+        protocol=ProtocolConfig(**parsed[ProtocolConfig]), text=text,
+        **parsed[RunConfig])
+    # relative paths, defaults included, are relative to the config file
+    for name in _SCHEMA["paths"]:
+        if getattr(cfg, name) is not None:
+            setattr(cfg, name, path.parent / getattr(cfg, name))
+    if not cfg.interactions.exists():
+        raise ConfigError(f"interactions file {cfg.interactions} does not exist")
+    return cfg
 
 
 def require_features(cfg: RunConfig) -> None:

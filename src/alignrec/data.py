@@ -25,6 +25,7 @@ temporal-leave-one-out
 from __future__ import annotations
 
 import hashlib
+import math
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -166,11 +167,27 @@ def load_interactions(path) -> RawInteractions:
     return _from_columns(users, items, stamps)
 
 
+def check_split(k_core=None, ratios=None, strategy=None, seed=None) -> None:
+    """Raise ConfigError for a split setting out of range; None skips a
+    setting."""
+    if k_core is not None and k_core < 1:
+        raise ConfigError(f"k-core threshold must be >= 1, got {k_core}")
+    # the chained form is false for NaN, so NaN and inf both fail
+    if ratios is not None and (len(ratios) != 3
+                               or not all(0 <= r < math.inf for r in ratios)):
+        raise ConfigError(f"ratios must be three finite nonnegative fractions, got {ratios}")
+    if ratios is not None and abs(sum(ratios) - 1.0) > 1e-9:
+        raise ConfigError(f"ratios must sum to 1, got {ratios} (sum {sum(ratios)!r})")
+    if strategy is not None and strategy not in ("random", "temporal-leave-one-out"):
+        raise ConfigError(f"unknown split strategy '{strategy}'")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"split seed must be >= 0, got {seed}")
+
+
 def kcore_filter(raw: RawInteractions, k: int) -> RawInteractions:
     """Iteratively drop users and items with fewer than k interactions until
     every survivor has at least k."""
-    if k < 1:
-        raise ConfigError(f"k-core threshold must be >= 1, got {k}")
+    check_split(k_core=k)
     rows = np.arange(len(raw))
     while True:
         users, items = raw.users[rows], raw.items[rows]
@@ -193,15 +210,7 @@ def split_dataset(raw: RawInteractions, ratios: tuple[float, float, float],
                   seed: int, strategy: str = "random") -> Dataset:
     """Partition interactions into train/val/test; the dense indices are the
     codes of `raw`."""
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise ConfigError(f"ratios must be three nonnegative fractions, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"ratios must sum to 1, got {ratios} (sum {sum(ratios)!r})")
-    if strategy not in ("random", "temporal-leave-one-out"):
-        raise ConfigError(f"unknown split strategy '{strategy}'")
-    if seed < 0:
-        raise ConfigError(f"split seed must be >= 0, got {seed}")
-
+    check_split(ratios=ratios, strategy=strategy, seed=seed)
     num_users, num_items = len(raw.user_keys), len(raw.item_keys)
     # group by user; within a user, order by (timestamp, item) so the
     # pre-shuffle order is canonical

@@ -102,6 +102,14 @@ def ndcg_at_k(ranked, relevant: set[int], k: int) -> float:
     return dcg / ideal if ideal > 0.0 else 0.0
 
 
+def check_ks(ks, name: str) -> None:
+    """Raise ConfigError unless `ks` holds one or more distinct positive K."""
+    if not ks or any(k < 1 for k in ks):
+        raise ConfigError(f"{name}: needs positive K values, got {ks}")
+    if len(set(ks)) != len(ks):
+        raise ConfigError(f"{name}: repeated K in {ks}")
+
+
 def _sorted_ks(ks) -> tuple[int, ...]:
     ks = tuple(sorted(set(ks)))
     if not ks:

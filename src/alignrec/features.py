@@ -49,6 +49,16 @@ class FeatureMatrix:
         return self.data.shape[1]
 
 
+def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row of `x` scaled to unit L2 norm, zero rows left zero; also the
+    row norms and the mask of nonzero rows."""
+    norms = np.linalg.norm(x, axis=1)
+    nz = norms > 0.0
+    unit = np.zeros_like(x)
+    unit[nz] = x[nz] / norms[nz, None]
+    return unit, norms, nz
+
+
 def save_features(path, matrix: np.ndarray) -> None:
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
     with open(path, "wb") as fh:

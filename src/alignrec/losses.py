@@ -2,11 +2,11 @@
 
 Each public loss returns (value, grads) where grads is a dict keyed like
 ModelParams. Internally every loss adds its weighted gradient in
-representation space into one RepGrads accumulator, touching only the rows
-it uses; ForwardPass.backward chains the accumulator to the parameters. The
-combined objective has its four losses add into the same accumulator and
-runs a single backward pass, which by linearity equals the weighted sum of
-the component parameter gradients.
+representation space into one accumulator, a zeroed Representations,
+touching only the rows it uses; ForwardPass.backward chains the accumulator
+to the parameters. The combined objective has its four losses add into the
+same accumulator and runs a single backward pass, which by linearity equals
+the weighted sum of the component parameter gradients.
 
 Conventions fixed here:
 
@@ -32,8 +32,8 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, DataError
-from .features import FeatureMatrix
-from .model import ForwardPass, RepGrads
+from .features import FeatureMatrix, unit_rows
+from .model import ForwardPass, Representations
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class BatchSample:
         return len(self.users)
 
 
-def _bpr_rep(fp: ForwardPass, batch: BatchSample, g: RepGrads) -> float:
+def _bpr_rep(fp: ForwardPass, batch: BatchSample, g: Representations) -> float:
     reps = fp.reps
     u, i, j = batch.users, batch.pos_items, batch.neg_items
     hu = reps.h_users[u]
@@ -83,14 +83,6 @@ def _bpr_rep(fp: ForwardPass, batch: BatchSample, g: RepGrads) -> float:
     np.add.at(g.h_items, i, d_margin[:, None] * hu)
     np.add.at(g.h_items, j, -d_margin[:, None] * hu)
     return value
-
-
-def _normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(x, axis=1)
-    nz = norms > 0.0
-    unit = np.zeros_like(x)
-    unit[nz] = x[nz] / norms[nz, None]
-    return unit, norms, nz
 
 
 def _normalize_backward(d_unit, unit, norms, nz) -> np.ndarray:
@@ -108,8 +100,8 @@ def _infonce_side(x: np.ndarray, y: np.ndarray, tau: float):
     """
     n = x.shape[0]
     diag = np.arange(n)
-    x_unit, x_norms, x_nz = _normalize_rows(x)
-    y_unit, y_norms, y_nz = _normalize_rows(y)
+    x_unit, x_norms, x_nz = unit_rows(x)
+    y_unit, y_norms, y_nz = unit_rows(y)
     logits = (x_unit @ y_unit.T) / tau
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
@@ -127,7 +119,7 @@ def _infonce_side(x: np.ndarray, y: np.ndarray, tau: float):
 
 
 def _cca_rep(fp: ForwardPass, batch: BatchSample, tau: float,
-             g: RepGrads, weight: float) -> float:
+             g: Representations, weight: float) -> float:
     reps = fp.reps
     items = np.unique(batch.pos_items)
     users = np.unique(batch.users)
@@ -143,15 +135,15 @@ def _cca_rep(fp: ForwardPass, batch: BatchSample, tau: float,
 
 
 def _reg_rep(fp: ForwardPass, feat: FeatureMatrix, batch: BatchSample,
-             g: RepGrads, weight: float) -> float:
+             g: Representations, weight: float) -> float:
     reps = fp.reps
     items = np.unique(batch.pos_items)
     n = items.shape[0]
     if n < 2:
         return 0.0
     x = reps.h_mm_items[items]
-    x_unit, x_norms, x_nz = _normalize_rows(x)
-    f_unit, _, f_nz = _normalize_rows(feat.data[items])
+    x_unit, x_norms, x_nz = unit_rows(x)
+    f_unit, _, f_nz = unit_rows(feat.data[items])
     if not np.all(f_nz):
         raise DataError("zero-norm feature row among batch items")
     cos_x = x_unit @ x_unit.T
@@ -175,7 +167,7 @@ def _reg_rep(fp: ForwardPass, feat: FeatureMatrix, batch: BatchSample,
     return value
 
 
-def _uia_rep(fp: ForwardPass, batch: BatchSample, g: RepGrads, weight: float,
+def _uia_rep(fp: ForwardPass, batch: BatchSample, g: Representations, weight: float,
              counters: dict | None = None) -> float:
     reps = fp.reps
     u, i = batch.users, batch.pos_items

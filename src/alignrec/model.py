@@ -21,7 +21,7 @@ builds them once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import expit
@@ -90,34 +90,17 @@ def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
 
 @dataclass
 class Representations:
+    """The representations of a forward pass; a zeroed instance is also the
+    one gradient accumulator in representation space, which the losses of an
+    objective add their weighted gradients into before one `backward` call
+    chains the total to the parameters."""
+
     h_id_users: np.ndarray
     h_id_items: np.ndarray
     h_mm_items: np.ndarray
     h_mm_users: np.ndarray
     h_users: np.ndarray
     h_items: np.ndarray
-
-
-@dataclass
-class RepGrads:
-    """One gradient accumulator in representation space, one array per tensor
-    that a loss may touch directly. The losses of an objective add their
-    weighted gradients into the same instance, and one `backward` call chains
-    the total to the parameters."""
-
-    h_users: np.ndarray
-    h_items: np.ndarray
-    h_mm_users: np.ndarray
-    h_mm_items: np.ndarray
-    h_id_users: np.ndarray
-    h_id_items: np.ndarray
-
-    @classmethod
-    def zeros(cls, num_users: int, num_items: int, d_e: int) -> "RepGrads":
-        u = lambda: np.zeros((num_users, d_e))
-        i = lambda: np.zeros((num_items, d_e))
-        return cls(h_users=u(), h_items=i(), h_mm_users=u(), h_mm_items=i(),
-                   h_id_users=u(), h_id_items=i())
 
 
 def lightgcn_propagate(inter_norm: SparseMatrix, inter_t: SparseMatrix,
@@ -178,11 +161,11 @@ class ForwardPass:
     _a1: np.ndarray = field(repr=False, default=None)
     _gate: np.ndarray = field(repr=False, default=None)
 
-    def zero_rep_grads(self) -> RepGrads:
-        p = self.params
-        return RepGrads.zeros(p.num_users, p.num_items, p.d_e)
+    def zero_rep_grads(self) -> Representations:
+        return Representations(**{f.name: np.zeros(getattr(self.reps, f.name).shape)
+                                  for f in fields(Representations)})
 
-    def backward(self, g: RepGrads) -> dict[str, np.ndarray]:
+    def backward(self, g: Representations) -> dict[str, np.ndarray]:
         """Chain representation-space gradients back to parameter space."""
         p = self.params
         grads = zero_grads(p)

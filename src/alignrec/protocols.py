@@ -30,8 +30,8 @@ import scipy.sparse as sp
 
 from .data import Dataset, items_by_user
 from .errors import ConfigError, DimensionError
-from .evaluator import EvalReport, rank_report
-from .features import FeatureMatrix
+from .evaluator import EvalReport, check_ks, rank_report
+from .features import FeatureMatrix, unit_rows
 from .sparse import SparseMatrix
 
 
@@ -42,18 +42,11 @@ class ProtocolConfig:
     mask_seed: int = 2024
 
     def __post_init__(self):
-        if not self.ks:
-            raise ConfigError("protocol needs at least one K")
+        check_ks(self.ks, "[protocol] ks")
         if not 0.0 <= self.mask_ratio <= 1.0:
             raise ConfigError(f"mask_ratio must be in [0, 1], got {self.mask_ratio}")
-
-
-def _unit_rows(data: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(data, axis=1)
-    out = np.zeros_like(data)
-    nz = norms > 0.0
-    out[nz] = data[nz] / norms[nz, None]
-    return out
+        if self.mask_seed < 0:
+            raise ConfigError(f"mask_seed must be >= 0, got {self.mask_seed}")
 
 
 def zero_shot_eval(feat: FeatureMatrix, ds: Dataset, cfg: ProtocolConfig) -> EvalReport:
@@ -64,7 +57,7 @@ def zero_shot_eval(feat: FeatureMatrix, ds: Dataset, cfg: ProtocolConfig) -> Eva
     history = [sorted(items) for items in items_by_user(ds.train, ds.num_users)]
     target = {int(u): int(i) for u, i in ds.test}
     users = [u for u in range(ds.num_users) if u in target and history[u]]
-    unit = _unit_rows(feat.data)
+    unit = unit_rows(feat.data)[0]
 
     def queries():
         for u in users:
@@ -103,11 +96,15 @@ def itemcf_eval(feat: FeatureMatrix, ds: Dataset, cfg: ProtocolConfig) -> EvalRe
         cols, vals = scores_cf.row(j)
         if cols.size:
             target[j] = int(cols[np.argmax(vals)])  # columns sorted, so ties hit the lower index
-    unit = _unit_rows(feat.data)
+    unit = unit_rows(feat.data)[0]
     queries = ((unit @ unit[j], {j}, {t}) for j, t in target.items())
     report = rank_report(queries, cfg.ks, skipped=ds.num_items - len(target))
     report.extras["protocol"] = "item_cf"
     return report
+
+
+# the protocols that rank with the unmasked matrix; mask_modality reruns one
+BASE_PROTOCOLS = {"zero_shot": zero_shot_eval, "item_cf": itemcf_eval}
 
 
 def compose_masked(primary: FeatureMatrix, masked: FeatureMatrix,
@@ -128,11 +125,10 @@ def mask_modality_eval(primary: FeatureMatrix, masked: FeatureMatrix,
                        cfg: ProtocolConfig, base: str, ds: Dataset) -> EvalReport:
     """Run a base protocol on the primary matrix with a seeded fraction of
     rows swapped for the masked-modality rows."""
-    if base not in ("zero_shot", "item_cf"):
+    if base not in BASE_PROTOCOLS:
         raise ConfigError(f"unknown base protocol '{base}'")
     composite, n_mask = compose_masked(primary, masked, cfg.mask_ratio, cfg.mask_seed)
-    runner = zero_shot_eval if base == "zero_shot" else itemcf_eval
-    report = runner(composite, ds, cfg)
+    report = BASE_PROTOCOLS[base](composite, ds, cfg)
     report.extras["protocol"] = f"mask_modality:{base}"
     report.extras["mask_ratio"] = cfg.mask_ratio
     report.extras["mask_seed"] = cfg.mask_seed

@@ -71,14 +71,19 @@ def _snapshot(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir()) if p.is_file()}
 
 
-def _train_config(line):
-    """BASE_CONFIG with `line` as the only setting of its [train] key."""
+def _section_config(section, line):
+    """BASE_CONFIG with `line` as the only setting of its key in [section]."""
     key = line.partition("=")[0].strip()
-    head, _, rest = BASE_CONFIG.partition("[train]\n")
-    body, _, tail = rest.partition("[eval]\n")
+    head, _, rest = BASE_CONFIG.partition(f"[{section}]\n")
+    body, sep, tail = rest.partition("\n[")
     kept = [row for row in body.splitlines(keepends=True)
             if row.partition("=")[0].strip() != key]
-    return f"{head}[train]\n{line}\n{''.join(kept)}[eval]\n{tail}"
+    return f"{head}[{section}]\n{line}\n{''.join(kept)}{sep}{tail}"
+
+
+def _train_config(line):
+    """BASE_CONFIG with `line` as the only setting of its [train] key."""
+    return _section_config("train", line)
 
 
 # a value other than the default for every [train] key
@@ -88,6 +93,50 @@ NON_DEFAULT = {
     "mlp_hidden": "8", "optimizer": "sgd", "lr_decay": "0.9", "seed": "7",
     "alpha": "0.5", "beta": "0.2", "lambda": "0.3", "tau": "0.5",
 }
+
+
+# a value other than the default for every key of the other sections, and
+# the value it must parse to; a [paths] value is relative to the config file
+SECTION_NON_DEFAULT = {
+    ("paths", "interactions"): ("other.tsv", "other.tsv"),
+    ("paths", "features"): ("f.afea", "f.afea"),
+    ("paths", "item_list"): ("list.txt", "list.txt"),
+    ("paths", "masked_features"): ("m.afea", "m.afea"),
+    ("paths", "output_dir"): ("results", "results"),
+    ("split", "k_core"): ("3", 3),
+    ("split", "ratios"): ("0.6, 0.3, 0.1", (0.6, 0.3, 0.1)),
+    ("split", "strategy"): ("temporal-leave-one-out", "temporal-leave-one-out"),
+    ("split", "seed"): ("7", 7),
+    ("eval", "ks"): ("5,1", (5, 1)),
+    ("eval", "longtail_threshold"): ("-2.5", -2.5),
+    ("eval", "longtail"): ("yes", True),
+    ("protocol", "protocols"): ("mask_modality, zero_shot", ("mask_modality", "zero_shot")),
+    ("protocol", "ks"): ("3", (3,)),
+    ("protocol", "mask_ratio"): ("0.25", 0.25),
+    ("protocol", "mask_seed"): ("0", 0),
+    ("protocol", "mask_base"): ("item_cf", "item_cf"),
+}
+
+# one invalid value per range check outside [train]
+INVALID_LINES = [
+    ("paths", "output_dir ="),
+    ("split", "k_core = 0"), ("split", "ratios = 0.5,0.5,0.5"),
+    ("split", "ratios = nan,0.5,0.5"), ("split", "ratios = 0.8,nan,0.1"),
+    ("split", "ratios = 0.9,0.1"), ("split", "strategy = bogus"), ("split", "seed = -1"),
+    ("eval", "ks = 0,5"), ("eval", "longtail_threshold = nan"),
+    ("eval", "longtail = maybe"),
+    ("protocol", "protocols = bogus"), ("protocol", "mask_base = bogus"),
+    ("protocol", "mask_base = mask_modality"), ("protocol", "mask_seed = -1"),
+    ("protocol", "mask_ratio = nan"), ("protocol", "ks = 0"),
+]
+
+
+def _leaves(tree, path=()):
+    """The leaves of a nested dict, keyed by their path of keys."""
+    if not isinstance(tree, dict):
+        return {path: tree}
+    return {leaf: value for key, sub in tree.items()
+            for leaf, value in _leaves(sub, path + (key,)).items()}
 
 
 # `recommend --user u00 --k <k>` on the workspace corpus with rigged scores,
@@ -442,6 +491,56 @@ class TestConfigValidation:
         path.write_text("[paths]\ninteractions = interactions.tsv\n"
                         f"[eval]\nlongtail_threshold = {text}\n", encoding="utf-8")
         assert load_config(path).longtail_threshold == value
+
+
+class TestSchema:
+    @pytest.mark.parametrize("section, line", INVALID_LINES,
+                             ids=[f"{s}-{l}" for s, l in INVALID_LINES])
+    def test_invalid_value_fails_before_data_loads(self, workspace, capsys, monkeypatch,
+                                                   section, line):
+        def no_load(path):
+            raise AssertionError("data loaded for an invalid config")
+
+        monkeypatch.setattr(cli, "load_interactions", no_load)
+        (workspace / "run.ini").write_text(_section_config(section, line), encoding="utf-8")
+        for command in ("prepare", "train", "eval", "intermediate", "recommend", "grid"):
+            assert _run(workspace, command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("config error:") == 6
+        assert not (workspace / "out").exists()
+
+    # a key without a NON_DEFAULT or SECTION_NON_DEFAULT value fails here
+    # with KeyError
+    @pytest.mark.parametrize("section, key", [(section, key) for section in _SCHEMA
+                                              if section != "grid"
+                                              for key in _SCHEMA[section]])
+    def test_value_lands_in_named_field(self, workspace, section, key):
+        minimal = workspace / "minimal.ini"
+        minimal.write_text("[paths]\ninteractions = interactions.tsv\n", encoding="utf-8")
+        default = _leaves(asdict(load_config(minimal)))
+        owner, name, _ = _SCHEMA[section][key]
+        prefix = {"RunConfig": (), "TrainConfig": ("train",),
+                  "LossWeights": ("train", "weights"), "ProtocolConfig": ("protocol",)}
+        field_path = prefix[owner.__name__] + (name,)
+        if section == "train":
+            text = NON_DEFAULT[key]
+            expected = type(default[field_path])(text)
+        else:
+            text, expected = SECTION_NON_DEFAULT[(section, key)]
+        if section == "paths":
+            expected = workspace / expected
+        (workspace / "other.tsv").write_bytes((workspace / "interactions.tsv").read_bytes())
+        lines = [] if key == "interactions" else ["interactions = interactions.tsv"]
+        if section != "paths":
+            lines.append(f"[{section}]")
+        path = workspace / "one_key.ini"
+        path.write_text("\n".join(["[paths]"] + lines + [f"{key} = {text}"]) + "\n",
+                        encoding="utf-8")
+        got = _leaves(asdict(load_config(path)))
+        changed = {leaf for leaf in got if got[leaf] != default[leaf]}
+        assert changed == {field_path, ("text",)}
+        assert got[field_path] == expected
 
 
 class TestTrainKeys:

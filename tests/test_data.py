@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,6 +190,13 @@ class TestSplit:
         raw = self._user_raw(5)
         with pytest.raises(ConfigError):
             split_dataset(raw, (0.8, 0.1, 0.2), seed=0)
+
+    @pytest.mark.parametrize("ratios", [(math.nan, 0.5, 0.5), (0.8, math.nan, 0.1),
+                                        (math.inf, 0.0, 0.0)])
+    def test_non_finite_ratios_rejected(self, ratios):
+        # every comparison with NaN is false, so a sum or sign check alone passes it
+        with pytest.raises(ConfigError, match="finite"):
+            split_dataset(self._user_raw(5), ratios, seed=0)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
