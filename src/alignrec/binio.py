@@ -1,4 +1,4 @@
-"""Length-checked reads for the engine's binary containers (AFEA, ACKP).
+"""Checked reads for the engine's binary containers (AFEA, ACKP) and text files.
 
 Sizes in these formats come from the file itself, so a truncated or corrupt
 header can claim any length. Every read checks the claim against the bytes
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import struct
+from pathlib import Path
 
 from .errors import ParseError
 
@@ -24,3 +25,15 @@ def read_exact(fh, size: int, path, what: str) -> bytes:
 
 def read_struct(fh, fmt: struct.Struct, path, what: str) -> tuple:
     return fmt.unpack(read_exact(fh, fmt.size, path, what))
+
+
+def read_text(path, error: type[Exception]) -> str:
+    """The UTF-8 file `path` as text-mode reading gives it; a byte that is not
+    UTF-8 raises `error` naming the file and the line."""
+    blob = Path(path).read_bytes()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((blob[:exc.start] + b"_").splitlines())
+        raise error(f"{path}:{line}: byte 0x{blob[exc.start]:02x} is not UTF-8") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")

@@ -16,12 +16,12 @@ import sys
 from pathlib import Path
 
 from . import checkpoint as ckpt
-from .config import RunConfig, load_config, parse_train, require_features
+from .config import RunConfig, check_file, load_config, parse_train
 from .data import (file_sha256, kcore_filter, load_interactions, save_splits,
                    split_dataset, write_manifest)
 from .errors import (AlignRecError, ConfigError, DataError,
                      TrainingDivergedError)
-from .evaluator import evaluate, longtail_evaluate, rank_all
+from .evaluator import evaluate, longtail_evaluate, max_workers, rank_all
 from .features import align_features, load_features, read_item_list
 from .graphs import build_graphs
 from .model import forward
@@ -29,24 +29,68 @@ from .protocols import BASE_PROTOCOLS, mask_modality_eval
 from .trainer import fit, format_log_record
 
 
-def _prepare_dataset(cfg: RunConfig, strategy: str | None = None):
-    raw = load_interactions(cfg.interactions)
-    filtered = kcore_filter(raw, cfg.k_core)
-    return split_dataset(filtered, cfg.ratios, cfg.split_seed,
-                         strategy or cfg.strategy)
+def _check_inputs(cfg: RunConfig, args) -> None:
+    """Raise ConfigError unless every file the command reads is set, exists and
+    is not a directory, and a writing command's output_dir is absent or a directory."""
+    files = {"[paths] interactions": cfg.interactions}
+    if args.command != "prepare":
+        files.update({"[paths] features": cfg.features, "[paths] item_list": cfg.item_list})
+    if args.command == "intermediate" and "mask_modality" in cfg.protocols:
+        files["[paths] masked_features"] = cfg.masked_features
+    if args.command in ("eval", "recommend"):
+        files["--checkpoint"] = args.checkpoint and Path(args.checkpoint)
+    for name, path in files.items():
+        if not path:
+            raise ConfigError(f"{args.command} requires {name}")
+        check_file(path, name)
+    if args.command != "recommend" and cfg.output_dir.exists() and not cfg.output_dir.is_dir():
+        raise ConfigError(f"[paths] output_dir {cfg.output_dir} is not a directory")
 
 
-def _load_aligned_features(cfg: RunConfig, ds):
-    require_features(cfg)
+def _dataset(cfg: RunConfig, strategy: str | None = None):
+    filtered = kcore_filter(load_interactions(cfg.interactions), cfg.k_core)
+    return split_dataset(filtered, cfg.ratios, cfg.split_seed, strategy or cfg.strategy)
+
+
+def _load(cfg: RunConfig, strategy: str | None = None, masked: bool = False):
+    """The split dataset, its aligned features and its aligned masked features
+    (None unless `masked`)."""
+    ds = _dataset(cfg, strategy)
     keys = read_item_list(cfg.item_list)
-    feat = load_features(cfg.features, expected_items=len(keys))
-    return align_features(feat, keys, ds)
+
+    def aligned(path):
+        return align_features(load_features(path, expected_items=len(keys)), keys, ds)
+
+    return ds, aligned(cfg.features), aligned(cfg.masked_features) if masked else None
 
 
-def cmd_prepare(cfg: RunConfig) -> int:
-    ds = _prepare_dataset(cfg)
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+def _restore(cfg: RunConfig, args):
+    """The --checkpoint parameters and the dataset, features and graphs."""
+    params = ckpt.load_checkpoint(args.checkpoint).params
+    ds, feat, _ = _load(cfg)
+    return params, ds, feat, build_graphs(ds, feat, cfg.train.k_prime)
+
+
+def _test_report(cfg: RunConfig, params, ds, feat, graphs, layers: int):
+    """The representations of `params` and their test-split report."""
+    reps = forward(params, graphs, feat, layers).reps
+    return reps, evaluate(reps, ds, "test", cfg.eval_ks)
+
+
+def _output_dir(cfg: RunConfig) -> Path:
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    return cfg.output_dir
+
+
+def _write_report(out: Path, name: str, report) -> str:
+    text = report.to_text()
+    (out / f"report_{name}.txt").write_text(text, encoding="utf-8")
+    return text
+
+
+def cmd_prepare(cfg: RunConfig, args) -> int:
+    ds = _dataset(cfg)
+    out = _output_dir(cfg)
     save_splits(ds, out)
     write_manifest(out / "manifest.txt", {
         "interactions_sha256": file_sha256(cfg.interactions),
@@ -75,135 +119,104 @@ def _checkpoint_hook(out_dir: Path, config_text: str):
     return hook
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    ds = _prepare_dataset(cfg)
-    feat = _load_aligned_features(cfg, ds)
+def cmd_train(cfg: RunConfig, args) -> int:
+    ds, feat, _ = _load(cfg)
     graphs = build_graphs(ds, feat, cfg.train.k_prime)
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(cfg)
     params, log = fit(ds, graphs, feat, cfg.train,
                       checkpoint_hook=_checkpoint_hook(out, cfg.text))
-    with open(out / "train_log.txt", "w", encoding="utf-8") as fh:
-        for record in log:
-            fh.write(format_log_record(record) + "\n")
     for record in log:
         print(format_log_record(record, include_timing=True))
-
-    fp = forward(params, graphs, feat, cfg.train.gcn_layers)
-    report = evaluate(fp.reps, ds, "test", cfg.eval_ks)
-    (out / "report_test.txt").write_text(report.to_text(), encoding="utf-8")
-    with open(out / "train_log.txt", "a", encoding="utf-8") as fh:
-        fh.write(report.to_line("test") + "\n")
+    _, report = _test_report(cfg, params, ds, feat, graphs, cfg.train.gcn_layers)
+    lines = [format_log_record(record) + "\n" for record in log] + [report.to_line("test") + "\n"]
+    (out / "train_log.txt").write_text("".join(lines), encoding="utf-8")
+    _write_report(out, "test", report)
     print(report.to_line("test"))
     return 0
 
 
-def cmd_eval(cfg: RunConfig, checkpoint_path: str) -> int:
-    if not checkpoint_path:
-        raise ConfigError("eval requires --checkpoint")
-    loaded = ckpt.load_checkpoint(checkpoint_path)
-    ds = _prepare_dataset(cfg)
-    feat = _load_aligned_features(cfg, ds)
-    graphs = build_graphs(ds, feat, cfg.train.k_prime)
-    fp = forward(loaded.params, graphs, feat, cfg.train.gcn_layers)
-    report = evaluate(fp.reps, ds, "test", cfg.eval_ks)
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report_test.txt").write_text(report.to_text(), encoding="utf-8")
-    print(report.to_text(), end="")
+def cmd_eval(cfg: RunConfig, args) -> int:
+    params, ds, feat, graphs = _restore(cfg, args)
+    reps, report = _test_report(cfg, params, ds, feat, graphs, cfg.train.gcn_layers)
+    out = _output_dir(cfg)
+    print(_write_report(out, "test", report), end="")
     if cfg.longtail:
-        lt = longtail_evaluate(fp.reps, ds, cfg.eval_ks, cfg.longtail_threshold)
-        (out / "report_longtail.txt").write_text(lt.to_text(), encoding="utf-8")
-        print(lt.to_text(), end="")
+        lt = longtail_evaluate(reps, ds, cfg.eval_ks, cfg.longtail_threshold)
+        print(_write_report(out, "longtail", lt), end="")
     return 0
 
 
-def cmd_intermediate(cfg: RunConfig) -> int:
-    # the zero-shot target needs time order, so all protocols share one
-    # temporal split
-    ds = _prepare_dataset(cfg, strategy="temporal-leave-one-out")
-    feat = _load_aligned_features(cfg, ds)
+def cmd_intermediate(cfg: RunConfig, args) -> int:
+    # the zero-shot target needs time order, so all protocols share a temporal split
+    ds, feat, masked = _load(cfg, "temporal-leave-one-out",
+                             masked="mask_modality" in cfg.protocols)
     feat_hash = file_sha256(cfg.features)
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(cfg)
     for name in cfg.protocols:
         if name in BASE_PROTOCOLS:
             report = BASE_PROTOCOLS[name](feat, ds, cfg.protocol)
         else:
-            if cfg.masked_features is None or not cfg.masked_features.exists():
-                raise ConfigError("[paths] masked_features is required for mask_modality")
-            keys = read_item_list(cfg.item_list)
-            masked = align_features(
-                load_features(cfg.masked_features, expected_items=len(keys)), keys, ds)
             report = mask_modality_eval(feat, masked, cfg.protocol, cfg.mask_base, ds)
             report.extras["masked_features_sha256"] = file_sha256(cfg.masked_features)
         report.extras["features_sha256"] = feat_hash
-        (out / f"report_{name}.txt").write_text(report.to_text(), encoding="utf-8")
+        _write_report(out, name, report)
         print(report.to_line(name))
     return 0
 
 
-def cmd_recommend(cfg: RunConfig, checkpoint_path: str, user_key: str, k: int) -> int:
-    if not checkpoint_path:
-        raise ConfigError("recommend requires --checkpoint")
-    if not user_key:
+def cmd_recommend(cfg: RunConfig, args) -> int:
+    if not args.user:
         raise ConfigError("recommend requires --user")
-    if k < 1:
-        raise ConfigError(f"recommend requires --k >= 1, got {k}")
-    loaded = ckpt.load_checkpoint(checkpoint_path)
-    ds = _prepare_dataset(cfg)
-    if user_key not in ds.user_index:
-        raise DataError(f"unknown user key '{user_key}'")
-    feat = _load_aligned_features(cfg, ds)
-    graphs = build_graphs(ds, feat, cfg.train.k_prime)
-    fp = forward(loaded.params, graphs, feat, cfg.train.gcn_layers)
-    user = ds.user_index[user_key]
-    scores = fp.reps.h_items @ fp.reps.h_users[user]
+    if args.k < 1:
+        raise ConfigError(f"recommend requires --k >= 1, got {args.k}")
+    params, ds, feat, graphs = _restore(cfg, args)
+    if args.user not in ds.user_index:
+        raise DataError(f"unknown user key '{args.user}'")
+    reps = forward(params, graphs, feat, cfg.train.gcn_layers).reps
+    user = ds.user_index[args.user]
+    scores = reps.h_items @ reps.h_users[user]
     seen = ds.train[ds.train[:, 0] == user, 1]
-    for item in rank_all(scores, seen, k):
+    for item in rank_all(scores, seen, args.k):
         print(f"{ds.item_keys[item]}\t{float(scores[item])!r}")
     return 0
 
 
-def cmd_grid(cfg: RunConfig) -> int:
+def cmd_grid(cfg: RunConfig, args) -> int:
     if not cfg.grid:
         raise ConfigError("grid command needs a [grid] section")
     keys = sorted(cfg.grid)
     # every point is parsed and validated before anything is trained
     points = [(values, parse_train(cfg.train, dict(zip(keys, values)), "grid"))
               for values in itertools.product(*(cfg.grid[k] for k in keys))]
-    ds = _prepare_dataset(cfg)
-    feat = _load_aligned_features(cfg, ds)
+    ds, feat, _ = _load(cfg)
     # fit only reads the graphs, so points that share k_prime share them
     graphs_by_k = {k: build_graphs(ds, feat, k)
                    for k in sorted({train_cfg.k_prime for _, train_cfg in points})}
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    lines = []
-    header = "\t".join(keys + ["val_recall@20"]
-                       + [f"test_recall@{k}" for k in cfg.eval_ks]
-                       + [f"test_ndcg@{k}" for k in cfg.eval_ks])
-    lines.append(header)
+    out = _output_dir(cfg)
+    lines = ["\t".join(keys + ["val_recall@20"] + [f"test_recall@{k}" for k in cfg.eval_ks]
+                       + [f"test_ndcg@{k}" for k in cfg.eval_ks])]
     for values, train_cfg in points:
         graphs = graphs_by_k[train_cfg.k_prime]
         params, log = fit(ds, graphs, feat, train_cfg)
         best_val = max(rec["val_recall@20"] for rec in log)
-        fp = forward(params, graphs, feat, train_cfg.gcn_layers)
-        report = evaluate(fp.reps, ds, "test", cfg.eval_ks)
-        row = "\t".join(list(values)
-                        + [repr(best_val)]
-                        + [repr(report.recall[k]) for k in cfg.eval_ks]
-                        + [repr(report.ndcg[k]) for k in cfg.eval_ks])
-        lines.append(row)
-        print(row)
+        _, report = _test_report(cfg, params, ds, feat, graphs, train_cfg.gcn_layers)
+        lines.append("\t".join(list(values) + [repr(best_val)]
+                               + [repr(report.recall[k]) for k in cfg.eval_ks]
+                               + [repr(report.ndcg[k]) for k in cfg.eval_ks]))
+        print(lines[-1])
     (out / "grid_results.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
+
+
+COMMANDS = {"prepare": cmd_prepare, "train": cmd_train, "eval": cmd_eval,
+            "intermediate": cmd_intermediate, "recommend": cmd_recommend,
+            "grid": cmd_grid}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="alignrec")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("prepare", "train", "eval", "intermediate", "recommend", "grid"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--checkpoint", default=None)
@@ -217,19 +230,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, seed_override=args.seed)
-        if args.command == "prepare":
-            return cmd_prepare(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.checkpoint)
-        if args.command == "intermediate":
-            return cmd_intermediate(cfg)
-        if args.command == "recommend":
-            return cmd_recommend(cfg, args.checkpoint, args.user, args.k)
-        if args.command == "grid":
-            return cmd_grid(cfg)
-        raise ConfigError(f"unknown command {args.command}")
+        max_workers()  # a bad ALIGNREC_THREADS fails here, not at the first eval
+        _check_inputs(cfg, args)
+        return COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .binio import read_text
 from .data import check_split
 from .errors import ConfigError
 from .evaluator import check_ks
@@ -26,7 +27,7 @@ class RunConfig:
     [protocol] defaults are the field defaults here; [train] ones live in
     TrainConfig and LossWeights, protocol ones in ProtocolConfig."""
 
-    interactions: Path
+    interactions: Path | None = None
     features: Path | None = None
     item_list: Path | None = None
     output_dir: Path = Path("out")
@@ -143,11 +144,10 @@ def parse_train(base: TrainConfig, values, section: str) -> TrainConfig:
 
 
 def load_config(path, seed_override: int | None = None) -> RunConfig:
-    """Parse and range-check every section of a config file; no data is read."""
+    """Parse and range-check every section of a config file; reads no other file."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
-    text = path.read_text(encoding="utf-8")
+    check_file(path, "config file")
+    text = read_text(path, ConfigError)
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
@@ -168,8 +168,6 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
         else:
             _parse(values, section, parsed)
 
-    if not parsed[RunConfig].get("interactions"):
-        raise ConfigError(f"{path}: [paths] interactions is required")
     if seed_override is not None:
         parsed[RunConfig]["split_seed"] = parsed[TrainConfig]["seed"] = seed_override
     cfg = RunConfig(
@@ -180,15 +178,13 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
     for name in _SCHEMA["paths"]:
         if getattr(cfg, name) is not None:
             setattr(cfg, name, path.parent / getattr(cfg, name))
-    if not cfg.interactions.exists():
-        raise ConfigError(f"interactions file {cfg.interactions} does not exist")
     return cfg
 
 
-def require_features(cfg: RunConfig) -> None:
-    if cfg.features is None or cfg.item_list is None:
-        raise ConfigError("[paths] features and item_list are required for this command")
-    if not cfg.features.exists():
-        raise ConfigError(f"feature file {cfg.features} does not exist")
-    if not cfg.item_list.exists():
-        raise ConfigError(f"item list {cfg.item_list} does not exist")
+def check_file(path: Path, name: str) -> None:
+    """Raise ConfigError unless `path`, the file `name`, exists and is not a
+    directory; a device such as /dev/fd/N passes."""
+    if not path.exists():
+        raise ConfigError(f"{name} {path} does not exist")
+    if path.is_dir():
+        raise ConfigError(f"{name} {path} is a directory")

@@ -32,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .binio import read_text
 from .errors import (ConfigError, DataError, EmptyAfterFilterError,
                      EmptyInputError, ParseError)
 
@@ -144,24 +145,31 @@ def load_interactions(path) -> RawInteractions:
     # one string object per distinct key, however often it repeats
     user_strs, item_strs = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
-            user, item, ts_text = parts
-            try:
-                ts = int(ts_text)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: timestamp '{ts_text}' is not an integer") from None
-            if not 0 <= ts <= _MAX_TIMESTAMP:
-                what = "negative" if ts < 0 else "out-of-range"
-                raise ParseError(f"{path}:{lineno}: {what} timestamp {ts}")
-            users.append(user_strs.setdefault(user, user))
-            items.append(item_strs.setdefault(item, item))
-            stamps.append(ts)
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line.strip() or line.startswith("#"):
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 3:
+                    raise ParseError(
+                        f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
+                user, item, ts_text = parts
+                try:
+                    ts = int(ts_text)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}:{lineno}: timestamp '{ts_text}' is not an integer") from None
+                if not 0 <= ts <= _MAX_TIMESTAMP:
+                    what = "negative" if ts < 0 else "out-of-range"
+                    raise ParseError(f"{path}:{lineno}: {what} timestamp {ts}")
+                users.append(user_strs.setdefault(user, user))
+                items.append(item_strs.setdefault(item, item))
+                stamps.append(ts)
+        except UnicodeDecodeError:
+            # the decoder reads ahead, so reread to name the line (a pipe rereads empty)
+            read_text(path, ParseError)
+            raise ParseError(f"{path}: not UTF-8 text") from None
     if not users:
         raise EmptyInputError(f"{path}: no interaction records")
     return _from_columns(users, items, stamps)
@@ -321,7 +329,6 @@ def file_sha256(path) -> str:
 def save_splits(ds: Dataset, out_dir) -> None:
     """Materialize split index pairs and the index->key maps."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for name in ("train", "val", "test"):
         np.savetxt(out / f"{name}.tsv", ds.split(name), fmt="%d", delimiter="\t")
     for name, keys in (("users", ds.user_keys), ("items", ds.item_keys)):

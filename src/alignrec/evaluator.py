@@ -111,9 +111,9 @@ def check_ks(ks, name: str) -> None:
 
 
 def _sorted_ks(ks) -> tuple[int, ...]:
+    """The distinct K ascending; raises ConfigError unless all are positive."""
     ks = tuple(sorted(set(ks)))
-    if not ks:
-        raise ConfigError("at least one K is required")
+    check_ks(ks, "ks")
     return ks
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import read_exact, read_struct
+from .binio import read_exact, read_struct, read_text
 from .data import Dataset
 from .errors import DataError, DimensionError, ParseError
 
@@ -84,7 +84,7 @@ def load_features(path, expected_items: int) -> FeatureMatrix:
 
 def read_item_list(path) -> list[str]:
     """Sidecar file: one item key per line, order matching the feature rows."""
-    keys = [line for line in Path(path).read_text(encoding="utf-8").splitlines() if line]
+    keys = [line for line in read_text(path, ParseError).splitlines() if line]
     if not keys:
         raise DataError(f"{path}: empty item list")
     return keys

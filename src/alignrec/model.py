@@ -52,18 +52,6 @@ class ModelParams:
     def all_finite(self) -> bool:
         return all(np.all(np.isfinite(getattr(self, name))) for name in PARAM_NAMES)
 
-    @property
-    def num_users(self) -> int:
-        return self.user_emb.shape[0]
-
-    @property
-    def num_items(self) -> int:
-        return self.item_emb.shape[0]
-
-    @property
-    def d_e(self) -> int:
-        return self.user_emb.shape[1]
-
 
 def xavier_uniform(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     fan_out, fan_in = shape[0], shape[1]
@@ -121,13 +109,13 @@ def lightgcn_propagate(inter_norm: SparseMatrix, inter_t: SparseMatrix,
 def content_gate(params: ModelParams, feat: FeatureMatrix) -> np.ndarray:
     """item_emb gated by logistic(mlp(feature)); convenience wrapper that
     discards the cache."""
+    if feat.dim != params.gate_w1.shape[0]:
+        raise DimensionError(
+            f"feature dim {feat.dim} does not match gate input {params.gate_w1.shape[0]}")
     return _gate_forward(params, feat.data)[0]
 
 
 def _gate_forward(params: ModelParams, feat_data: np.ndarray):
-    if feat_data.shape[1] != params.gate_w1.shape[0]:
-        raise DimensionError(
-            f"feature dim {feat_data.shape[1]} does not match gate input {params.gate_w1.shape[0]}")
     z1 = feat_data @ params.gate_w1 + params.gate_b1
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ params.gate_w2 + params.gate_b2
@@ -146,6 +134,18 @@ def user_multimodal(inter_norm: SparseMatrix, h_mm_items: np.ndarray) -> np.ndar
 
 def fuse(h_mm: np.ndarray, h_id: np.ndarray) -> np.ndarray:
     return h_mm + h_id
+
+
+def _check_shapes(params: ModelParams, graphs: GraphBundle, feat: FeatureMatrix) -> None:
+    """Raise DimensionError unless every tensor fits the graphs' users and
+    items, the feature width and the d_e and d_h the biases imply."""
+    d_e, d_h = params.gate_b2.size, params.gate_b1.size
+    need = [(graphs.inter_norm.rows, d_e), (graphs.inter_norm.cols, d_e), (feat.dim, d_h),
+            (d_h,), (d_h, d_e), (d_e,)]
+    for name, shape in zip(PARAM_NAMES, need):
+        if getattr(params, name).shape != shape:
+            raise DimensionError(f"parameter {name} has shape "
+                                 f"{getattr(params, name).shape}, the data needs {shape}")
 
 
 @dataclass
@@ -201,6 +201,7 @@ def forward(params: ModelParams, graphs: GraphBundle, feat: FeatureMatrix,
     """Run the full representation pipeline and retain intermediates."""
     if layers < 0:
         raise DimensionError(f"layer count must be >= 0, got {layers}")
+    _check_shapes(params, graphs, feat)
     h_id_users, h_id_items = lightgcn_propagate(graphs.inter_norm, graphs.inter_t,
                                                 params.user_emb, params.item_emb, layers)
 

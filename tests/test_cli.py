@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -137,6 +138,31 @@ def _leaves(tree, path=()):
         return {path: tree}
     return {leaf: value for key, sub in tree.items()
             for leaf, value in _leaves(sub, path + (key,)).items()}
+
+
+def _no_load(path):
+    raise AssertionError("data loaded before the config and inputs were checked")
+
+
+def _input_cases():
+    """(command, input, kind) for every input a command reads under
+    BASE_CONFIG, set unset, to a missing path and to a directory; and for
+    every command that writes, an output_dir that names a file."""
+    cases = []
+    for command in cli.COMMANDS:
+        names = ["--config", "interactions"]
+        if command != "prepare":
+            names += ["features", "item_list"]
+        if command == "intermediate":  # BASE_CONFIG lists mask_modality
+            names.append("masked_features")
+        if command in ("eval", "recommend"):
+            names.append("--checkpoint")
+        cases += [(command, name, kind) for name in names
+                  for kind in ("unset", "missing", "directory")
+                  if (name, kind) != ("--config", "unset")]
+        if command != "recommend":
+            cases.append((command, "output_dir", "file"))
+    return cases
 
 
 # `recommend --user u00 --k <k>` on the workspace corpus with rigged scores,
@@ -427,6 +453,11 @@ class TestConfigValidation:
             "text": minimal,
         }
 
+    def test_crlf_config_text_read_as_text_mode(self, workspace):
+        # the text goes into every checkpoint, so its newlines must not vary
+        (workspace / "run.ini").write_bytes(BASE_CONFIG.replace("\n", "\r\n").encode())
+        assert load_config(workspace / "run.ini").text == BASE_CONFIG
+
     def test_library_defaults_are_config_defaults(self, workspace):
         path = workspace / "minimal.ini"
         path.write_text("[paths]\ninteractions = interactions.tsv\n", encoding="utf-8")
@@ -448,10 +479,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key, text", [("tau", "nan"), ("learning_rate", "nan"),
                                            ("lr_decay", "nan"), ("alpha", "inf")])
     def test_non_finite_train_float_rejected(self, workspace, capsys, monkeypatch, key, text):
-        def no_load(path):
-            raise AssertionError("data loaded for an invalid config")
-
-        monkeypatch.setattr(cli, "load_interactions", no_load)
+        monkeypatch.setattr(cli, "load_interactions", _no_load)
         (workspace / "run.ini").write_text(_train_config(f"{key} = {text}"), encoding="utf-8")
         assert _run(workspace, "train") == 2
         (workspace / "run.ini").write_text(
@@ -498,16 +526,13 @@ class TestSchema:
                              ids=[f"{s}-{l}" for s, l in INVALID_LINES])
     def test_invalid_value_fails_before_data_loads(self, workspace, capsys, monkeypatch,
                                                    section, line):
-        def no_load(path):
-            raise AssertionError("data loaded for an invalid config")
-
-        monkeypatch.setattr(cli, "load_interactions", no_load)
+        monkeypatch.setattr(cli, "load_interactions", _no_load)
         (workspace / "run.ini").write_text(_section_config(section, line), encoding="utf-8")
-        for command in ("prepare", "train", "eval", "intermediate", "recommend", "grid"):
+        for command in cli.COMMANDS:
             assert _run(workspace, command) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.count("config error:") == 6
+        assert captured.err.count("config error:") == len(cli.COMMANDS)
         assert not (workspace / "out").exists()
 
     # a key without a NON_DEFAULT or SECTION_NON_DEFAULT value fails here
@@ -541,6 +566,89 @@ class TestSchema:
         changed = {leaf for leaf in got if got[leaf] != default[leaf]}
         assert changed == {field_path, ("text",)}
         assert got[field_path] == expected
+
+
+class TestInputs:
+    @pytest.mark.parametrize("command, name, kind", _input_cases(),
+                             ids=["-".join(case) for case in _input_cases()])
+    def test_bad_input_fails_before_data_loads(self, workspace, capsys, monkeypatch,
+                                               command, name, kind):
+        monkeypatch.setattr(cli, "load_interactions", _no_load)
+        (workspace / "a_dir").mkdir()
+        (workspace / "model.ackp").write_bytes(b"")
+        bad = {"unset": "", "missing": workspace / "nope", "directory": workspace / "a_dir",
+               "file": workspace / "items.txt"}[kind]
+        options = {"--config": workspace / "run.ini", "--checkpoint": workspace / "model.ackp"}
+        text = BASE_CONFIG if name in options else _section_config("paths", f"{name} = {bad}")
+        # a valid [grid], so that grid gets as far as the input check
+        (workspace / "run.ini").write_text(text + "\n[grid]\nlambda = 0.1\n", encoding="utf-8")
+        if name in options:
+            options[name] = bad
+        if command not in ("eval", "recommend"):
+            del options["--checkpoint"]
+        before = _snapshot(workspace)
+        argv = [command, "--user", "u00"] + [str(v) for item in options.items() for v in item]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+        assert not (workspace / "out").exists()
+        assert _snapshot(workspace) == before
+
+    def test_dev_fd_input_accepted(self, workspace, capsys):
+        log = (workspace / "interactions.tsv").read_bytes()
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, log)  # fits the pipe buffer
+            os.close(write_end)
+            (workspace / "run.ini").write_text(
+                _section_config("paths", f"interactions = /dev/fd/{read_end}"), encoding="utf-8")
+            assert _run(workspace, "train") == 0
+        finally:
+            os.close(read_end)
+
+    def test_bad_thread_cap_fails_before_data_loads(self, workspace, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_interactions", _no_load)
+        monkeypatch.setenv("ALIGNREC_THREADS", "abc")
+        assert _run(workspace, "train") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: ALIGNREC_THREADS must be an integer, got 'abc'\n"
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("name, byte, code", [("interactions.tsv", b"\xff", 3),
+                                                  ("items.txt", b"\xfe", 3),
+                                                  ("run.ini", b"\xff", 2)])
+    def test_non_utf8_byte_names_file_and_line(self, workspace, capsys, name, byte, code):
+        path = workspace / name
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:2] + [byte + lines[2]] + lines[3:]))
+        assert _run(workspace, "train") == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        kind = "config" if code == 2 else "data"
+        assert captured.err == f"{kind} error: {path}:3: byte 0x{byte.hex()} is not UTF-8\n"
+
+    @pytest.mark.parametrize("layers", ["0", "2"])
+    def test_checkpoint_from_other_corpus(self, workspace, capsys, layers):
+        assert _run(workspace, "train") == 0
+        path = str(workspace / "out" / "checkpoint_best.ackp")
+        report = (workspace / "out" / "report_test.txt").read_bytes()
+        log = (workspace / "interactions.tsv").read_text(encoding="utf-8").splitlines()
+        (workspace / "half.tsv").write_text(
+            "".join(line + "\n" for line in log if line.split("\t")[0] < "u15"),
+            encoding="utf-8")
+        config = _train_config(f"gcn_layers = {layers}")
+        (workspace / "run.ini").write_text(
+            config.replace("interactions.tsv", "half.tsv"), encoding="utf-8")
+        capsys.readouterr()
+        assert _run(workspace, "eval", "--checkpoint", path) == 3
+        assert _run(workspace, "recommend", "--checkpoint", path, "--user", "u00") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("data error: parameter user_emb has shape (30, 8), "
+                                "the data needs (15, 8)\n") * 2
+        assert (workspace / "out" / "report_test.txt").read_bytes() == report
 
 
 class TestTrainKeys:

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -51,6 +52,27 @@ class TestLoadInteractions:
         path = _write(tmp_path, "u1\ti1\t0\nu1\ti2\t9223372036854775808\n")
         with pytest.raises(ParseError, match=":2"):
             load_interactions(path)
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+    @pytest.mark.parametrize("bad_line", [1, 2, 2999])
+    def test_non_utf8_byte_names_line(self, tmp_path, newline, bad_line):
+        # far more than the decoder's read-ahead, so the byte is found early
+        lines = [b"u%d\ti%d\t%d" % (n, n, n) for n in range(3000)]
+        lines[bad_line - 1] = b"u\xff\ti\t0"
+        path = tmp_path / "inter.tsv"
+        path.write_bytes(newline.join(lines) + newline)
+        with pytest.raises(ParseError, match=f"inter.tsv:{bad_line}: byte 0xff is not UTF-8"):
+            load_interactions(path)
+
+    def test_non_utf8_byte_from_pipe_names_file(self):
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, b"u1\ti1\t0\nu\xff\ti\t1\n")
+            os.close(write_end)
+            with pytest.raises(ParseError, match=f"/dev/fd/{read_end}: not UTF-8 text"):
+                load_interactions(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
 
     def test_empty_file(self, tmp_path):
         path = _write(tmp_path, "# nothing here\n")

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alignrec.data import Dataset
+from alignrec.errors import ConfigError
 from alignrec.evaluator import (evaluate, longtail_evaluate, ndcg_at_k,
-                                rank_all, recall_at_k)
+                                rank_all, rank_report, recall_at_k)
 from alignrec.model import Representations
 
 from oracles import bruteforce_evaluate
@@ -172,6 +173,17 @@ class TestEvaluate:
         assert evaluate(reps, ds, "test", (20, 5, 20)) == evaluate(reps, ds, "test", (5, 20))
         assert (longtail_evaluate(reps, ds, (5, 5), threshold=2)
                 == longtail_evaluate(reps, ds, (5,), threshold=2))
+
+
+    @pytest.mark.parametrize("ks", [(-5,), (0,), (5, 0)])
+    def test_non_positive_k_rejected(self, rng, ks):
+        ds = _dataset(6, 12, [[u, u] for u in range(6)], [], [[u, (u + 3) % 12] for u in range(6)])
+        reps = _reps(rng.normal(size=(6, 4)), rng.normal(size=(12, 4)))
+        for report in (lambda: evaluate(reps, ds, "test", ks),
+                       lambda: longtail_evaluate(reps, ds, ks),
+                       lambda: rank_report([], ks)):
+            with pytest.raises(ConfigError, match="needs positive K values"):
+                report()
 
 
 class TestLongtail:

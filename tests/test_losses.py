@@ -42,9 +42,9 @@ class TestBpr:
     def test_large_margin_vanishes(self, rng):
         ds, feat, graphs, params, _ = random_instance(rng)
         fp = forward(params, graphs, feat, 2)
-        fp.reps.h_users[0] = np.zeros(params.d_e)
+        fp.reps.h_users[0] = np.zeros(params.user_emb.shape[1])
         fp.reps.h_users[0][0] = 1.0
-        fp.reps.h_items[1] = np.zeros(params.d_e)
+        fp.reps.h_items[1] = np.zeros(params.user_emb.shape[1])
         fp.reps.h_items[1][0] = 1e4
         fp.reps.h_items[2] = -fp.reps.h_items[1]
         value, _ = bpr_loss(fp, manual_batch([0], [1], [2]))
@@ -64,12 +64,12 @@ class TestCca:
     def test_uniform_logits_give_ln2(self, rng):
         ds, feat, graphs, params, _ = random_instance(rng)
         fp = forward(params, graphs, feat, 2)
-        shared = np.zeros(params.d_e)
+        shared = np.zeros(params.user_emb.shape[1])
         shared[0] = 1.0
         fp.reps.h_id_items[0] = shared
         fp.reps.h_id_items[1] = shared
-        fp.reps.h_mm_items[0] = np.arange(params.d_e, dtype=float) + 1.0
-        fp.reps.h_mm_items[1] = np.ones(params.d_e)
+        fp.reps.h_mm_items[0] = np.arange(params.user_emb.shape[1], dtype=float) + 1.0
+        fp.reps.h_mm_items[1] = np.ones(params.user_emb.shape[1])
         value, _ = cca_infonce(fp, manual_batch([0, 0], [0, 1], [2, 3]), tau=0.2)
         assert value == pytest.approx(math.log(2.0), abs=1e-12)
 
@@ -103,7 +103,7 @@ class TestCca:
         ds, feat, graphs, params, _ = random_instance(rng, num_users=4, num_items=5,
                                                       per_user=3)
         fp = forward(params, graphs, feat, 2)
-        d = params.d_e
+        d = params.user_emb.shape[1]
         # orthogonal matched pairs: the positive dot strictly dominates each row
         for k in range(4):
             fp.reps.h_mm_items[k] = np.eye(d)[k]

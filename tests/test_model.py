@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from alignrec.errors import DimensionError
 from alignrec.features import FeatureMatrix
-from alignrec.model import (content_gate, forward, fuse,
+from alignrec.model import (PARAM_NAMES, content_gate, forward, fuse,
                             init_params, item_multimodal, lightgcn_propagate,
                             user_multimodal)
 from alignrec.sparse import SparseMatrix
@@ -171,6 +174,17 @@ class TestForward:
         assert np.all(fp.reps.h_mm_items == 0.0)
         assert np.array_equal(fp.reps.h_items, fp.reps.h_id_items)
 
+    @pytest.mark.parametrize("name", PARAM_NAMES)
+    def test_mis_shaped_parameter_named(self, rng, name):
+        ds, feat, graphs, params, _ = random_instance(rng)
+        good = getattr(params, name)
+        # one extra row; a bias gains a leading axis, so d_e and d_h keep
+        bad = good[None] if good.ndim == 1 else np.concatenate([good, good[:1]])
+        setattr(params, name, bad)
+        with pytest.raises(DimensionError, match=re.escape(
+                f"parameter {name} has shape {bad.shape}, the data needs {good.shape}")):
+            forward(params, graphs, feat, 2)
+
 
 class TestScore:
     """The user-item score every ranking path uses: h_items @ h_users[u]."""
@@ -189,7 +203,7 @@ class TestScore:
         scores = reps.h_items @ reps.h_users[1]
         for i in range(ds.num_items):
             want = sum(float(reps.h_items[i, k]) * float(reps.h_users[1, k])
-                       for k in range(params.d_e))
+                       for k in range(params.user_emb.shape[1]))
             assert scores[i] == pytest.approx(want, abs=1e-12)
 
 
