@@ -11,11 +11,14 @@ second in even ones. On a shared machine the drift between runs is as large
 as many changes, so a speed claim rests on such pairs, not on two separate
 series (perfbench/BASELINE.md).
 
-Prints each run's end-to-end metrics, each pair's change/parent ratios, and
-per metric the medians, the parent's interquartile range, the median ratio
-and the number of pairs the change won. A failed check is printed under the
-run that failed it. Exits 1 if any run failed, at once if a run printed no
-result (an unknown workload, a crash). perfbench/ is only read; the
+Prints each run's end-to-end metrics and the workload's other named metrics
+(from the `record` line, say eval-m's `eval_users_per_s` and
+`protocol_queries_per_s`, which show which calls moved), each pair's
+change/parent ratios, per end-to-end metric the medians, the parent's
+interquartile range, the median ratio and the number of pairs the change
+won, and per named metric the median ratio. A failed check is printed under
+the run that failed it. Exits 1 if any run failed, at once if a run printed
+no result (an unknown workload, a crash). perfbench/ is only read; the
 temporary directory is removed at the end.
 """
 
@@ -53,7 +56,10 @@ def run_once(checkout: Path, args) -> dict:
         result = json.loads(lines[-1])
         record = json.loads(lines[-2].removeprefix("record "))
     except (IndexError, ValueError):
-        return {"values": {}, "failures": [f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"]}
+        return {"values": {}, "named": {},
+                "failures": [f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"]}
+    named = {m: v["value"] for m, v in record.get("named_metrics", {}).items()
+             if m not in METRICS}
     failures = [str(e) for e in record.get("errors", [])]
     if "error" in record:
         failures.append(record["error"])
@@ -61,7 +67,7 @@ def run_once(checkout: Path, args) -> dict:
         failures.append(f"{result['failed']} failed operations")
     return {"values": {m: result["metrics"][m]["value"] for m in METRICS
                        if m in result["metrics"]},
-            "failures": failures}
+            "named": named, "failures": failures}
 
 
 def iqr(values: list[float]) -> float:
@@ -82,6 +88,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be >= 1")
 
     runs = {"parent": [], "change": []}
+    named = {"parent": [], "change": []}
     failed = False
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_dir = Path(tmp)
@@ -91,8 +98,10 @@ def main(argv=None) -> int:
             for side, checkout in sides if pair % 2 else sides[::-1]:
                 run = run_once(checkout, args)
                 runs[side].append(run["values"])
+                named[side].append(run["named"])
                 shown = "  ".join(f"{m}={run['values'][m]:.4g}"
                                   for m in METRICS if m in run["values"])
+                shown += "".join(f"  {m}={v:.4g}" for m, v in sorted(run["named"].items()))
                 print(f"pair {pair} {side:6s} {shown}", flush=True)
                 for failure in run["failures"]:
                     failed = True
@@ -116,6 +125,12 @@ def main(argv=None) -> int:
               f"median change {statistics.median(changes):.4g}, "
               f"median change/parent {statistics.median(c / p for p, c in pairs):.3f}, "
               f"change better in {wins} of {len(pairs)} pairs")
+    for m in sorted({m for run in named["parent"] for m in run}):
+        ratios = [c[m] / p[m] for p, c in zip(named["parent"], named["change"])
+                  if m in c and p.get(m)]
+        if ratios:
+            print(f"{m}: median change/parent {statistics.median(ratios):.3f} "
+                  f"over {len(ratios)} pairs")
     return 1 if failed else 0
 
 

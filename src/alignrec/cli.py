@@ -15,6 +15,8 @@ import itertools
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import checkpoint as ckpt
 from .config import RunConfig, check_file, load_config, parse_train
 from .data import (file_sha256, kcore_filter, load_interactions, save_splits,
@@ -65,10 +67,17 @@ def _load(cfg: RunConfig, strategy: str | None = None, masked: bool = False):
 
 
 def _restore(cfg: RunConfig, args):
-    """The --checkpoint parameters and the dataset, features and graphs."""
-    params = ckpt.load_checkpoint(args.checkpoint).params
+    """The --checkpoint parameters and the dataset, features and graphs.
+    Raises DataError for a checkpoint of a failed run or with a non-finite
+    tensor."""
+    saved = ckpt.load_checkpoint(args.checkpoint)
+    if saved.status != "ok":
+        raise DataError(f"{args.checkpoint}: checkpoint has status '{saved.status}', not 'ok'")
+    for name, tensor in saved.params.as_dict().items():
+        if not np.isfinite(tensor).all():
+            raise DataError(f"{args.checkpoint}: tensor '{name}' holds a non-finite value")
     ds, feat, _ = _load(cfg)
-    return params, ds, feat, build_graphs(ds, feat, cfg.train.k_prime)
+    return saved.params, ds, feat, build_graphs(ds, feat, cfg.train.k_prime)
 
 
 def _test_report(cfg: RunConfig, params, ds, feat, graphs, layers: int):

@@ -1,16 +1,17 @@
 """All-ranking top-K evaluation: Recall@K, NDCG@K, and the long-tail slice.
 
-Every ranked query in the package goes through one loop: a query is a score
-vector over all items, a set of excluded items and a set of relevant items.
-rank_all selects the top K of the non-excluded items by descending score, ties
-to the lower item index. The selection is exact but partial: it partitions to
-the K-th value and sorts only the items that reach it, so its output is the
-prefix of the full sort. The loop turns that top into per-K recall and NDCG
-values. evaluate and longtail_evaluate score users by the inner product
-and spread chunks of users over a thread pool; the feature protocols call
-rank_report serially with cosine scores. Seen positives are masked: the train
-split is always excluded from the candidate set, and the validation split is
-additionally excluded when scoring the test split.
+A ranked query is a score over all items, a set of excluded items and a set
+of relevant items; its top is the first K non-excluded items by descending
+score, ties to the lower item index. evaluate and longtail_evaluate score
+each user by the inner product and select with rank_all, the exact partial
+top-K of sparse.top_k (it partitions to the K-th value and sorts only the
+items that reach it, so its output is the prefix of the full sort); chunks of
+users are spread over a thread pool. The feature protocols rank their
+queries with sparse.score_top_k and pass the tops to ranked_report. Either
+way one loop turns each top into per-K recall and NDCG values. Seen
+positives are masked: the train split is always excluded from the candidate
+set, and the validation split is additionally excluded when scoring the test
+split.
 
 Per-user metric values are accumulated with exactly-rounded summation
 (math.fsum) so reported means are reproducible bit for bit and can be checked
@@ -78,7 +79,7 @@ class EvalReport:
         return " ".join(parts)
 
 
-# the ranking kernel; _rank_metrics calls it through this module global
+# the ranking kernel of evaluate; _evaluate_users calls it through this module global
 rank_all = top_k
 
 
@@ -117,16 +118,17 @@ def _sorted_ks(ks) -> tuple[int, ...]:
     return ks
 
 
-def _rank_metrics(queries, ks):
-    """Per-K recall and NDCG lists over (scores, exclude, relevant) queries;
-    ks sorted ascending."""
+def _rank_metrics(tops, relevant, ks):
+    """Per-K recall and NDCG lists over ranked tops, each at least ks[-1]
+    long where the candidates allow, and their relevant sets; ks sorted
+    ascending."""
     rec = {k: [] for k in ks}
     ndcg = {k: [] for k in ks}
-    for scores, exclude, relevant in queries:
-        top = rank_all(scores, exclude, ks[-1]).tolist()
+    for top, rel in zip(tops, relevant):
+        top = top.tolist()
         for k in ks:
-            rec[k].append(recall_at_k(top[:k], relevant, k))
-            ndcg[k].append(ndcg_at_k(top[:k], relevant, k))
+            rec[k].append(recall_at_k(top[:k], rel, k))
+            ndcg[k].append(ndcg_at_k(top[:k], rel, k))
     return rec, ndcg
 
 
@@ -145,10 +147,11 @@ def _report(results, ks, **fields) -> EvalReport:
                       users_evaluated=count, **fields)
 
 
-def rank_report(queries, ks, **fields) -> EvalReport:
-    """Serial report over (scores, exclude, relevant) queries."""
+def ranked_report(tops, relevant, ks, **fields) -> EvalReport:
+    """Serial report over ranked tops, each the first max(ks) candidates of
+    its query or all of them, and the queries' relevant sets."""
     ks = _sorted_ks(ks)
-    return _report([_rank_metrics(queries, ks)], ks, **fields)
+    return _report([_rank_metrics(tops, relevant, ks)], ks, **fields)
 
 
 def _split_sets(ds: Dataset, split: str) -> tuple[list[set[int]], list[set[int]]]:
@@ -165,8 +168,8 @@ def _evaluate_users(reps, users, exclude, relevant, ks, **fields) -> EvalReport:
     ks = _sorted_ks(ks)
 
     def chunk_metrics(chunk):
-        return _rank_metrics(((reps.h_items @ reps.h_users[u], exclude[u], relevant[u])
-                              for u in chunk), ks)
+        tops = (rank_all(reps.h_items @ reps.h_users[u], exclude[u], ks[-1]) for u in chunk)
+        return _rank_metrics(tops, (relevant[u] for u in chunk), ks)
 
     chunks = [users[s:s + _CHUNK] for s in range(0, len(users), _CHUNK)]
     workers = max_workers() if chunks else 1

@@ -3,8 +3,9 @@ parameters.
 
 zero-shot
     Temporal split required: the held-out most recent item per user is the
-    target. A user's feature is the unweighted mean of the history items'
-    rows; candidates are all items except the history, ranked by cosine.
+    target, so a split with more than one test item for a user is rejected.
+    A user's feature is the unweighted mean of the history items' rows;
+    candidates are all items except the history, ranked by cosine.
 
 item-CF
     Co-occurrence cosine between item user-sets over train interactions is
@@ -16,9 +17,12 @@ mask-modality
     single-modality rows, then reruns one of the base protocols on the
     composite matrix.
 
-Zero-shot and item-CF only build their queries (a cosine score vector, the
-excluded items and the target); ranking and the Recall@K / NDCG@K report come
-from the evaluator's shared loop, run serially through rank_report.
+Zero-shot and item-CF build their unit-norm query rows into one matrix and
+rank them against the unit item rows with sparse.score_top_k. The cosine of
+an item is its canonical score np.sum(unit[i] * query): it does not depend on
+the BLAS kernel or its thread count, and the GEMM that screens the candidates
+runs on the BLAS threads. The Recall@K / NDCG@K report comes from the
+evaluator's ranked_report.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ import scipy.sparse as sp
 
 from .data import Dataset, items_by_user
 from .errors import ConfigError, DimensionError
-from .evaluator import EvalReport, check_ks, rank_report
+from .evaluator import EvalReport, check_ks, ranked_report
 from .features import FeatureMatrix, unit_rows
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, score_top_k
 
 
 @dataclass(frozen=True)
@@ -53,20 +57,25 @@ def zero_shot_eval(feat: FeatureMatrix, ds: Dataset, cfg: ProtocolConfig) -> Eva
     """Recall of each user's held-out item among feature-similar candidates."""
     if feat.rows != ds.num_items:
         raise DimensionError(f"feature rows {feat.rows} != items {ds.num_items}")
-    # canonical order: the mean must not depend on interaction order
-    history = [sorted(items) for items in items_by_user(ds.train, ds.num_users)]
+    per_user = np.bincount(ds.test[:, 0], minlength=ds.num_users)
+    if per_user.size and per_user.max() > 1:
+        u = int(np.argmax(per_user))
+        raise ConfigError(
+            "zero-shot needs one test item per user (a temporal-leave-one-out split), "
+            f"but user '{ds.user_keys[u]}' has {per_user[u]}")
+    train_items = items_by_user(ds.train, ds.num_users)
     target = {int(u): int(i) for u, i in ds.test}
-    users = [u for u in range(ds.num_users) if u in target and history[u]]
-    unit = unit_rows(feat.data)[0]
-
-    def queries():
-        for u in users:
-            user_feat = feat.data[history[u]].mean(axis=0)
-            norm = np.linalg.norm(user_feat)
-            user_unit = user_feat / norm if norm > 0.0 else user_feat
-            yield unit @ user_unit, set(history[u]), {target[u]}
-
-    report = rank_report(queries(), cfg.ks, skipped=ds.num_users - len(users))
+    users = [u for u in range(ds.num_users) if u in target and train_items[u]]
+    # canonical order: the mean must not depend on interaction order
+    history = [sorted(train_items[u]) for u in users]
+    queries = np.zeros((len(users), feat.dim))
+    for row, items in zip(queries, history):
+        user_feat = feat.data[items].mean(axis=0)
+        norm = np.linalg.norm(user_feat)
+        row[:] = user_feat / norm if norm > 0.0 else user_feat
+    tops = score_top_k(queries, unit_rows(feat.data)[0], history, max(cfg.ks))
+    report = ranked_report(tops, ({target[u]} for u in users), cfg.ks,
+                           skipped=ds.num_users - len(users))
     report.extras["protocol"] = "zero_shot"
     return report
 
@@ -77,12 +86,17 @@ def itemcf_score(ds: Dataset) -> SparseMatrix:
     r = sp.csr_matrix(
         (np.ones(len(ds.train)), (ds.train[:, 0], ds.train[:, 1])),
         shape=(ds.num_users, ds.num_items))
-    co = (r.T @ r).tocoo()
+    co = sp.csr_matrix(r.T @ r)  # the CSC to CSR conversion sorts each row
+    co.sort_indices()
+    rows = np.repeat(np.arange(ds.num_items), np.diff(co.indptr))
+    keep = co.indices != rows
+    kept_before = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept_before[1:])
+    indptr = kept_before[co.indptr]
+    rows, cols = rows[keep], co.indices[keep].astype(np.int64)
     deg = np.bincount(ds.train[:, 1], minlength=ds.num_items).astype(np.float64)
-    keep = co.row != co.col
-    rows, cols, counts = co.row[keep], co.col[keep], co.data[keep]
-    values = counts / np.sqrt(deg[rows] * deg[cols])
-    return SparseMatrix.from_coo(ds.num_items, ds.num_items, rows, cols, values)
+    values = co.data[keep] / np.sqrt(deg[rows] * deg[cols])
+    return SparseMatrix(ds.num_items, ds.num_items, indptr, cols, values)
 
 
 def itemcf_eval(feat: FeatureMatrix, ds: Dataset, cfg: ProtocolConfig) -> EvalReport:
@@ -97,8 +111,10 @@ def itemcf_eval(feat: FeatureMatrix, ds: Dataset, cfg: ProtocolConfig) -> EvalRe
         if cols.size:
             target[j] = int(cols[np.argmax(vals)])  # columns sorted, so ties hit the lower index
     unit = unit_rows(feat.data)[0]
-    queries = ((unit @ unit[j], {j}, {t}) for j, t in target.items())
-    report = rank_report(queries, cfg.ks, skipped=ds.num_items - len(target))
+    js = list(target)
+    tops = score_top_k(unit[js], unit, [(j,) for j in js], max(cfg.ks))
+    report = ranked_report(tops, ({target[j]} for j in js), cfg.ks,
+                           skipped=ds.num_items - len(target))
     report.extras["protocol"] = "item_cf"
     return report
 

@@ -1,5 +1,6 @@
-"""Compressed-sparse-row matrices used by the graph operators, and the exact
-top-K row selection shared by the kNN graph build and every ranking.
+"""Compressed-sparse-row matrices used by the graph operators, the exact
+top-K row selection shared by the kNN graph build and every ranking, and the
+exact blocked cosine ranking of the feature protocols.
 
 Thin immutable wrapper around canonical CSR arrays. scipy does the heavy
 lifting for products; the wrapper pins down the invariants the rest of the
@@ -111,3 +112,47 @@ def top_k(scores: np.ndarray, exclude, k: int) -> np.ndarray:
             admitted = neg <= kth
             idx, neg = idx[admitted], neg[admitted]
     return idx[np.lexsort((idx, neg))[:k]]
+
+
+# query rows per GEMM in score_top_k: 256 x 5k items is an 11 MB block
+_QUERY_BLOCK = 256
+
+
+def score_top_k(Q: np.ndarray, U: np.ndarray, exclude, k: int) -> list[np.ndarray]:
+    """For each query row q of Q, the top_k (k >= 1) of the canonical scores
+    np.sum(U * q, axis=1) with the items exclude[r] removed: the prefix of the
+    full canonical sort, ties to the lower index. Q and U are finite float64
+    matrices with as many columns. A canonical score does not depend on the
+    other rows summed with it, nor on the BLAS kernel or its threads.
+
+    Each block of query rows is first scored by one GEMM. The GEMM value and
+    the canonical score both lie within gamma_d * ||q||_1 * max|U| of the
+    exact product in any summation order, gamma_d = d*u/(1 - d*u), u = eps/2
+    (plus an absolute term for underflow). So every item of the canonical
+    top K, and of its tie group at the cut, has a GEMM value at most four
+    times that below the row's K-th largest one. Only the items in a band
+    twice that wide are rescored canonically, one query at a time.
+    """
+    n, d = U.shape
+    # ||q||_1 * max|U| bounds sum|q_i u_i| with no squaring to underflow
+    slack = 4.0 * d * np.finfo(np.float64).eps * (np.abs(U).max() if U.size else 0.0)
+    floor = 4.0 * d * np.finfo(np.float64).tiny
+    lowest = np.finfo(np.float64).min  # above -inf: an excluded item is never in the band
+    tops = []
+    for start in range(0, Q.shape[0], _QUERY_BLOCK):
+        block = Q[start:start + _QUERY_BLOCK]
+        gemm = block @ U.T
+        for r, ex in enumerate(exclude[start:start + _QUERY_BLOCK]):
+            if len(ex):
+                gemm[r, list(ex)] = -np.inf
+        if k <= n:
+            kth = np.partition(gemm, n - k, axis=1)[:, n - k]
+        else:
+            kth = np.full(block.shape[0], -np.inf)
+        band = np.maximum(kth - (slack * np.abs(block).sum(axis=1) + floor), lowest)
+        for q, row, low in zip(block, gemm, band):
+            cand = np.flatnonzero(row >= low)
+            terms = U[cand]
+            terms *= q  # in place: the bits of U[cand] * q, one allocation fewer
+            tops.append(cand[top_k(terms.sum(axis=1), (), k)])
+    return tops

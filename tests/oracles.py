@@ -294,6 +294,24 @@ def _unit_rows_reference(features):
     return np.where(norms[:, None] > 0, features / np.where(norms[:, None] == 0, 1, norms[:, None]), 0.0)
 
 
+def canonical_scores(unit, query):
+    """The protocols' score of every row of `unit` for `query`: the product
+    row summed by np.sum, whose bits do not depend on the other rows."""
+    return np.sum(unit * query, axis=1)
+
+
+def canonical_top_k_reference(queries, items, exclude, k):
+    """Per query row, the first k non-excluded items by a python sort of
+    the canonical scores, ties to the lower index."""
+    tops = []
+    for query, banned in zip(queries, exclude):
+        scores = canonical_scores(items, query)
+        ranking = sorted((j for j in range(items.shape[0]) if j not in banned),
+                         key=lambda j: (-scores[j], j))
+        tops.append(ranking[:k])
+    return tops
+
+
 def _single_target_protocol(queries, num_items, ks):
     """Recall and NDCG means over (scores, banned, target) queries, each
     ranked by a python sort over the non-banned items."""
@@ -318,7 +336,7 @@ def _single_target_protocol(queries, num_items, ks):
 
 def itemcf_protocol_reference(features, ds, ks):
     """Independent item-CF protocol: target from the reference score matrix,
-    ranking by cosine with python sorts."""
+    ranking by canonical cosine with python sorts."""
     scores = itemcf_reference(ds)
     unit = _unit_rows_reference(features)
     queries = []
@@ -328,14 +346,14 @@ def itemcf_protocol_reference(features, ds, ks):
             continue
         best = row.max()
         target = min(i for i in range(ds.num_items) if row[i] == best)
-        queries.append((unit @ unit[j], {j}, target))
+        queries.append((canonical_scores(unit, unit[j]), {j}, target))
     return _single_target_protocol(queries, ds.num_items, ks)
 
 
 def zero_shot_protocol_reference(features, ds, ks):
     """Independent zero-shot protocol: the user query is the mean of the
     history rows in item order, the target is the user's test item, and the
-    history is banned from the python-sorted ranking."""
+    history is banned from the python-sorted ranking by canonical cosine."""
     history = {}
     for u, i in ds.train:
         history.setdefault(int(u), set()).add(int(i))
@@ -348,7 +366,7 @@ def zero_shot_protocol_reference(features, ds, ks):
         user_feat = features[sorted(history[u])].mean(axis=0)
         norm = np.linalg.norm(user_feat)
         query = user_feat / norm if norm > 0.0 else user_feat
-        queries.append((unit @ query, history[u], target[u]))
+        queries.append((canonical_scores(unit, query), history[u], target[u]))
     return _single_target_protocol(queries, ds.num_items, ks)
 
 

@@ -263,6 +263,27 @@ class TestEval:
         text = (workspace / "out" / "report_longtail.txt").read_text()
         assert "slice = longtail" in text
 
+    def test_broken_checkpoint_is_data_error(self, workspace, capsys, monkeypatch):
+        assert _run(workspace, "train") == 0
+        good = load_checkpoint(workspace / "out" / "checkpoint_best.ackp")
+        failed = workspace / "failed.ackp"
+        save_checkpoint(failed, good.params, good.config_text, status="failed")
+        cases = [(failed, "checkpoint has status 'failed', not 'ok'")]
+        for name, value in (("user_emb", np.nan), ("gate_b2", np.inf), ("gate_w1", -np.inf)):
+            params = good.params.copy()
+            getattr(params, name).flat[-1] = value
+            path = workspace / f"{name}.ackp"
+            save_checkpoint(path, params, good.config_text)
+            cases.append((path, f"tensor '{name}' holds a non-finite value"))
+        monkeypatch.setattr(cli, "load_interactions", _no_load)
+        capsys.readouterr()
+        for path, message in cases:
+            for command in ("eval", "recommend"):
+                assert _run(workspace, command, "--checkpoint", str(path), "--user", "u00") == 3
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == f"data error: {path}: {message}\n"
+
 
 class TestIntermediate:
     def test_all_protocols_run(self, workspace, capsys):

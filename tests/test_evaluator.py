@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from alignrec.data import Dataset
 from alignrec.errors import ConfigError
 from alignrec.evaluator import (evaluate, longtail_evaluate, ndcg_at_k,
-                                rank_all, rank_report, recall_at_k)
+                                rank_all, ranked_report, recall_at_k)
 from alignrec.model import Representations
 
 from oracles import bruteforce_evaluate
@@ -181,7 +181,7 @@ class TestEvaluate:
         reps = _reps(rng.normal(size=(6, 4)), rng.normal(size=(12, 4)))
         for report in (lambda: evaluate(reps, ds, "test", ks),
                        lambda: longtail_evaluate(reps, ds, ks),
-                       lambda: rank_report([], ks)):
+                       lambda: ranked_report([], [], ks)):
             with pytest.raises(ConfigError, match="needs positive K values"):
                 report()
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from alignrec.data import RawInteractions, split_dataset
-from alignrec.errors import DimensionError
+from alignrec.errors import ConfigError, DimensionError
 from alignrec.features import FeatureMatrix
 from alignrec.protocols import (ProtocolConfig, compose_masked, itemcf_eval,
                                 itemcf_score, mask_modality_eval,
@@ -103,6 +103,19 @@ class TestZeroShot:
             for k in (1, 3, 7):
                 assert report.recall[k] == want_recall[k]
                 assert report.ndcg[k] == want_ndcg[k]
+
+    def test_random_split_rejected(self, rng):
+        # ten items per user: the random split holds out two of them for test
+        records = [(f"u{u}", f"i{(u + j) % 12:02d}", j) for u in range(6) for j in range(10)]
+        ds = split_dataset(RawInteractions.from_records(records), (0.6, 0.2, 0.2), seed=0)
+        feat = FeatureMatrix(rng.normal(size=(ds.num_items, 4)))
+        cfg = ProtocolConfig(ks=(3,), mask_ratio=0.5)
+        message = (r"zero-shot needs one test item per user \(a temporal-leave-one-out "
+                   r"split\), but user 'u0' has 2")
+        with pytest.raises(ConfigError, match=message):
+            zero_shot_eval(feat, ds, cfg)
+        with pytest.raises(ConfigError, match=message):
+            mask_modality_eval(feat, feat, cfg, "zero_shot", ds)
 
     def test_itemcf_row_scale_invariance(self, rng):
         ds = _random_temporal(rng)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignrec.errors import DataError, DimensionError
-from alignrec.sparse import SparseMatrix
+from alignrec.sparse import SparseMatrix, score_top_k
 
-from oracles import to_dense
+from oracles import canonical_scores, canonical_top_k_reference, to_dense
 
 
 def test_from_coo_canonicalizes_and_sums_duplicates():
@@ -96,3 +98,98 @@ def test_transpose_roundtrip(rng):
     dense = rng.normal(size=(4, 6)) * (rng.random(size=(4, 6)) < 0.5)
     m = SparseMatrix.from_scipy(dense)
     assert np.array_equal(to_dense(m.transpose()), dense.T)
+
+
+def _assert_canonical_tops(queries, items, exclude, k):
+    got = score_top_k(queries, items, exclude, k)
+    want = canonical_top_k_reference(queries, items, exclude, k)
+    assert len(got) == len(want)
+    for top, ranking in zip(got, want):
+        assert top.dtype == np.int64
+        assert top.tolist() == ranking
+
+
+def _near_tie_items(rng, n, d):
+    """Rows equal to one base row up to a few ulps in five coordinates, the
+    second half duplicating the first: GEMM and canonical scores order most
+    queries' top items differently, and duplicates tie exactly."""
+    base = rng.normal(size=d)
+    items = np.tile(base, (n, 1))
+    items[:, :5] += rng.integers(-3, 4, size=(n, 5)) * np.spacing(np.abs(base[:5]))
+    items[n // 2:] = items[:n - n // 2]
+    return items
+
+
+@pytest.mark.parametrize("k", [1, 10, 59, 60, 80])
+def test_score_top_k_near_ties_match_canonical_sort(rng, k):
+    items = _near_tie_items(rng, 60, 97)
+    queries = rng.normal(size=(40, 97))
+    exclude = [set(rng.choice(60, size=int(rng.integers(0, 8))).tolist()) for _ in range(40)]
+    _assert_canonical_tops(queries, items, exclude, k)
+
+
+@pytest.mark.parametrize("count", [0, 1, 255, 256, 257])
+def test_score_top_k_across_query_blocks(rng, count):
+    items = _near_tie_items(rng, 24, 13)
+    queries = rng.normal(size=(count, 13))
+    exclude = [{q % 24} for q in range(count)]
+    _assert_canonical_tops(queries, items, exclude, 5)
+
+
+def test_score_top_k_scores_one_ulp_apart(rng):
+    # column 0 holds consecutive floats, the rest zeros: each score is exact
+    values = 0.75 + np.arange(-20, 20) * np.spacing(0.75)
+    items = np.zeros((40, 9))
+    items[:, 0] = rng.permutation(values)
+    queries = np.zeros((3, 9))
+    queries[:, 0] = [1.0, -1.0, 0.5]
+    for k in (1, 7, 39):
+        _assert_canonical_tops(queries, items, [set(), {3, 5}, set()], k)
+
+
+def test_score_top_k_zero_rows_and_signed_zeros(rng):
+    items = rng.normal(size=(12, 5))
+    items[[2, 7]] = 0.0
+    items[[4, 9]] = -0.0
+    queries = np.vstack([np.zeros(5), np.full(5, -0.0), rng.normal(size=5), -items[1]])
+    for k in (1, 3, 12):
+        _assert_canonical_tops(queries, items, [set(), {2}, {7, 9}, set()], k)
+
+
+def test_score_top_k_fewer_candidates_than_k(rng):
+    items = rng.normal(size=(6, 4))
+    queries = rng.normal(size=(3, 4))
+    exclude = [{0, 1, 2}, set(), {5}]
+    for k in (4, 6, 7, 50):
+        _assert_canonical_tops(queries, items, exclude, k)
+
+
+def test_score_top_k_every_item_excluded(rng):
+    items = rng.normal(size=(5, 3))
+    tops = score_top_k(rng.normal(size=(2, 3)), items, [set(range(5)), [4, 3, 2, 1, 0]], 3)
+    assert [top.tolist() for top in tops] == [[], []]
+
+
+# few distinct entries, so scores tie exactly and across the cut
+_ENTRY_POOL = [0.0, -0.0, 0.5, 1.0, -1.0, 1.0 + 2.0 ** -52, 3.0]
+
+
+@given(st.integers(1, 12), st.integers(1, 5), st.data())
+@settings(max_examples=150, deadline=None)
+def test_score_top_k_is_prefix_of_canonical_sort_under_ties(n, d, data):
+    entries = st.lists(st.sampled_from(_ENTRY_POOL), min_size=d, max_size=d)
+    items = np.array(data.draw(st.lists(entries, min_size=n, max_size=n)))
+    queries = np.array(data.draw(st.lists(entries, min_size=0, max_size=4))).reshape(-1, d)
+    exclude = [data.draw(st.sets(st.integers(0, n - 1))) for _ in range(len(queries))]
+    for k in range(1, n + 2):
+        _assert_canonical_tops(queries, items, exclude, k)
+
+
+@pytest.mark.parametrize("d", [1, 3, 97, 769])
+def test_canonical_score_of_a_row_ignores_the_other_rows(rng, d):
+    items = rng.normal(size=(40, d))
+    query = rng.normal(size=d)
+    full = canonical_scores(items, query)
+    for size in (1, 2, 7, 39):
+        subset = np.sort(rng.choice(40, size=size, replace=False))
+        assert canonical_scores(items[subset], query).tobytes() == full[subset].tobytes()
