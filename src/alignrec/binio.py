@@ -27,13 +27,18 @@ def read_struct(fh, fmt: struct.Struct, path, what: str) -> tuple:
     return fmt.unpack(read_exact(fh, fmt.size, path, what))
 
 
-def read_text(path, error: type[Exception]) -> str:
-    """The UTF-8 file `path` as text-mode reading gives it; a byte that is not
-    UTF-8 raises `error` naming the file and the line."""
-    blob = Path(path).read_bytes()
+def decode_utf8(blob: bytes, path, error: type[Exception]) -> str:
+    """`blob`, read from `path`, decoded; a byte that is not UTF-8 raises
+    `error` naming the file and the line."""
     try:
-        text = blob.decode("utf-8")
+        return blob.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = len((blob[:exc.start] + b"_").splitlines())
         raise error(f"{path}:{line}: byte 0x{blob[exc.start]:02x} is not UTF-8") from None
+
+
+def read_text(path, error: type[Exception]) -> str:
+    """The UTF-8 file `path` as text-mode reading gives it; a byte that is not
+    UTF-8 raises `error` naming the file and the line."""
+    text = decode_utf8(Path(path).read_bytes(), path, error)
     return text.replace("\r\n", "\n").replace("\r", "\n")

@@ -49,15 +49,15 @@ def _check_inputs(cfg: RunConfig, args) -> None:
         raise ConfigError(f"[paths] output_dir {cfg.output_dir} is not a directory")
 
 
-def _dataset(cfg: RunConfig, strategy: str | None = None):
-    filtered = kcore_filter(load_interactions(cfg.interactions), cfg.k_core)
+def _dataset(cfg: RunConfig, raw, strategy: str | None = None):
+    filtered = kcore_filter(raw, cfg.k_core)
     return split_dataset(filtered, cfg.ratios, cfg.split_seed, strategy or cfg.strategy)
 
 
 def _load(cfg: RunConfig, strategy: str | None = None, masked: bool = False):
     """The split dataset, its aligned features and its aligned masked features
     (None unless `masked`)."""
-    ds = _dataset(cfg, strategy)
+    ds = _dataset(cfg, load_interactions(cfg.interactions), strategy)
     keys = read_item_list(cfg.item_list)
 
     def aligned(path):
@@ -98,11 +98,12 @@ def _write_report(out: Path, name: str, report) -> str:
 
 
 def cmd_prepare(cfg: RunConfig, args) -> int:
-    ds = _dataset(cfg)
+    raw = load_interactions(cfg.interactions)
+    ds = _dataset(cfg, raw)
     out = _output_dir(cfg)
     save_splits(ds, out)
     write_manifest(out / "manifest.txt", {
-        "interactions_sha256": file_sha256(cfg.interactions),
+        "interactions_sha256": raw.sha256,
         "k_core": cfg.k_core,
         "ratios": ",".join(repr(r) for r in cfg.ratios),
         "strategy": cfg.strategy,

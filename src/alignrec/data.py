@@ -26,17 +26,24 @@ from __future__ import annotations
 
 import hashlib
 import math
-from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .binio import read_text
+from .binio import decode_utf8
 from .errors import (ConfigError, DataError, EmptyAfterFilterError,
                      EmptyInputError, ParseError)
 
 _MAX_TIMESTAMP = np.iinfo(np.int64).max
+# the most ASCII digits a timestamp column holds: int64 values have up to 19
+_TS_DIGITS = 19
+# key bytes per sorting word; the word's low byte holds their count
+_WORD_BYTES = 7
+# bytes per read and per delimiter scan of the log. A file-sized temporary,
+# once freed, would raise glibc's mmap threshold to its size, so the parse's
+# later arrays would come from the heap and stay resident after it.
+_PIECE = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -46,6 +53,8 @@ class RawInteractions:
     `user_keys` and `item_keys` are in `sorted()` order and every key is used
     by some record. Record n is user `user_keys[users[n]]` and item
     `item_keys[items[n]]` at `timestamps[n]`; all three columns are int64.
+    `sha256` is the digest of the log a `load_interactions` result was
+    parsed from, else None.
     """
 
     user_keys: list[str]
@@ -53,6 +62,7 @@ class RawInteractions:
     users: np.ndarray
     items: np.ndarray
     timestamps: np.ndarray
+    sha256: str | None = None
 
     def __len__(self) -> int:
         return len(self.users)
@@ -61,7 +71,7 @@ class RawInteractions:
     def from_records(cls, records) -> "RawInteractions":
         """Build from (user_key, item_key, timestamp) tuples."""
         users, items, stamps = zip(*records) if records else ((), (), ())
-        return _from_columns(users, items, stamps)
+        return _collapse(*_code(users), *_code(items), stamps)
 
     def records(self) -> list[tuple[str, str, int]]:
         """The (user_key, item_key, timestamp) tuples in record order."""
@@ -77,11 +87,10 @@ def _code(keys) -> tuple[list[str], np.ndarray]:
     return table, np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys))
 
 
-def _from_columns(users, items, stamps) -> RawInteractions:
-    """Code the key columns and collapse repeated (user, item) pairs to one
-    record carrying the earliest timestamp, at the pair's first appearance."""
-    user_keys, user_codes = _code(users)
-    item_keys, item_codes = _code(items)
+def _collapse(user_keys, user_codes, item_keys, item_codes, stamps,
+              sha256=None) -> RawInteractions:
+    """Collapse repeated (user, item) pairs of coded columns to one record
+    carrying the earliest timestamp, at the pair's first appearance."""
     stamps = np.asarray(stamps, dtype=np.int64)
     _, first, inverse = np.unique(user_codes * len(item_keys) + item_codes,
                                   return_index=True, return_inverse=True)
@@ -89,7 +98,7 @@ def _from_columns(users, items, stamps) -> RawInteractions:
     np.minimum.at(earliest, inverse, stamps)
     keep = np.sort(first)
     return RawInteractions(user_keys, item_keys, user_codes[keep], item_codes[keep],
-                           earliest[inverse[keep]])
+                           earliest[inverse[keep]], sha256)
 
 
 @dataclass
@@ -136,43 +145,178 @@ def items_by_user(pairs: np.ndarray, num_users: int) -> list[set[int]]:
 def load_interactions(path) -> RawInteractions:
     """Parse a UTF-8 TSV of `user_key<TAB>item_key<TAB>timestamp` records.
 
-    Lines starting with '#' and blank lines are skipped. Duplicate
-    (user, item) pairs collapse to a single record carrying the earliest
-    timestamp, ordered by first appearance.
+    Lines end in LF, CRLF or a lone CR. Lines starting with '#' and lines of
+    whitespace only are skipped. A timestamp is any text `int()` reads (a
+    sign, `_` between digits, surrounding whitespace, non-ASCII digits) with
+    a value in [0, 2**63). Duplicate (user, item) pairs collapse to a single
+    record carrying the earliest timestamp, ordered by first appearance. The
+    key tables are in code-point order, as `sorted()` gives them, and
+    `sha256` is the digest of the bytes read.
+
+    The file is read once and parsed as columns of its bytes: the lines with
+    two tabs, no leading '#' and a timestamp of at most 19 ASCII digits that
+    fits int64. Every other line goes through `_parse_line`, so an error
+    names the first bad line.
     """
     path = Path(path)
-    users, items, stamps = [], [], array("q")
-    # one string object per distinct key, however often it repeats
-    user_strs, item_strs = {}, {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip() or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ParseError(
-                        f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
-                user, item, ts_text = parts
-                try:
-                    ts = int(ts_text)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}:{lineno}: timestamp '{ts_text}' is not an integer") from None
-                if not 0 <= ts <= _MAX_TIMESTAMP:
-                    what = "negative" if ts < 0 else "out-of-range"
-                    raise ParseError(f"{path}:{lineno}: {what} timestamp {ts}")
-                users.append(user_strs.setdefault(user, user))
-                items.append(item_strs.setdefault(item, item))
-                stamps.append(ts)
-        except UnicodeDecodeError:
-            # the decoder reads ahead, so reread to name the line (a pipe rereads empty)
-            read_text(path, ParseError)
-            raise ParseError(f"{path}: not UTF-8 text") from None
-    if not users:
+    blob = bytearray()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_PIECE):
+            blob += chunk
+    digest = hashlib.sha256(blob).hexdigest()
+    if not blob.isascii():
+        decode_utf8(blob, path, ParseError)
+    if b"\r" in blob:
+        blob = blob.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    # a final newline (after a complete last line it only adds a blank one),
+    # then NULs, so fixed-width windows from any field stay inside the buffer
+    blob += b"\n" + bytes(_TS_DIGITS)
+    buf = np.frombuffer(blob, dtype=np.uint8)
+    starts, tab1, tab2, stamps = _records(buf, path)
+    return _collapse(*_code_fields(buf, starts, tab1 - starts),
+                     *_code_fields(buf, tab1 + 1, tab2 - tab1 - 1), stamps, digest)
+
+
+def _records(buf, path):
+    """The start, first tab, second tab and timestamp of every record line
+    of `buf`, in line order."""
+    starts, ends, lines, tab1, tab2 = _split_lines(buf)
+    stamps, regular = _digit_stamps(buf, tab2 + 1, ends[lines] - tab2 - 1)
+    regular &= buf[starts[lines]] != ord("#")
+    # every other nonempty line, through the per-line rules
+    odd = np.ones(ends.size, dtype=bool)
+    odd[lines[regular]] = False
+    odd &= ends > starts
+    for n in np.flatnonzero(odd).tolist():
+        text = buf[starts[n]:ends[n]].tobytes().decode("utf-8")
+        record = _parse_line(text, path, n + 1)
+        if record is not None:
+            # three fields, so the line is one of `lines`
+            at = np.searchsorted(lines, n)
+            regular[at], stamps[at] = True, record[2]
+    if not regular.any():
         raise EmptyInputError(f"{path}: no interaction records")
-    return _from_columns(users, items, stamps)
+    return starts[lines[regular]], tab1[regular], tab2[regular], stamps[regular]
+
+
+def _split_lines(buf):
+    """Start and end (its LF) of every line of `buf`, the lines with exactly
+    two tabs, and the positions of their first and second tab."""
+    pieces = []
+    for lo in range(0, buf.size, _PIECE):
+        part = buf[lo:lo + _PIECE]
+        pieces.append(np.flatnonzero((part == 9) | (part == 10)) + lo)
+    delims = np.concatenate(pieces)
+    ends_at = np.flatnonzero(buf[delims] == 10)  # delims index of each line end
+    ends = delims[ends_at]
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    lines = np.flatnonzero(np.diff(ends_at, prepend=-1) == 3)
+    return starts, ends, lines, delims[ends_at[lines] - 2], delims[ends_at[lines] - 1]
+
+
+def _parse_line(line: str, path, lineno: int):
+    """A (user, item, timestamp) record, or None for a comment or a blank
+    line; a malformed line raises ParseError naming it."""
+    if not line.strip() or line.startswith("#"):
+        return None
+    parts = line.split("\t")
+    if len(parts) != 3:
+        raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
+    user, item, ts_text = parts
+    try:
+        ts = int(ts_text)
+    except ValueError:
+        raise ParseError(f"{path}:{lineno}: timestamp '{ts_text}' is not an integer") from None
+    if not 0 <= ts <= _MAX_TIMESTAMP:
+        what = "negative" if ts < 0 else "out-of-range"
+        raise ParseError(f"{path}:{lineno}: {what} timestamp {ts}")
+    return user, item, ts
+
+
+def _digit_stamps(buf, starts, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 value of each field buf[s:s+n] that is 1 to 19 ASCII digits
+    with a value that fits int64, and whether the field is such."""
+    values = np.zeros(starts.size, dtype=np.uint64)
+    fits = np.zeros(starts.size, dtype=bool)
+    windows = _windows(buf, _TS_DIGITS)
+    for length in np.unique(lengths[(lengths >= 1) & (lengths <= _TS_DIGITS)]).tolist():
+        rows = np.flatnonzero(lengths == length)
+        digits = np.ascontiguousarray(windows[starts[rows], :length].T) - np.uint8(ord("0"))
+        # 19 digits fit uint64, so the sum cannot wrap
+        value = np.zeros(rows.size, dtype=np.uint64)
+        ok = np.ones(rows.size, dtype=bool)
+        for column in digits:
+            ok &= column <= 9
+            value = value * np.uint64(10) + column
+        ok &= value <= _MAX_TIMESTAMP
+        values[rows], fits[rows] = value, ok
+    return values.astype(np.int64), fits
+
+
+def _windows(buf: np.ndarray, width: int) -> np.ndarray:
+    """Read-only view whose row s is buf[s:s+width]."""
+    return np.lib.stride_tricks.as_strided(buf, shape=(buf.size - width + 1, width),
+                                           strides=(1, 1), writeable=False)
+
+
+def _code_fields(buf, starts, lengths) -> tuple[list[str], np.ndarray]:
+    """The sorted table of the distinct UTF-8 fields buf[s:s+n] and each
+    field's index in it.
+
+    An MSD radix sort over words of the fields' bytes. A word holds the next
+    _WORD_BYTES bytes, zero-padded, over their count, so word order is byte
+    order with a prefix first, trailing NULs included; byte order of UTF-8
+    is code-point order, the order of `sorted()`. A field's rank is where
+    its group of equal fields starts in the sorted order. Only a group of
+    two or more whose last word was full reads another word, so a long key
+    costs rounds, never width.
+    """
+    n = starts.size
+    rank = np.zeros(n, dtype=np.int64)
+    todo = np.arange(n)
+    windows, done = _windows(buf, 8), 0
+    while todo.size:
+        # in place, so each round holds few field-sized arrays at once
+        word = windows[starts[todo] + done].view(">u8")[:, 0].astype(np.uint64)
+        left = np.minimum(lengths[todo] - done, _WORD_BYTES).astype(np.uint64)
+        pad = np.uint64(_WORD_BYTES) - left
+        pad *= np.uint64(8)
+        word >>= np.uint64(8)
+        word >>= pad
+        word <<= pad
+        word <<= np.uint64(8)
+        word |= left
+        del left, pad
+        order = np.lexsort((word, rank[todo])) if done else np.argsort(word)
+        todo = todo[order]
+        word = word[order]
+        del order
+        group = rank[todo]
+        # split each group (equal rank) into runs of equal word; a run's
+        # rank is its group's plus its offset in the group
+        edge = np.ones(todo.size, dtype=bool)
+        np.not_equal(group[1:], group[:-1], out=edge[1:])
+        groups = np.flatnonzero(edge)
+        edge[1:] |= word[1:] != word[:-1]
+        runs = np.flatnonzero(edge)
+        sizes = np.diff(runs, append=todo.size)
+        run_rank = group[runs] + runs - groups[np.searchsorted(groups, runs, "right") - 1]
+        del group
+        rank[todo] = np.repeat(run_rank, sizes)
+        # a run of one is unique; a run whose word was not full has ended
+        todo = todo[np.repeat((sizes > 1) & (word[runs] & np.uint64(0xFF) == _WORD_BYTES),
+                              sizes)]
+        done += _WORD_BYTES
+    first = np.zeros(n, dtype=bool)
+    first[rank] = True
+    codes = np.cumsum(first)
+    codes -= 1
+    codes = codes[rank]
+    holder = np.empty(np.count_nonzero(first), dtype=np.int64)
+    holder[codes] = np.arange(n)
+    table = [buf[s:s + k].tobytes().decode("utf-8")
+             for s, k in zip(starts[holder].tolist(), lengths[holder].tolist())]
+    return table, codes
 
 
 def check_split(k_core=None, ratios=None, strategy=None, seed=None) -> None:

@@ -5,9 +5,13 @@ arrays and plain Python loops, deliberately avoiding the engine's code paths.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+
+from alignrec.data import RawInteractions
+from alignrec.errors import EmptyInputError, ParseError
 
 
 def to_dense(m):
@@ -34,6 +38,43 @@ def read_manifest(path):
             if sep:
                 out[key] = value
     return out
+
+
+def load_interactions_reference(path):
+    """The interaction log parsed one line at a time: the whole file decoded
+    (a bad byte names its line), CR and CRLF turned into LF, '#' and blank
+    lines skipped, every other line split on tabs and its timestamp read by
+    int(). The first malformed line raises ParseError naming it."""
+    blob = Path(path).read_bytes()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = blob[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        lineno = before.count(b"\n") + 1
+        raise ParseError(
+            f"{path}:{lineno}: byte 0x{blob[exc.start]:02x} is not UTF-8") from None
+    records = []
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseError(
+                f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
+        user, item, ts_text = parts
+        try:
+            ts = int(ts_text)
+        except ValueError:
+            raise ParseError(
+                f"{path}:{lineno}: timestamp '{ts_text}' is not an integer") from None
+        if not 0 <= ts <= 2 ** 63 - 1:
+            what = "negative" if ts < 0 else "out-of-range"
+            raise ParseError(f"{path}:{lineno}: {what} timestamp {ts}")
+        records.append((user, item, ts))
+    if not records:
+        raise EmptyInputError(f"{path}: no interaction records")
+    return RawInteractions.from_records(records)
 
 
 def kcore_reference(records, k):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 from dataclasses import asdict
@@ -18,6 +19,8 @@ from alignrec.model import forward, init_params
 from alignrec.protocols import ProtocolConfig
 from alignrec.synthetic import make_corpus, write_corpus
 from alignrec.trainer import TrainConfig
+
+from oracles import read_manifest
 
 BASE_CONFIG = """\
 [paths]
@@ -194,6 +197,21 @@ class TestPrepare:
         first = _snapshot(workspace / "out")
         assert _run(workspace, "prepare") == 0
         assert _snapshot(workspace / "out") == first
+
+    def test_manifest_hashes_log_read_from_pipe(self, workspace):
+        # a second read of a pipe would hash nothing (e3b0c442...)
+        log = (workspace / "interactions.tsv").read_bytes()
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, log)  # fits the pipe buffer
+            os.close(write_end)
+            (workspace / "run.ini").write_text(
+                _section_config("paths", f"interactions = /dev/fd/{read_end}"), encoding="utf-8")
+            assert _run(workspace, "prepare") == 0
+        finally:
+            os.close(read_end)
+        manifest = read_manifest(workspace / "out" / "manifest.txt")
+        assert manifest["interactions_sha256"] == hashlib.sha256(log).hexdigest()
 
 
 class TestTrain:

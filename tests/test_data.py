@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from alignrec.data import (Dataset, RawInteractions, _check_partition, items_by_user,
                            kcore_filter, load_interactions, split_dataset,
                            write_manifest)
-from alignrec.errors import (ConfigError, DataError, EmptyAfterFilterError,
-                             EmptyInputError, ParseError)
+from alignrec.errors import (AlignRecError, ConfigError, DataError,
+                             EmptyAfterFilterError, EmptyInputError, ParseError)
 
-from oracles import kcore_reference, read_manifest, split_reference
+from oracles import (kcore_reference, load_interactions_reference, read_manifest,
+                     split_reference)
 
 
 def _write(tmp_path, text, name="inter.tsv"):
@@ -69,7 +70,8 @@ class TestLoadInteractions:
         try:
             os.write(write_end, b"u1\ti1\t0\nu\xff\ti\t1\n")
             os.close(write_end)
-            with pytest.raises(ParseError, match=f"/dev/fd/{read_end}: not UTF-8 text"):
+            with pytest.raises(ParseError,
+                               match=f"/dev/fd/{read_end}:2: byte 0xff is not UTF-8"):
                 load_interactions(f"/dev/fd/{read_end}")
         finally:
             os.close(read_end)
@@ -93,6 +95,65 @@ class TestLoadInteractions:
         assert ds.item_index["item\x00"] != ds.item_index["item\x00\x00"]
         assert ds.user_index["u\x00"] != ds.user_index["u\x00\x00"]
         assert {(ds.user_keys[u], ds.item_keys[i]) for u, i in ds.train} == set(pairs)
+
+
+# text pieces that the column parse and the per-line rules must read alike
+_KEY_CHARS = st.sampled_from(["u", "i", "Z", "é", "日", "ß", " ", "#", "+", "-", "_", "1",
+                              "٣", "\x00", "\u3000", "\ufeff", "\x1c", "\x0b"])
+_KEYS = st.one_of(st.text(_KEY_CHARS, max_size=9),
+                  st.text(_KEY_CHARS, max_size=3).map(lambda k: k + "\x00" * 2),
+                  st.builds(lambda c, n: c * n, _KEY_CHARS, st.integers(1000, 1100)))
+_STAMPS = st.one_of(
+    st.sampled_from(["+5", "1_000", " 7", "7 ", "\u30007", "-0", "٣", "0", "007",
+                     "1000000000000000000", "9223372036854775807",
+                     "0009223372036854775807", "00000000000000000012"]),
+    st.integers(0, 2 ** 63 - 1).map(str))
+_BAD_STAMPS = st.sampled_from(["", "-4", "x", "1__0", "9223372036854775808",
+                               "9999999999999999999", "10000000000000000000"])
+_SKIPPED = st.sampled_from(["", " ", "\u3000", "\t\t", " \t \t ", "#", "# note",
+                            "#u\ti\t5", "#u\ti\tx"])
+_BAD_LINES = st.one_of(st.tuples(_KEYS, _KEYS, _BAD_STAMPS).map("\t".join),
+                       st.sampled_from(["u\ti", "u\ti\t1\t2", "\ufeff", " #u\ti\t5", "x"]))
+
+
+@st.composite
+def _logs(draw):
+    """Bytes of an interaction log mixing records, comments and blank lines,
+    LF, CRLF and lone-CR line ends, maybe a BOM, and maybe one malformed
+    line or one byte that is not UTF-8."""
+    record = st.tuples(_KEYS, _KEYS, _STAMPS).map("\t".join)
+    lines = draw(st.lists(st.one_of(record, record, _SKIPPED), max_size=12))
+    if draw(st.sampled_from(range(3))) == 1:
+        lines.insert(draw(st.integers(0, len(lines))), draw(_BAD_LINES))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if text and draw(st.booleans()):
+        text = text[:-len(ends[-1])]  # no final line end
+    blob = (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode("utf-8")
+    if draw(st.sampled_from(range(8))) == 1:
+        at = draw(st.integers(0, len(blob)))
+        blob = blob[:at] + b"\xff" + blob[at:]
+    return blob
+
+
+def _outcome(parse, path):
+    try:
+        raw = parse(path)
+    except AlignRecError as exc:
+        return type(exc), str(exc)
+    return (raw.user_keys, raw.item_keys, raw.users.dtype, raw.users.tobytes(),
+            raw.items.dtype, raw.items.tobytes(), raw.timestamps.dtype, raw.timestamps.tobytes())
+
+
+@given(_logs())
+@settings(max_examples=300, deadline=None)
+def test_load_matches_line_reference(tmp_path_factory, blob):
+    """The column parse accepts what the per-line reference accepts, with the
+    same columns and key tables, and rejects the rest with its message."""
+    path = tmp_path_factory.mktemp("log") / "inter.tsv"
+    path.write_bytes(blob)
+    assert _outcome(load_interactions, path) == _outcome(load_interactions_reference, path)
 
 
 def _random_raw(rng, num_users, num_items, density):

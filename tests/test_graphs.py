@@ -137,6 +137,28 @@ class TestKnnSimilarity:
         assert np.array_equal(got.indices, want.indices)
         assert got.data.tobytes() == want.data.tobytes()
 
+    def test_cut_ties_on_both_sides_of_a_block_boundary(self):
+        rng = np.random.default_rng(3)
+        n, d, k_prime = 1100, 12, 3
+        feat = rng.normal(size=(n, d))
+        # one-hot copies score each other exactly 1.0 in any summation order:
+        # five such neighbours for three places, in blocks 0, 1 and 2 ...
+        feat[[505, 509, 511, 512, 515, 1030]] = np.eye(d)[0]
+        # ... and exactly three, a tie inside the selection but no cut
+        feat[[1020, 1023, 1024, 1099]] = np.eye(d)[1]
+        # Gaussian copies, whose scores with each other may or may not tie
+        feat[[100, 510, 513, 900]] = feat[50]
+        unit = feat / np.linalg.norm(feat, axis=1)[:, None]
+        for r in (511, 512):
+            assert np.count_nonzero(unit @ unit[r] == 1.0) - 1 > k_prime
+        got = build_knn_similarity(FeatureMatrix(feat), k_prime)
+        want = knn_full_sort_reference(feat, k_prime)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got.row(511)[0].tolist() == [505, 509, 512]
+        assert got.row(512)[0].tolist() == [505, 509, 511]
+
     def test_zero_norm_row_rejected(self):
         feat = FeatureMatrix(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
         with pytest.raises(DataError, match="item 1"):
