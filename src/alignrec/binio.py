@@ -3,7 +3,8 @@
 Sizes in these formats come from the file itself, so a truncated or corrupt
 header can claim any length. Every read checks the claim against the bytes
 left in the file before reading, so a bad file ends in ParseError instead of
-a short read, a struct.error or a huge allocation.
+a short read, a struct.error or a huge allocation. A file must end with its
+last field: bytes after it mean a header that understates the payload.
 """
 
 from __future__ import annotations
@@ -25,6 +26,13 @@ def read_exact(fh, size: int, path, what: str) -> bytes:
 
 def read_struct(fh, fmt: struct.Struct, path, what: str) -> tuple:
     return fmt.unpack(read_exact(fh, fmt.size, path, what))
+
+
+def check_end(fh, path) -> None:
+    """Raise ParseError unless the binary file `fh` ends where the read ended."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left:
+        raise ParseError(f"{path}: {left} bytes after the payload")
 
 
 def decode_utf8(blob: bytes, path, error: type[Exception]) -> str:

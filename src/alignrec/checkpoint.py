@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import read_exact, read_struct
+from .binio import check_end, read_exact, read_struct
 from .errors import ParseError
 from .model import PARAM_NAMES, ModelParams
 
@@ -84,6 +84,7 @@ def load_checkpoint(path) -> Checkpoint:
                 tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
             except ValueError:
                 raise ParseError(f"{path}: tensor '{name}' has unusable shape {dims}") from None
+        check_end(fh, path)
     try:
         rng_state = json.loads(rng_text) if rng_text else None
     except json.JSONDecodeError as exc:

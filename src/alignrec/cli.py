@@ -23,7 +23,7 @@ from .data import (file_sha256, kcore_filter, load_interactions, save_splits,
                    split_dataset, write_manifest)
 from .errors import (AlignRecError, ConfigError, DataError,
                      TrainingDivergedError)
-from .evaluator import evaluate, longtail_evaluate, max_workers, rank_all
+from .evaluator import evaluate, longtail_evaluate, rank_all
 from .features import align_features, load_features, read_item_list
 from .graphs import build_graphs
 from .model import forward
@@ -240,7 +240,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, seed_override=args.seed)
-        max_workers()  # a bad ALIGNREC_THREADS fails here, not at the first eval
         _check_inputs(cfg, args)
         return COMMANDS[args.command](cfg, args)
     except ConfigError as exc:

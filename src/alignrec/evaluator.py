@@ -5,13 +5,13 @@ of relevant items; its top is the first K non-excluded items by descending
 score, ties to the lower item index. evaluate and longtail_evaluate score
 each user by the inner product and select with rank_all, the exact partial
 top-K of sparse.top_k (it partitions to the K-th value and sorts only the
-items that reach it, so its output is the prefix of the full sort); chunks of
-users are spread over a thread pool. The feature protocols rank their
-queries with sparse.score_top_k and pass the tops to ranked_report. Either
-way one loop turns each top into per-K recall and NDCG values. Seen
-positives are masked: the train split is always excluded from the candidate
-set, and the validation split is additionally excluded when scoring the test
-split.
+items that reach it, so its output is the prefix of the full sort); a thread
+pool ranks chunks of users and hands their tops back in user order. The
+feature protocols rank their queries with sparse.score_top_k. Every ranking
+ends in ranked_report, one loop that turns each top into per-K recall and
+NDCG values. Seen positives are masked: the train split is always excluded
+from the candidate set, and the validation split is additionally excluded
+when scoring the test split.
 
 Per-user metric values are accumulated with exactly-rounded summation
 (math.fsum) so reported means are reproducible bit for bit and can be checked
@@ -20,6 +20,7 @@ against an independent implementation without tolerance.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -36,17 +37,9 @@ _CHUNK = 256
 
 
 def max_workers() -> int:
-    """Thread cap from ALIGNREC_THREADS; 0 or unset means automatic."""
-    raw = os.environ.get("ALIGNREC_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"ALIGNREC_THREADS must be an integer, got '{raw}'") from None
-    if value < 0:
-        raise ConfigError("ALIGNREC_THREADS must be >= 0")
-    if value == 0:
-        return min(os.cpu_count() or 1, 8)
-    return value
+    """Threads of the evaluator's pool: the CPUs this process may run on, at
+    most 8."""
+    return min(len(os.sched_getaffinity(0)), 8)
 
 
 @dataclass
@@ -83,24 +76,30 @@ class EvalReport:
 rank_all = top_k
 
 
-def recall_at_k(ranked, relevant: set[int], k: int) -> float:
+def _hit_ranks(ranked, relevant: set[int]) -> list[int]:
+    """The ranks, starting at 1, at which `ranked` holds a relevant item."""
+    return [rank for rank, item in enumerate(ranked, start=1) if int(item) in relevant]
+
+
+def _recall_ndcg(hits: list[int], relevant: set[int], k: int) -> tuple[float, float]:
+    """Recall@k and NDCG@k of a ranking from its hit ranks. NDCG has binary
+    gain, 1/log2(rank+1) discount with ranks starting at 1, ideal
+    normalization truncated at k."""
     if not relevant:
-        return 0.0
-    hits = sum(1 for item in ranked[:k] if int(item) in relevant)
-    return hits / len(relevant)
+        return 0.0, 0.0
+    hits = [rank for rank in hits if rank <= k]
+    dcg = math.fsum(1.0 / math.log2(rank + 1.0) for rank in hits)
+    ideal = math.fsum(1.0 / math.log2(rank + 1.0)
+                      for rank in range(1, min(k, len(relevant)) + 1))
+    return len(hits) / len(relevant), dcg / ideal if ideal > 0.0 else 0.0
+
+
+def recall_at_k(ranked, relevant: set[int], k: int) -> float:
+    return _recall_ndcg(_hit_ranks(ranked[:k], relevant), relevant, k)[0]
 
 
 def ndcg_at_k(ranked, relevant: set[int], k: int) -> float:
-    """Binary gain, 1/log2(rank+1) discount with ranks starting at 1, ideal
-    normalization truncated at k."""
-    if not relevant:
-        return 0.0
-    dcg = math.fsum(1.0 / math.log2(rank + 1.0)
-                    for rank, item in enumerate(ranked[:k], start=1)
-                    if int(item) in relevant)
-    ideal = math.fsum(1.0 / math.log2(rank + 1.0)
-                      for rank in range(1, min(k, len(relevant)) + 1))
-    return dcg / ideal if ideal > 0.0 else 0.0
+    return _recall_ndcg(_hit_ranks(ranked[:k], relevant), relevant, k)[1]
 
 
 def check_ks(ks, name: str) -> None:
@@ -118,25 +117,19 @@ def _sorted_ks(ks) -> tuple[int, ...]:
     return ks
 
 
-def _rank_metrics(tops, relevant, ks):
-    """Per-K recall and NDCG lists over ranked tops, each at least ks[-1]
-    long where the candidates allow, and their relevant sets; ks sorted
-    ascending."""
-    rec = {k: [] for k in ks}
+def ranked_report(tops, relevant, ks, **fields) -> EvalReport:
+    """Per-K mean recall and NDCG over ranked tops, each the first max(ks)
+    candidates of its query or all of them, and the queries' relevant sets;
+    zeros when no query was ranked."""
+    ks = _sorted_ks(ks)
+    recall = {k: [] for k in ks}
     ndcg = {k: [] for k in ks}
     for top, rel in zip(tops, relevant):
-        top = top.tolist()
+        hits = _hit_ranks(top.tolist(), rel)
         for k in ks:
-            rec[k].append(recall_at_k(top[:k], rel, k))
-            ndcg[k].append(ndcg_at_k(top[:k], rel, k))
-    return rec, ndcg
-
-
-def _report(results, ks, **fields) -> EvalReport:
-    """Per-K means over the (recall, ndcg) lists of every result; zeros when
-    no query was ranked."""
-    recall = {k: [v for rec, _ in results for v in rec[k]] for k in ks}
-    ndcg = {k: [v for _, nd in results for v in nd[k]] for k in ks}
+            r, n = _recall_ndcg(hits, rel, k)
+            recall[k].append(r)
+            ndcg[k].append(n)
     count = len(recall[ks[0]])
 
     def mean(values):
@@ -145,13 +138,6 @@ def _report(results, ks, **fields) -> EvalReport:
     return EvalReport(recall={k: mean(recall[k]) for k in ks},
                       ndcg={k: mean(ndcg[k]) for k in ks},
                       users_evaluated=count, **fields)
-
-
-def ranked_report(tops, relevant, ks, **fields) -> EvalReport:
-    """Serial report over ranked tops, each the first max(ks) candidates of
-    its query or all of them, and the queries' relevant sets."""
-    ks = _sorted_ks(ks)
-    return _report([_rank_metrics(tops, relevant, ks)], ks, **fields)
 
 
 def _split_sets(ds: Dataset, split: str) -> tuple[list[set[int]], list[set[int]]]:
@@ -163,22 +149,17 @@ def _split_sets(ds: Dataset, split: str) -> tuple[list[set[int]], list[set[int]]
 
 
 def _evaluate_users(reps, users, exclude, relevant, ks, **fields) -> EvalReport:
-    """Report over the users' inner-product rankings, chunks spread over the
-    thread pool."""
-    ks = _sorted_ks(ks)
+    """Report over the users' inner-product rankings; the pool ranks chunks of
+    users and the calling thread scores their tops in user order."""
+    k = _sorted_ks(ks)[-1]
 
-    def chunk_metrics(chunk):
-        tops = (rank_all(reps.h_items @ reps.h_users[u], exclude[u], ks[-1]) for u in chunk)
-        return _rank_metrics(tops, (relevant[u] for u in chunk), ks)
+    def chunk_tops(chunk):
+        return [rank_all(reps.h_items @ reps.h_users[u], exclude[u], k) for u in chunk]
 
     chunks = [users[s:s + _CHUNK] for s in range(0, len(users), _CHUNK)]
-    workers = max_workers() if chunks else 1
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(chunk_metrics, chunks))
-    else:
-        results = [chunk_metrics(c) for c in chunks]
-    return _report(results, ks, **fields)
+    with ThreadPoolExecutor(max_workers()) as pool:
+        tops = itertools.chain.from_iterable(pool.map(chunk_tops, chunks))
+        return ranked_report(tops, (relevant[u] for u in users), ks, **fields)
 
 
 def evaluate(reps: Representations, ds: Dataset, split: str,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import read_exact, read_struct, read_text
+from .binio import check_end, read_exact, read_struct, read_text
 from .data import Dataset
 from .errors import DataError, DimensionError, ParseError
 
@@ -78,6 +78,7 @@ def load_features(path, expected_items: int) -> FeatureMatrix:
         if rows != expected_items:
             raise DimensionError(f"{path}: file holds {rows} rows, expected {expected_items}")
         payload = read_exact(fh, rows * dim * 8, path, "payload")
+        check_end(fh, path)
     data = np.frombuffer(payload, dtype="<f8").reshape(rows, dim).astype(np.float64)
     return FeatureMatrix(data)
 

@@ -63,8 +63,10 @@ def zero_shot_eval(feat: FeatureMatrix, ds: Dataset, cfg: ProtocolConfig) -> Eva
         raise ConfigError(
             "zero-shot needs one test item per user (a temporal-leave-one-out split), "
             f"but user '{ds.user_keys[u]}' has {per_user[u]}")
-    train_items = items_by_user(ds.train, ds.num_users)
     target = {int(u): int(i) for u, i in ds.test}
+    ranked = np.zeros(ds.num_users, dtype=bool)
+    ranked[ds.test[:, 0]] = True
+    train_items = items_by_user(ds.train[ranked[ds.train[:, 0]]], ds.num_users)
     users = [u for u in range(ds.num_users) if u in target and train_items[u]]
     # canonical order: the mean must not depend on interaction order
     history = [sorted(train_items[u]) for u in users]

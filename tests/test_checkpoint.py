@@ -65,6 +65,15 @@ def test_truncated_at_every_offset(tmp_path, rng):
             load_checkpoint(path)
 
 
+def test_trailing_bytes_rejected(tmp_path, rng):
+    params = init_params(2, 2, 2, 3, 2, rng)
+    path = tmp_path / "model.ackp"
+    save_checkpoint(path, params, "")
+    path.write_bytes(path.read_bytes() + b"junk")
+    with pytest.raises(ParseError, match=r"model\.ackp: 4 bytes after the payload$"):
+        load_checkpoint(path)
+
+
 def test_oversized_claims_rejected(tmp_path, rng):
     params = init_params(2, 2, 2, 3, 2, rng)
     path = tmp_path / "model.ackp"

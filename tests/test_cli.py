@@ -293,6 +293,9 @@ class TestEval:
             path = workspace / f"{name}.ackp"
             save_checkpoint(path, params, good.config_text)
             cases.append((path, f"tensor '{name}' holds a non-finite value"))
+        longer = workspace / "longer.ackp"
+        longer.write_bytes((workspace / "out" / "checkpoint_best.ackp").read_bytes() + b"junk")
+        cases.append((longer, "4 bytes after the payload"))
         monkeypatch.setattr(cli, "load_interactions", _no_load)
         capsys.readouterr()
         for path, message in cases:
@@ -316,6 +319,15 @@ class TestIntermediate:
         cfg = BASE_CONFIG.replace("masked_features = masked.afea\n", "")
         (workspace / "run.ini").write_text(cfg, encoding="utf-8")
         assert _run(workspace, "intermediate") == 2
+
+    def test_features_with_trailing_bytes_is_data_error(self, workspace, capsys):
+        path = workspace / "features.afea"
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        assert _run(workspace, "intermediate") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"data error: {path}: 8 bytes after the payload\n"
+        assert not (workspace / "out").exists()
 
 
 class TestRecommend:
@@ -645,15 +657,6 @@ class TestInputs:
             assert _run(workspace, "train") == 0
         finally:
             os.close(read_end)
-
-    def test_bad_thread_cap_fails_before_data_loads(self, workspace, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "load_interactions", _no_load)
-        monkeypatch.setenv("ALIGNREC_THREADS", "abc")
-        assert _run(workspace, "train") == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "config error: ALIGNREC_THREADS must be an integer, got 'abc'\n"
-        assert not (workspace / "out").exists()
 
     @pytest.mark.parametrize("name, byte, code", [("interactions.tsv", b"\xff", 3),
                                                   ("items.txt", b"\xfe", 3),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alignrec import evaluator
 from alignrec.data import Dataset
 from alignrec.errors import ConfigError
 from alignrec.evaluator import (evaluate, longtail_evaluate, ndcg_at_k,
@@ -229,9 +230,9 @@ def test_thread_cap_does_not_change_results(rng, monkeypatch):
     test = [[u, (u + 7) % num_items] for u in range(num_users)]
     ds = _dataset(num_users, num_items, train, [], test)
     reps = _reps(rng.normal(size=(num_users, 4)), rng.normal(size=(num_items, 4)))
-    monkeypatch.setenv("ALIGNREC_THREADS", "1")
+    monkeypatch.setattr(evaluator, "max_workers", lambda: 1)
     serial = evaluate(reps, ds, "test", (5, 10))
-    monkeypatch.setenv("ALIGNREC_THREADS", "4")
+    monkeypatch.setattr(evaluator, "max_workers", lambda: 4)
     threaded = evaluate(reps, ds, "test", (5, 10))
     assert serial.recall == threaded.recall
     assert serial.ndcg == threaded.ndcg

@@ -70,6 +70,21 @@ def test_truncated_at_every_offset(tmp_path):
             load_features(path, expected_items=2)
 
 
+def test_trailing_bytes_rejected(tmp_path):
+    # a header that understates dim would otherwise load every row shifted
+    path = tmp_path / "f.afea"
+    save_features(path, np.arange(12, dtype=np.float64).reshape(3, 4) + 1.0)
+    blob = bytearray(path.read_bytes())
+    blob[16:24] = struct.pack("<Q", 3)  # dim
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ParseError, match=r"f\.afea: 24 bytes after the payload$"):
+        load_features(path, expected_items=3)
+    save_features(path, np.ones((2, 3)))
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ParseError, match="1 bytes after the payload"):
+        load_features(path, expected_items=2)
+
+
 def _tiny_ds():
     raw = RawInteractions.from_records([("u0", "iA", 0), ("u0", "iB", 1),
                            ("u1", "iA", 2), ("u1", "iB", 3)])
