@@ -4,7 +4,7 @@ from .data import Dataset, RawInteractions, kcore_filter, load_interactions, spl
 from .errors import (AlignRecError, ConfigError, DataError, DimensionError,
                      EmptyAfterFilterError, EmptyInputError,
                      InternalInvariantError, ParseError, TrainingDivergedError)
-from .evaluator import EvalReport, evaluate, longtail_evaluate, ndcg_at_k, rank_all, recall_at_k
+from .evaluator import EvalReport, evaluate, longtail_evaluate, rank_all
 from .features import FeatureMatrix, align_features, load_features, read_item_list, save_features
 from .graphs import GraphBundle, build_graphs, build_knn_similarity, build_norm_interaction
 from .losses import (BatchSample, LossWeights, bpr_loss, cca_infonce,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import check_end, read_exact, read_struct
+from .binio import check_end, decode_utf8, read_exact, read_struct
 from .errors import ParseError
 from .model import PARAM_NAMES, ModelParams
 
@@ -68,14 +68,14 @@ def load_checkpoint(path) -> Checkpoint:
         if version != VERSION:
             raise ParseError(f"{path}: unsupported version {version}")
         (config_len,) = read_struct(fh, _U64, path, "config length")
-        header = _utf8(read_exact(fh, config_len, path, "config text"), path)
+        header = decode_utf8(read_exact(fh, config_len, path, "config text"), path, ParseError)
         (rng_len,) = read_struct(fh, _U64, path, "RNG state length")
-        rng_text = _utf8(read_exact(fh, rng_len, path, "RNG state"), path)
+        rng_text = decode_utf8(read_exact(fh, rng_len, path, "RNG state"), path, ParseError)
         (count,) = read_struct(fh, _U32, path, "tensor count")
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = read_struct(fh, _U32, path, "tensor name length")
-            name = _utf8(read_exact(fh, name_len, path, "tensor name"), path)
+            name = decode_utf8(read_exact(fh, name_len, path, "tensor name"), path, ParseError)
             (ndim,) = read_struct(fh, _U32, path, f"tensor '{name}' rank")
             dims = tuple(d for (d,) in _U64.iter_unpack(
                 read_exact(fh, _U64.size * ndim, path, f"tensor '{name}' shape")))
@@ -96,10 +96,3 @@ def load_checkpoint(path) -> Checkpoint:
     status = status_line.partition("=")[2].strip() if "=" in status_line else "ok"
     return Checkpoint(params=ModelParams(**{n: tensors[n] for n in PARAM_NAMES}),
                       config_text=config_text, rng_state=rng_state, status=status)
-
-
-def _utf8(blob: bytes, path) -> str:
-    try:
-        return blob.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: invalid UTF-8 in checkpoint: {exc}") from None

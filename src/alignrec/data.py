@@ -131,15 +131,18 @@ class Dataset:
             raise ConfigError(f"unknown split '{name}'") from None
 
     def user_train_items(self) -> list[set[int]]:
-        return items_by_user(self.train, self.num_users)
+        indptr, items = (a.tolist() for a in items_by_user(self.train, self.num_users))
+        return [set(items[lo:hi]) for lo, hi in zip(indptr[:-1], indptr[1:])]
 
 
-def items_by_user(pairs: np.ndarray, num_users: int) -> list[set[int]]:
-    """The item set of each user in an (n, 2) array of (user, item) pairs."""
-    order = np.argsort(pairs[:, 0], kind="stable")
-    users, items = pairs[order, 0], pairs[order, 1]
-    bounds = np.searchsorted(users, np.arange(num_users + 1))
-    return [set(items[lo:hi].tolist()) for lo, hi in zip(bounds[:-1], bounds[1:])]
+def items_by_user(pairs: np.ndarray, num_users: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct items of each user in an (n, 2) array of (user, item)
+    pairs as one CSR pair (indptr, items): user u's items, ascending, are
+    items[indptr[u]:indptr[u + 1]]."""
+    base = int(pairs[:, 1].max()) + 1 if len(pairs) else 1
+    keys = np.sort(pairs[:, 0] * base + pairs[:, 1])
+    users, items = np.divmod(keys[np.diff(keys, prepend=-1) != 0], base)
+    return np.searchsorted(users, np.arange(num_users + 1)), items
 
 
 def load_interactions(path) -> RawInteractions:

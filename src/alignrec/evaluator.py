@@ -1,14 +1,15 @@
 """All-ranking top-K evaluation: Recall@K, NDCG@K, and the long-tail slice.
 
-A ranked query is a score over all items, a set of excluded items and a set
-of relevant items; its top is the first K non-excluded items by descending
-score, ties to the lower item index. evaluate and longtail_evaluate score
+A ranked query is a score over all items, an int array of excluded items and
+an ascending one of relevant items, slices of data.items_by_user's per-user
+CSR lists; its top is the first K non-excluded items by descending score,
+ties to the lower item index. evaluate and longtail_evaluate score
 each user by the inner product and select with rank_all, the exact partial
 top-K of sparse.top_k (it partitions to the K-th value and sorts only the
 items that reach it, so its output is the prefix of the full sort); a thread
 pool ranks chunks of users and hands their tops back in user order. The
 feature protocols rank their queries with sparse.score_top_k. Every ranking
-ends in ranked_report, one loop that turns each top into per-K recall and
+ends in ranked_report, which turns all tops at once into per-K recall and
 NDCG values. Seen positives are masked: the train split is always excluded
 from the candidate set, and the validation split is additionally excluded
 when scoring the test split.
@@ -76,32 +77,6 @@ class EvalReport:
 rank_all = top_k
 
 
-def _hit_ranks(ranked, relevant: set[int]) -> list[int]:
-    """The ranks, starting at 1, at which `ranked` holds a relevant item."""
-    return [rank for rank, item in enumerate(ranked, start=1) if int(item) in relevant]
-
-
-def _recall_ndcg(hits: list[int], relevant: set[int], k: int) -> tuple[float, float]:
-    """Recall@k and NDCG@k of a ranking from its hit ranks. NDCG has binary
-    gain, 1/log2(rank+1) discount with ranks starting at 1, ideal
-    normalization truncated at k."""
-    if not relevant:
-        return 0.0, 0.0
-    hits = [rank for rank in hits if rank <= k]
-    dcg = math.fsum(1.0 / math.log2(rank + 1.0) for rank in hits)
-    ideal = math.fsum(1.0 / math.log2(rank + 1.0)
-                      for rank in range(1, min(k, len(relevant)) + 1))
-    return len(hits) / len(relevant), dcg / ideal if ideal > 0.0 else 0.0
-
-
-def recall_at_k(ranked, relevant: set[int], k: int) -> float:
-    return _recall_ndcg(_hit_ranks(ranked[:k], relevant), relevant, k)[0]
-
-
-def ndcg_at_k(ranked, relevant: set[int], k: int) -> float:
-    return _recall_ndcg(_hit_ranks(ranked[:k], relevant), relevant, k)[1]
-
-
 def check_ks(ks, name: str) -> None:
     """Raise ConfigError unless `ks` holds one or more distinct positive K."""
     if not ks or any(k < 1 for k in ks):
@@ -118,48 +93,70 @@ def _sorted_ks(ks) -> tuple[int, ...]:
 
 
 def ranked_report(tops, relevant, ks, **fields) -> EvalReport:
-    """Per-K mean recall and NDCG over ranked tops, each the first max(ks)
-    candidates of its query or all of them, and the queries' relevant sets;
-    zeros when no query was ranked."""
+    """Per-K mean recall and NDCG over ranked tops, int arrays of the first
+    max(ks) candidates of each query or all of them, and the queries'
+    relevant items, ascending int arrays without repeats; zeros when no query
+    was ranked. NDCG has binary gain, 1/log2(rank+1) discount with ranks from
+    1, ideal normalization truncated at K. Each per-query value has the bits
+    of math.fsum over its terms: one or two hit discounts are added with +,
+    which rounds once as fsum does, and more go through math.fsum."""
     ks = _sorted_ks(ks)
-    recall = {k: [] for k in ks}
-    ndcg = {k: [] for k in ks}
-    for top, rel in zip(tops, relevant):
-        hits = _hit_ranks(top.tolist(), rel)
-        for k in ks:
-            r, n = _recall_ndcg(hits, rel, k)
-            recall[k].append(r)
-            ndcg[k].append(n)
-    count = len(recall[ks[0]])
+    tops, relevant = list(tops), list(relevant)
+    count = len(tops)
+    if not count:
+        return EvalReport({k: 0.0 for k in ks}, {k: 0.0 for k in ks}, 0, **fields)
+    top_len = np.fromiter(map(len, tops), np.int64, count)
+    rel_len = np.fromiter(map(len, relevant), np.int64, count)
+    # (query, item) keys: ascending over the relevant items, in rank order over
+    # the tops; a last relevant key above all of them gives every top a place
+    keys, rel = np.concatenate(tops), np.concatenate(relevant)
+    base = max(int(keys.max(initial=0)), int(rel.max(initial=0))) + 1
+    keys += np.repeat(np.arange(count) * base, top_len)
+    rel_keys = np.append(rel + np.repeat(np.arange(count) * base, rel_len), count * base)
+    hit = np.flatnonzero(rel_keys[np.searchsorted(rel_keys, keys)] == keys)
+    query = keys[hit] // base
+    rank = hit - (np.cumsum(top_len) - top_len)[query] + 1
+    disc = np.array([0.0] + [1.0 / math.log2(r + 1.0) for r in range(1, ks[-1] + 1)])
+    # ideal DCG by min(K, relevant count); 1.0 for none, where the DCG is 0.0
+    ideal = np.array([1.0] + [math.fsum(disc[1:m + 1].tolist()) for m in range(1, len(disc))])
+    recall, ndcg = {}, {}
+    for k in ks:
+        in_k = rank <= k
+        q, terms = query[in_k], disc[rank[in_k]]
+        hits = np.bincount(q, minlength=count)
+        dcg = np.bincount(q, weights=terms, minlength=count)  # adds in rank order
+        many = np.flatnonzero(hits >= 3)
+        for u, start in zip(many.tolist(), np.searchsorted(q, many).tolist()):
+            dcg[u] = math.fsum(terms[start:start + hits[u]].tolist())
+        recall[k] = math.fsum((hits / np.maximum(rel_len, 1)).tolist()) / count
+        ndcg[k] = math.fsum((dcg / ideal[np.minimum(k, rel_len)]).tolist()) / count
+    return EvalReport(recall=recall, ndcg=ndcg, users_evaluated=count, **fields)
 
-    def mean(values):
-        return math.fsum(values) / count if count else 0.0
 
-    return EvalReport(recall={k: mean(recall[k]) for k in ks},
-                      ndcg={k: mean(ndcg[k]) for k in ks},
-                      users_evaluated=count, **fields)
-
-
-def _split_sets(ds: Dataset, split: str) -> tuple[list[set[int]], list[set[int]]]:
-    """Per-user exclusion and relevance sets for ranking a split: train is
-    always excluded, and val too when ranking test."""
+def _split_items(ds: Dataset, split: str):
+    """Per-user CSR lists (indptr, items) of the excluded and the relevant
+    items of a split: train is excluded, and val too when ranking test."""
     seen = ds.train if split == "val" else np.concatenate([ds.train, ds.val])
     return (items_by_user(seen, ds.num_users),
             items_by_user(ds.split(split), ds.num_users))
 
 
 def _evaluate_users(reps, users, exclude, relevant, ks, **fields) -> EvalReport:
-    """Report over the users' inner-product rankings; the pool ranks chunks of
-    users and the calling thread scores their tops in user order."""
+    """Report over the inner-product rankings of `users`, with per-user CSR
+    lists; the pool ranks chunks of users and returns tops in user order."""
     k = _sorted_ks(ks)[-1]
+    ex_ptr, ex_items = exclude
 
     def chunk_tops(chunk):
-        return [rank_all(reps.h_items @ reps.h_users[u], exclude[u], k) for u in chunk]
+        return [rank_all(reps.h_items @ reps.h_users[u], ex_items[ex_ptr[u]:ex_ptr[u + 1]], k)
+                for u in chunk]
 
     chunks = [users[s:s + _CHUNK] for s in range(0, len(users), _CHUNK)]
     with ThreadPoolExecutor(max_workers()) as pool:
-        tops = itertools.chain.from_iterable(pool.map(chunk_tops, chunks))
-        return ranked_report(tops, (relevant[u] for u in users), ks, **fields)
+        tops = list(itertools.chain.from_iterable(pool.map(chunk_tops, chunks)))
+    rel_ptr, rel_items = relevant
+    return ranked_report(tops, [rel_items[rel_ptr[u]:rel_ptr[u + 1]] for u in users],
+                         ks, **fields)
 
 
 def evaluate(reps: Representations, ds: Dataset, split: str,
@@ -168,8 +165,8 @@ def evaluate(reps: Representations, ds: Dataset, split: str,
     split."""
     if split not in ("val", "test"):
         raise ConfigError(f"evaluation split must be val or test, got '{split}'")
-    exclude, relevant = _split_sets(ds, split)
-    users = [u for u in range(ds.num_users) if relevant[u]]
+    exclude, relevant = _split_items(ds, split)
+    users = np.flatnonzero(np.diff(relevant[0]))
     return _evaluate_users(reps, users, exclude, relevant, ks)
 
 
@@ -177,10 +174,11 @@ def longtail_evaluate(reps: Representations, ds: Dataset, ks=(10, 20, 50),
                       threshold: float = 4) -> EvalReport:
     """Test-split evaluation restricted to items with a train interaction
     count strictly below the threshold."""
-    exclude, relevant = _split_sets(ds, "test")
-    degrees = ds.item_train_degree
-    restricted = [{i for i in rel if degrees[i] < threshold} for rel in relevant]
-    users = [u for u in range(ds.num_users) if restricted[u]]
-    skipped = sum(1 for u in range(ds.num_users) if relevant[u] and not restricted[u])
-    return _evaluate_users(reps, users, exclude, restricted, ks,
+    exclude, (indptr, items) = _split_items(ds, "test")
+    keep = ds.item_train_degree[items] < threshold
+    restricted = np.concatenate([[0], np.cumsum(keep)])[indptr]
+    has_kept = np.diff(restricted) > 0
+    skipped = int(np.count_nonzero((np.diff(indptr) > 0) & ~has_kept))
+    return _evaluate_users(reps, np.flatnonzero(has_kept), exclude,
+                           (restricted, items[keep]), ks,
                            slice_label="longtail", skipped=skipped)

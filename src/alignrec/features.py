@@ -51,11 +51,14 @@ class FeatureMatrix:
 
 def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row of `x` scaled to unit L2 norm, zero rows left zero; also the
-    row norms and the mask of nonzero rows."""
-    norms = np.linalg.norm(x, axis=1)
+    row norms and the mask of nonzero rows. The norms are taken 512 rows at a
+    time, so the result is the only full-size array allocated."""
+    norms = np.empty(len(x))
+    for start in range(0, len(x), 512):
+        norms[start:start + 512] = np.linalg.norm(x[start:start + 512], axis=1)
     nz = norms > 0.0
     unit = np.zeros_like(x)
-    unit[nz] = x[nz] / norms[nz, None]
+    np.divide(x, norms[:, None], out=unit, where=nz[:, None])
     return unit, norms, nz
 
 

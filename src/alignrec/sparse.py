@@ -86,16 +86,11 @@ class SparseMatrix:
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix.from_scipy(self._scipy.T)
 
-    def row(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """(column indices, weights) of one row."""
-        lo, hi = self.indptr[r], self.indptr[r + 1]
-        return self.indices[lo:hi], self.data[lo:hi]
-
 
 def top_k(scores: np.ndarray, exclude, k: int) -> np.ndarray:
-    """The first min(k, candidates) indices not in `exclude` (k >= 1) by
-    descending score, ties to the lower index: the prefix of the full
-    lexsort((idx, -scores[idx])) order, bit for bit.
+    """The first min(k, candidates) indices not in `exclude`, an int array or
+    sequence (k >= 1), by descending score, ties to the lower index: the
+    prefix of the full lexsort((idx, -scores[idx])) order, bit for bit.
 
     A partition finds the K-th value; every candidate at or above it is
     admitted, so the whole tie group at the cut is sorted with the rest.
@@ -103,7 +98,7 @@ def top_k(scores: np.ndarray, exclude, k: int) -> np.ndarray:
     sort, which puts NaN last."""
     keep = np.ones(scores.shape[0], dtype=bool)
     if len(exclude):
-        keep[list(exclude)] = False
+        keep[exclude] = False
     idx = np.flatnonzero(keep)
     neg = -scores[idx]
     if k < idx.size:
@@ -114,45 +109,49 @@ def top_k(scores: np.ndarray, exclude, k: int) -> np.ndarray:
     return idx[np.lexsort((idx, neg))[:k]]
 
 
-# query rows per GEMM in score_top_k: 256 x 5k items is an 11 MB block
-_QUERY_BLOCK = 256
+# query rows per GEMM in score_top_k: 128 x 5.4k items is a 5.5 MB block
+_QUERY_BLOCK = 128
+
+
+def _abs_max(U: np.ndarray) -> float:
+    """max|U|, +0.0 for an empty or all-zero U, without the full-size |U|."""
+    return max(0.0, float(U.max()), float(-U.min())) if U.size else 0.0
 
 
 def score_top_k(Q: np.ndarray, U: np.ndarray, exclude, k: int) -> list[np.ndarray]:
     """For each query row q of Q, the top_k (k >= 1) of the canonical scores
-    np.sum(U * q, axis=1) with the items exclude[r] removed: the prefix of the
-    full canonical sort, ties to the lower index. Q and U are finite float64
-    matrices with as many columns. A canonical score does not depend on the
-    other rows summed with it, nor on the BLAS kernel or its threads.
+    np.sum(U * q, axis=1) without the int array exclude[r] of items: the
+    prefix of the full canonical sort, ties to the lower index. Q and U are
+    finite float64 matrices with as many columns. A canonical score does not
+    depend on the other rows summed with it, nor on the BLAS kernel.
 
-    Each block of query rows is first scored by one GEMM. The GEMM value and
-    the canonical score both lie within gamma_d * ||q||_1 * max|U| of the
-    exact product in any summation order, gamma_d = d*u/(1 - d*u), u = eps/2
-    (plus an absolute term for underflow). So every item of the canonical
-    top K, and of its tie group at the cut, has a GEMM value at most four
-    times that below the row's K-th largest one. Only the items in a band
-    twice that wide are rescored canonically, one query at a time.
+    Each block of query rows is first scored by one GEMM, with its excluded
+    items set to -inf by one fancy assignment. The GEMM value and the
+    canonical score both lie within gamma_d * ||q||_1 * max|U| of the exact
+    product in any summation order, gamma_d = d*u/(1 - d*u), u = eps/2 (plus
+    an absolute term for underflow). So every item of the canonical top K,
+    and of its tie group at the cut, has a GEMM value at most four times
+    that below the row's K-th largest one. Only the items in a band twice
+    that wide are rescored canonically, one query at a time.
     """
     n, d = U.shape
     # ||q||_1 * max|U| bounds sum|q_i u_i| with no squaring to underflow
-    slack = 4.0 * d * np.finfo(np.float64).eps * (np.abs(U).max() if U.size else 0.0)
+    slack = 4.0 * d * np.finfo(np.float64).eps * _abs_max(U)
     floor = 4.0 * d * np.finfo(np.float64).tiny
     lowest = np.finfo(np.float64).min  # above -inf: an excluded item is never in the band
     tops = []
     for start in range(0, Q.shape[0], _QUERY_BLOCK):
-        block = Q[start:start + _QUERY_BLOCK]
+        block, banned = Q[start:start + _QUERY_BLOCK], exclude[start:start + _QUERY_BLOCK]
         gemm = block @ U.T
-        for r, ex in enumerate(exclude[start:start + _QUERY_BLOCK]):
-            if len(ex):
-                gemm[r, list(ex)] = -np.inf
-        if k <= n:
-            kth = np.partition(gemm, n - k, axis=1)[:, n - k]
-        else:
-            kth = np.full(block.shape[0], -np.inf)
-        band = np.maximum(kth - (slack * np.abs(block).sum(axis=1) + floor), lowest)
-        for q, row, low in zip(block, gemm, band):
-            cand = np.flatnonzero(row >= low)
+        counts = [len(ex) for ex in banned]
+        gemm[np.repeat(np.arange(len(counts)), counts), np.concatenate(banned)] = -np.inf
+        widths = slack * np.abs(block).sum(axis=1) + floor
+        for q, row, width in zip(block, gemm, widths):
+            # the K-th value row by row: no partitioned copy of the block
+            kth = np.partition(row, n - k)[n - k] if k <= n else -np.inf
+            cand = np.flatnonzero(row >= max(kth - width, lowest))
             terms = U[cand]
             terms *= q  # in place: the bits of U[cand] * q, one allocation fewer
             tops.append(cand[top_k(terms.sum(axis=1), (), k)])
+        del gemm, row  # so the next GEMM is not allocated beside this one
     return tops

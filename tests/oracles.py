@@ -313,6 +313,25 @@ def bruteforce_evaluate(h_users, h_items, ds, split, ks):
     return recall, ndcg, n
 
 
+def recall_at_k(ranked, relevant, k):
+    """The share of the relevant set among the first k ranked items."""
+    if not relevant:
+        return 0.0
+    return sum(1 for item in list(ranked)[:k] if item in relevant) / len(relevant)
+
+
+def ndcg_at_k(ranked, relevant, k):
+    """Binary-gain NDCG of the first k ranked items: discount 1/log2(rank+1)
+    with ranks from 1, ideal DCG over min(k, |relevant|) hits."""
+    if not relevant:
+        return 0.0
+    dcg = math.fsum(1.0 / math.log2(rank + 1.0)
+                    for rank, item in enumerate(list(ranked)[:k], start=1) if item in relevant)
+    ideal = math.fsum(1.0 / math.log2(rank + 1.0)
+                      for rank in range(1, min(k, len(relevant)) + 1))
+    return dcg / ideal
+
+
 def itemcf_reference(ds):
     """Double-loop set-intersection co-occurrence cosine."""
     users_of = [set() for _ in range(ds.num_items)]

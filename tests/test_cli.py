@@ -305,6 +305,23 @@ class TestEval:
                 assert captured.out == ""
                 assert captured.err == f"data error: {path}: {message}\n"
 
+    def test_checkpoint_config_byte_not_utf8(self, workspace, capsys, monkeypatch):
+        assert _run(workspace, "train") == 0
+        blob = bytearray((workspace / "out" / "checkpoint_best.ackp").read_bytes())
+        # the config text follows magic, version and its u64 length
+        header = bytes(blob[16:16 + int.from_bytes(blob[8:16], "little")])
+        at = header.index(b"\n", header.index(b"\n") + 1) + 1  # the third line
+        blob[16 + at] = 0xFF
+        path = workspace / "c.ackp"
+        path.write_bytes(bytes(blob))
+        monkeypatch.setattr(cli, "load_interactions", _no_load)
+        capsys.readouterr()
+        for command in ("eval", "recommend"):
+            assert _run(workspace, command, "--checkpoint", str(path), "--user", "u00") == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"data error: {path}:3: byte 0xff is not UTF-8\n"
+
 
 class TestIntermediate:
     def test_all_protocols_run(self, workspace, capsys):

@@ -391,10 +391,13 @@ def test_items_by_user_matches_per_edge_loop(rng):
         want = [set() for _ in range(num_users)]
         for u, i in pairs:
             want[u].add(int(i))
-        got = items_by_user(pairs, num_users)
-        assert got == want
-        assert all(type(i) is int for items in got for i in items)
-    assert items_by_user(np.empty((0, 2), dtype=np.int64), 0) == []
+        indptr, items = items_by_user(pairs, num_users)
+        assert indptr.shape == (num_users + 1,) and indptr[0] == 0
+        assert [items[indptr[u]:indptr[u + 1]].tolist() for u in range(num_users)] \
+            == [sorted(s) for s in want]
+        assert items.dtype == np.int64
+    indptr, items = items_by_user(np.empty((0, 2), dtype=np.int64), 0)
+    assert indptr.tolist() == [0] and items.size == 0
 
 
 def test_manifest_roundtrip(tmp_path):

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from alignrec import evaluator
 from alignrec.data import Dataset
 from alignrec.errors import ConfigError
-from alignrec.evaluator import (evaluate, longtail_evaluate, ndcg_at_k,
-                                rank_all, ranked_report, recall_at_k)
+from alignrec.evaluator import evaluate, longtail_evaluate, rank_all, ranked_report
 from alignrec.model import Representations
 
-from oracles import bruteforce_evaluate
+from oracles import bruteforce_evaluate, ndcg_at_k, recall_at_k
 
 
 def _reps(h_users, h_items):
@@ -36,20 +35,20 @@ def _dataset(num_users, num_items, train, val, test):
 
 class TestRanking:
     def test_simple_order(self):
-        order = rank_all(np.array([0.5, 0.9, 0.1]), set(), 3)
+        order = rank_all(np.array([0.5, 0.9, 0.1]), [], 3)
         assert order.tolist() == [1, 0, 2]
 
     def test_tie_breaks_by_index(self):
-        order = rank_all(np.array([1.0, 1.0, 1.0, 1.0]), set(), 4)
+        order = rank_all(np.array([1.0, 1.0, 1.0, 1.0]), [], 4)
         assert order.tolist() == [0, 1, 2, 3]
 
     def test_excluded_missing_from_output(self):
-        order = rank_all(np.array([0.5, 0.9, 0.1, 0.7]), {1, 2}, 4)
+        order = rank_all(np.array([0.5, 0.9, 0.1, 0.7]), np.array([1, 2]), 4)
         assert order.tolist() == [3, 0]
 
     def test_matches_full_sort_oracle(self, rng):
         scores = rng.normal(size=40)
-        got = rank_all(scores, {3, 17}, len(scores))
+        got = rank_all(scores, np.array([3, 17]), len(scores))
         want = sorted((j for j in range(40) if j not in {3, 17}),
                       key=lambda j: (-scores[j], j))
         assert got.tolist() == want
@@ -69,7 +68,7 @@ def test_top_k_is_prefix_of_full_sort_under_ties(values, data):
     idx = np.array([j for j in range(n) if j not in exclude], dtype=np.int64)
     full = idx[np.lexsort((idx, -scores[idx]))].tolist()
     for k in range(1, n + 2):
-        assert rank_all(scores, exclude, k).tolist() == full[:k]
+        assert rank_all(scores, np.array(sorted(exclude), dtype=np.int64), k).tolist() == full[:k]
 
 
 class TestMetrics:
@@ -217,7 +216,7 @@ class TestLongtail:
         assert report.skipped == 1          # user 2 had only popular relevants
         hits = []
         for u in (1, 3):
-            exclude = {i for uu, i in ds.train.tolist() if uu == u}
+            exclude = [i for uu, i in ds.train.tolist() if uu == u]
             ranked = rank_all(reps.h_items @ reps.h_users[u], exclude, ds.num_items)
             hits.append(1.0 if 4 in ranked[:5].tolist() else 0.0)
         assert report.recall[5] == pytest.approx(sum(hits) / 2, abs=1e-15)
@@ -246,3 +245,37 @@ def test_report_text_roundtrip_fields(rng):
     assert "slice = full" in text and "recall@2 = " in text
     line = report.to_line("test")
     assert line.startswith("eval=test") and "recall@2=" in line
+
+
+def test_ranked_report_by_hit_count_matches_bruteforce(rng):
+    # h_items is the identity, so a user's scores are its own row; three users
+    # for each count of hits in the top 10: 0, 1, 2, 3, 4 and 7
+    num_items, counts = 90, [0, 1, 2, 3, 4, 7]
+    users = [h for h in counts for _ in range(3)]
+    h_users = rng.normal(size=(len(users), num_items))
+    train, test = [], []
+    for u, hits in enumerate(users):
+        order = np.argsort(-h_users[u], kind="stable")
+        train += [[u, int(i)] for i in order[20:23]]
+        relevant = rng.choice(order[:10], size=hits, replace=False).tolist()
+        relevant += order[40:40 + int(rng.integers(1, 4))].tolist()  # ranked past 10
+        test += [[u, int(i)] for i in relevant]
+    ds = _dataset(len(users), num_items, train, [], test)
+    reps = _reps(h_users, np.eye(num_items))
+    ks = (1, 2, 3, 5, 10, 50)
+    report = evaluate(reps, ds, "test", ks)
+    recall, ndcg, count = bruteforce_evaluate(reps.h_users, reps.h_items, ds, "test", ks)
+    assert report.users_evaluated == count == len(users)
+    assert report.recall == recall and report.ndcg == ndcg
+    for u, hits in enumerate(users):
+        top = rank_all(h_users[u], ds.train[ds.train[:, 0] == u, 1], 10).tolist()
+        assert sum(1 for i in top if [u, i] in test) == hits
+
+
+def test_ranked_report_queries_without_relevant_items():
+    tops = [np.array([4, 1, 0]), np.array([2, 3]), np.array([], dtype=np.int64)]
+    relevant = [np.array([1, 4]), np.array([], dtype=np.int64), np.array([0])]
+    report = ranked_report(tops, relevant, (1, 3))
+    assert report.users_evaluated == 3
+    assert report.recall == {1: 0.5 / 3, 3: 1.0 / 3}
+    assert report.ndcg == {1: 1.0 / 3, 3: 1.0 / 3}

@@ -6,7 +6,8 @@ import pytest
 from alignrec.data import RawInteractions, split_dataset
 from alignrec.errors import DataError, DimensionError, ParseError
 from alignrec.features import (FeatureMatrix, align_features, load_features,
-                               read_item_list, save_features, write_item_list)
+                               read_item_list, save_features, unit_rows,
+                               write_item_list)
 
 
 def test_small_roundtrip(tmp_path):
@@ -109,3 +110,27 @@ def test_item_list_roundtrip(tmp_path):
     path = tmp_path / "items.txt"
     write_item_list(path, ["iA", "iB", "iC"])
     assert read_item_list(path) == ["iA", "iB", "iC"]
+
+
+def _unit_rows_whole_matrix(x):
+    """unit_rows as one whole-matrix expression, the form the blocked norms
+    and the masked divide must reproduce bit for bit."""
+    norms = np.linalg.norm(x, axis=1)
+    nz = norms > 0.0
+    unit = np.zeros_like(x)
+    unit[nz] = x[nz] / norms[nz, None]
+    return unit, norms, nz
+
+
+@pytest.mark.parametrize("rows", [1, 7, 511, 512, 513, 1300])
+def test_unit_rows_bytes_match_whole_matrix_expression(rng, rows):
+    x = rng.normal(size=(rows, 37)) * 10.0 ** rng.integers(-5, 6, size=(rows, 1))
+    x[::7] = 0.0
+    x[3::11] = -0.0
+    x[5::13, ::2] = -0.0           # rows with some signed zeros
+    x[2::9] *= 1e-160              # squares are subnormal or zero
+    x[4::17] = 1e-310 * np.sign(x[4::17])  # subnormal rows, which square to zero
+    got, want = unit_rows(x), _unit_rows_whole_matrix(x)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()

@@ -156,8 +156,8 @@ class TestKnnSimilarity:
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert got.data.tobytes() == want.data.tobytes()
-        assert got.row(511)[0].tolist() == [505, 509, 512]
-        assert got.row(512)[0].tolist() == [505, 509, 511]
+        assert got.indices[got.indptr[511]:got.indptr[512]].tolist() == [505, 509, 512]
+        assert got.indices[got.indptr[512]:got.indptr[513]].tolist() == [505, 509, 511]
 
     def test_zero_norm_row_rejected(self):
         feat = FeatureMatrix(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from alignrec.data import RawInteractions, split_dataset
+from alignrec.data import Dataset, RawInteractions, split_dataset
 from alignrec.errors import ConfigError, DimensionError
 from alignrec.features import FeatureMatrix
 from alignrec.protocols import (ProtocolConfig, compose_masked, itemcf_eval,
                                 itemcf_score, mask_modality_eval,
                                 zero_shot_eval)
 
-from oracles import (itemcf_protocol_reference, itemcf_reference, to_dense,
+from oracles import (itemcf_protocol_reference, itemcf_reference,
                      zero_shot_protocol_reference)
 
 
@@ -126,33 +126,68 @@ class TestZeroShot:
         assert r1.recall == r2.recall
 
 
+def _reference_partners(ds):
+    """The first maximum of each row of the reference cosine matrix, -1 for
+    an all-zero row."""
+    scores = itemcf_reference(ds)
+    return np.where(scores.max(axis=1) > 0.0, np.argmax(scores, axis=1), -1)
+
+
+def _train_only(num_users, num_items, pairs):
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    empty = np.empty((0, 2), dtype=np.int64)
+    return Dataset(num_users=num_users, num_items=num_items, train=pairs, val=empty,
+                   test=empty, user_keys=[f"u{u}" for u in range(num_users)],
+                   item_keys=[f"i{i}" for i in range(num_items)],
+                   user_index={f"u{u}": u for u in range(num_users)},
+                   item_index={f"i{i}": i for i in range(num_items)})
+
+
 class TestItemCfScore:
     def test_identical_user_sets(self):
         records = [("u0", "iA", 0), ("u0", "iB", 1),
                    ("u1", "iA", 2), ("u1", "iB", 3)]
         ds = split_dataset(RawInteractions.from_records(records), (1.0, 0.0, 0.0), seed=0)
-        dense = to_dense(itemcf_score(ds))
-        assert dense[0, 1] == pytest.approx(1.0, abs=1e-15)
-        assert dense[0, 0] == 0.0
+        a, b = ds.item_index["iA"], ds.item_index["iB"]
+        partner = itemcf_score(ds)
+        assert partner[a] == b and partner[b] == a
+        assert partner.tolist() == _reference_partners(ds).tolist()
 
     def test_disjoint_user_sets(self):
         records = [("u0", "iA", 0), ("u0", "iB", 1),
-                   ("u1", "iC", 2), ("u1", "iD", 3)]
+                   ("u1", "iC", 2), ("u1", "iD", 3),
+                   ("u2", "iE", 4)]
         ds = split_dataset(RawInteractions.from_records(records), (1.0, 0.0, 0.0), seed=0)
-        dense = to_dense(itemcf_score(ds))
-        a, c = ds.item_index["iA"], ds.item_index["iC"]
-        assert dense[a, c] == 0.0
+        partner = itemcf_score(ds)
+        index = ds.item_index
+        assert partner[index["iA"]] == index["iB"] and partner[index["iC"]] == index["iD"]
+        assert partner[index["iE"]] == -1  # shares its only user with no item
+        assert partner.tolist() == _reference_partners(ds).tolist()
 
     def test_matches_bruteforce_oracle_exactly(self, rng):
-        ds = _random_temporal(rng, num_users=9, num_items=10, per_user=4)
-        got = to_dense(itemcf_score(ds))
-        want = itemcf_reference(ds)
-        assert np.array_equal(got, want)
+        for _ in range(5):
+            ds = _random_temporal(rng, num_users=9, num_items=10, per_user=4)
+            assert itemcf_score(ds).tolist() == _reference_partners(ds).tolist()
 
-    def test_symmetry(self, rng):
-        ds = _random_temporal(rng, num_users=7, num_items=9, per_user=3)
-        dense = to_dense(itemcf_score(ds))
-        assert np.array_equal(dense, dense.T)
+    def test_symmetry(self):
+        # items paired by identical user sets score 1.0 with each other only,
+        # so each is the other's partner
+        pairs = [(u, i) for i in range(8) for u in (2 * (i // 2), 2 * (i // 2) + 1)]
+        ds = _train_only(8, 8, pairs)
+        assert itemcf_score(ds).tolist() == [1, 0, 3, 2, 5, 4, 7, 6]
+
+    def test_ties_across_item_blocks(self):
+        # item i has users {i, i + 1}, so its two neighbours tie at 1/2; the
+        # group items share exactly the users 2000 and 2001 and tie at 1.0,
+        # with members in the first three 512-item blocks
+        n, group = 1100, [510, 511, 512, 513, 1030]
+        pairs = [(u, i) for i in range(n) if i not in group for u in (i, i + 1)]
+        pairs += [(u, i) for i in group for u in (2000, 2001)]
+        ds = _train_only(2002, n, pairs)
+        partner = itemcf_score(ds)
+        assert partner[group].tolist() == [511, 510, 510, 510, 510]
+        assert partner[[0, 5, 509, 514, 1099]].tolist() == [1, 4, 508, 515, 1098]
+        assert partner.tolist() == _reference_partners(ds).tolist()
 
 
 class TestItemCfEval:
@@ -166,7 +201,7 @@ class TestItemCfEval:
             for i in (3, 4, 5):
                 records.append((f"u{u}", f"i{i}", i))
         ds = split_dataset(RawInteractions.from_records(records), (1.0, 0.0, 0.0), seed=0)
-        features = to_dense(itemcf_score(ds))
+        features = itemcf_reference(ds)
         report = itemcf_eval(FeatureMatrix(features), ds, ProtocolConfig(ks=(1,)))
         assert report.recall[1] == 1.0
         assert report.users_evaluated == 6

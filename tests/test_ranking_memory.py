@@ -1,0 +1,60 @@
+"""Peak traced allocations of the ranking paths on a synthetic of 3000 items
+with 256-d features, as multiples of the feature matrix's bytes (6.1 MB).
+
+numpy reports its array allocations to tracemalloc, so the peak covers every
+temporary the call makes and returns. The blocks are sized in rows, not in
+bytes: at 3000 items a 128-query block of GEMM scores is half the feature
+matrix, and item-CF's 512-item block of dense cosines is twice the matrix.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from alignrec.data import split_dataset
+from alignrec.features import FeatureMatrix, unit_rows
+from alignrec.protocols import ProtocolConfig, itemcf_eval
+from alignrec.sparse import score_top_k
+from alignrec.synthetic import make_corpus
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    corpus = make_corpus(num_users=4000, num_items=3000, clusters=8, feat_dim=256,
+                         per_user=20, noise=0.05, seed=3)
+    ds = split_dataset(corpus.raw, (1.0, 0.0, 0.0), seed=0)
+    assert ds.num_items == corpus.features.shape[0] == 3000
+    return ds, corpus.features
+
+
+def _peak_multiple(call, nbytes) -> float:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_unit_rows_allocates_only_its_result(corpus):
+    # the unit matrix itself, plus norms and one 512-row block of squares
+    _, x = corpus
+    assert _peak_multiple(lambda: unit_rows(x), x.nbytes) <= 1.25
+
+
+def test_score_top_k_holds_one_query_block(corpus):
+    # one block of GEMM scores (0.5x) and the tops: no |U| and no partitioned copy
+    _, x = corpus
+    unit = unit_rows(x)[0]
+    exclude = np.arange(len(unit))[:, None]
+    assert _peak_multiple(lambda: score_top_k(unit, unit, exclude, 50), x.nbytes) <= 1.0
+
+
+def test_itemcf_eval_holds_no_item_item_matrix(corpus):
+    # the cosine block (2x) with the user-item matrix, then the unit rows (1x)
+    # with score_top_k's block
+    ds, x = corpus
+    feat = FeatureMatrix(x)
+    peak = _peak_multiple(lambda: itemcf_eval(feat, ds, ProtocolConfig()), x.nbytes)
+    assert peak <= 4.0

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alignrec.errors import DataError, DimensionError
-from alignrec.sparse import SparseMatrix, score_top_k
+from alignrec.sparse import SparseMatrix, _abs_max, score_top_k, top_k
 
 from oracles import canonical_scores, canonical_top_k_reference, to_dense
 
@@ -101,7 +101,8 @@ def test_transpose_roundtrip(rng):
 
 
 def _assert_canonical_tops(queries, items, exclude, k):
-    got = score_top_k(queries, items, exclude, k)
+    # the engine takes each exclusion as an int array, the reference as a set
+    got = score_top_k(queries, items, [np.array(sorted(ex), dtype=np.int64) for ex in exclude], k)
     want = canonical_top_k_reference(queries, items, exclude, k)
     assert len(got) == len(want)
     for top, ranking in zip(got, want):
@@ -166,7 +167,7 @@ def test_score_top_k_fewer_candidates_than_k(rng):
 
 def test_score_top_k_every_item_excluded(rng):
     items = rng.normal(size=(5, 3))
-    tops = score_top_k(rng.normal(size=(2, 3)), items, [set(range(5)), [4, 3, 2, 1, 0]], 3)
+    tops = score_top_k(rng.normal(size=(2, 3)), items, [np.arange(5), [4, 3, 2, 1, 0]], 3)
     assert [top.tolist() for top in tops] == [[], []]
 
 
@@ -193,3 +194,63 @@ def test_canonical_score_of_a_row_ignores_the_other_rows(rng, d):
     for size in (1, 2, 7, 39):
         subset = np.sort(rng.choice(40, size=size, replace=False))
         assert canonical_scores(items[subset], query).tobytes() == full[subset].tobytes()
+
+
+@pytest.mark.parametrize("values", [
+    [[-3.0, -0.5], [-2.0, -7.25]],      # all negative: the magnitude is -min
+    [[-0.0, -0.0], [-0.0, -0.0]],        # only -0.0
+    [[0.0, -0.0], [-0.0, 0.0]],
+    [[-0.0, 2.0], [-5.0, -0.0]],
+    [[1e-310, -2e-310], [0.0, -0.0]],    # subnormal
+    [[4.0, 1.0], [3.5, 0.0]],
+], ids=["negative", "negzero", "signed-zeros", "mixed", "subnormal", "positive"])
+def test_abs_max_has_the_bits_of_abs_then_max(values):
+    U = np.array(values)
+    assert np.float64(_abs_max(U)).tobytes() == np.abs(U).max().tobytes()
+    assert _abs_max(np.empty((0, 3))) == 0.0
+    # so score_top_k's slack is the one np.abs(U).max() gave
+    d, eps = U.shape[1], np.finfo(np.float64).eps
+    assert (4.0 * d * eps * _abs_max(U)).tobytes() == (4.0 * d * eps * np.abs(U).max()).tobytes()
+
+
+def test_score_top_k_negative_and_signed_zero_items(rng):
+    items = -np.abs(rng.normal(size=(30, 6)))
+    items[[3, 11]] = -0.0
+    queries = np.vstack([rng.normal(size=(3, 6)), np.full(6, -0.0)])
+    for k in (1, 5, 30):
+        _assert_canonical_tops(queries, items, [{0}, set(), {3, 11}, {29}], k)
+
+
+def _top_k_set_form(scores, exclude, k):
+    """top_k with the exclusions given as a set and turned into a list."""
+    keep = np.ones(scores.shape[0], dtype=bool)
+    if len(exclude):
+        keep[list(exclude)] = False
+    idx = np.flatnonzero(keep)
+    neg = -scores[idx]
+    if k < idx.size:
+        kth = np.partition(neg, k - 1)[k - 1]
+        if not np.isnan(kth):
+            admitted = neg <= kth
+            idx, neg = idx[admitted], neg[admitted]
+    return idx[np.lexsort((idx, neg))[:k]]
+
+
+@pytest.mark.parametrize("trial", range(20))
+def test_top_k_array_exclusions_match_set_form(rng, trial):
+    n = int(rng.integers(1, 60))
+    scores = rng.choice([0.0, -0.0, 0.5, 1.0, -1.0, np.nan], size=n)
+    banned = set(rng.integers(n, size=int(rng.integers(0, n + 1))).tolist())
+    as_array = np.array(sorted(banned), dtype=np.int64)
+    for k in (1, 3, n, n + 2):
+        got, want = top_k(scores, as_array, k), _top_k_set_form(scores, banned, k)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_score_top_k_unsorted_and_repeated_exclusions(rng):
+    items = rng.normal(size=(20, 4))
+    queries = rng.normal(size=(3, 4))
+    exclude = [np.array([7, 2, 7, 19]), np.array([], dtype=np.int64), np.array([0, 0])]
+    got = score_top_k(queries, items, exclude, 20)
+    want = canonical_top_k_reference(queries, items, [set(ex.tolist()) for ex in exclude], 20)
+    assert [top.tolist() for top in got] == want
