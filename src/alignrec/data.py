@@ -131,8 +131,8 @@ class Dataset:
             raise ConfigError(f"unknown split '{name}'") from None
 
     def user_train_items(self) -> list[set[int]]:
-        indptr, items = (a.tolist() for a in items_by_user(self.train, self.num_users))
-        return [set(items[lo:hi]) for lo, hi in zip(indptr[:-1], indptr[1:])]
+        indptr, items = items_by_user(self.train, self.num_users)
+        return [set(items[lo:hi].tolist()) for lo, hi in zip(indptr[:-1], indptr[1:])]
 
 
 def items_by_user(pairs: np.ndarray, num_users: int) -> tuple[np.ndarray, np.ndarray]:
