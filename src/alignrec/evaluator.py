@@ -93,15 +93,14 @@ def _sorted_ks(ks) -> tuple[int, ...]:
 
 
 def ranked_report(tops, relevant, ks, **fields) -> EvalReport:
-    """Per-K mean recall and NDCG over ranked tops, int arrays of the first
-    max(ks) candidates of each query or all of them, and the queries'
-    relevant items, ascending int arrays without repeats; zeros when no query
-    was ranked. NDCG has binary gain, 1/log2(rank+1) discount with ranks from
-    1, ideal normalization truncated at K. Each per-query value has the bits
-    of math.fsum over its terms: one or two hit discounts are added with +,
-    which rounds once as fsum does, and more go through math.fsum."""
+    """Per-K mean recall and NDCG over the sequence of ranked tops, int arrays
+    of the first max(ks) candidates of each query or all of them, and the
+    queries' relevant items, ascending int arrays without repeats; zeros when
+    no query was ranked. NDCG has binary gain, 1/log2(rank+1) discount with
+    ranks from 1, ideal normalization truncated at K. Each per-query value
+    has the bits of math.fsum over its terms: one or two hit discounts add
+    with +, which rounds once as fsum does; more go through math.fsum."""
     ks = _sorted_ks(ks)
-    tops, relevant = list(tops), list(relevant)
     count = len(tops)
     if not count:
         return EvalReport({k: 0.0 for k in ks}, {k: 0.0 for k in ks}, 0, **fields)

@@ -51,8 +51,8 @@ class FeatureMatrix:
 
 def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row of `x` scaled to unit L2 norm, zero rows left zero; also the
-    row norms and the mask of nonzero rows. The norms are taken 512 rows at a
-    time, so the result is the only full-size array allocated."""
+    row norms (taken 512 rows at a time, so the result is the only full-size
+    array allocated) and the mask of nonzero rows."""
     norms = np.empty(len(x))
     for start in range(0, len(x), 512):
         norms[start:start + 512] = np.linalg.norm(x[start:start + 512], axis=1)

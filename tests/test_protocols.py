@@ -104,6 +104,15 @@ class TestZeroShot:
                 assert report.recall[k] == want_recall[k]
                 assert report.ndcg[k] == want_ndcg[k]
 
+    def test_users_past_one_query_block(self, rng):
+        # more users than the 2048 whose query rows are built at a time
+        ds = _random_temporal(rng, num_users=2100, num_items=30, per_user=4)
+        features = rng.normal(size=(ds.num_items, 6))
+        report = zero_shot_eval(FeatureMatrix(features), ds, ProtocolConfig(ks=(1, 5)))
+        want_recall, want_ndcg, want_count = zero_shot_protocol_reference(features, ds, (1, 5))
+        assert report.users_evaluated == want_count == 2100
+        assert report.recall == want_recall and report.ndcg == want_ndcg
+
     def test_random_split_rejected(self, rng):
         # ten items per user: the random split holds out two of them for test
         records = [(f"u{u}", f"i{(u + j) % 12:02d}", j) for u in range(6) for j in range(10)]
