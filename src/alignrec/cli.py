@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
-from .config import RunConfig, check_file, load_config, parse_train
+from .config import RunConfig, check_file, load_config, parse_config, parse_train
 from .data import (file_sha256, kcore_filter, load_interactions, save_splits,
                    split_dataset, write_manifest)
-from .errors import (AlignRecError, ConfigError, DataError,
+from .errors import (AlignRecError, ConfigError, DataError, ParseError,
                      TrainingDivergedError)
 from .evaluator import evaluate, longtail_evaluate, rank_all
 from .features import align_features, load_features, read_item_list
@@ -66,10 +66,24 @@ def _load(cfg: RunConfig, strategy: str | None = None, masked: bool = False):
     return ds, aligned(cfg.features), aligned(cfg.masked_features) if masked else None
 
 
+# the keys that fix what a checkpoint's parameters mean: the graphs, the
+# propagation depth and the split. The seeds are left out, as --seed
+# overrides them and the checkpoint stores only the config file's text.
+_MODEL_KEYS = {
+    "[train] gcn_layers": lambda c: c.train.gcn_layers,
+    "[train] k_prime": lambda c: c.train.k_prime,
+    "[split] k_core": lambda c: c.k_core,
+    "[split] ratios": lambda c: c.ratios,
+    "[split] strategy": lambda c: c.strategy,
+}
+
+
 def _restore(cfg: RunConfig, args):
-    """The --checkpoint parameters and the dataset, features and graphs.
-    Raises DataError for a checkpoint of a failed run or with a non-finite
-    tensor."""
+    """The dataset and the representations of the --checkpoint parameters.
+    Raises DataError for a checkpoint of a failed run, with a non-finite
+    tensor or with shapes that do not fit the data; then ConfigError if a
+    model key of its stored config differs from `cfg`'s (a checkpoint that
+    stores no config text is not compared)."""
     saved = ckpt.load_checkpoint(args.checkpoint)
     if saved.status != "ok":
         raise DataError(f"{args.checkpoint}: checkpoint has status '{saved.status}', not 'ok'")
@@ -77,13 +91,23 @@ def _restore(cfg: RunConfig, args):
         if not np.isfinite(tensor).all():
             raise DataError(f"{args.checkpoint}: tensor '{name}' holds a non-finite value")
     ds, feat, _ = _load(cfg)
-    return saved.params, ds, feat, build_graphs(ds, feat, cfg.train.k_prime)
+    graphs = build_graphs(ds, feat, cfg.train.k_prime)
+    reps = forward(saved.params, graphs, feat, cfg.train.gcn_layers).reps
+    if saved.config_text:
+        try:
+            trained = parse_config(saved.config_text, f"{args.checkpoint}: stored config")
+        except ConfigError as exc:
+            raise ParseError(str(exc)) from None
+        for key, value in _MODEL_KEYS.items():
+            if value(trained) != value(cfg):
+                raise ConfigError(f"{args.checkpoint} was trained with {key} = "
+                                  f"{value(trained)}, the config has {value(cfg)}")
+    return ds, reps
 
 
 def _test_report(cfg: RunConfig, params, ds, feat, graphs, layers: int):
-    """The representations of `params` and their test-split report."""
-    reps = forward(params, graphs, feat, layers).reps
-    return reps, evaluate(reps, ds, "test", cfg.eval_ks)
+    """The test-split report of `params`."""
+    return evaluate(forward(params, graphs, feat, layers).reps, ds, "test", cfg.eval_ks)
 
 
 def _output_dir(cfg: RunConfig) -> Path:
@@ -137,7 +161,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
                       checkpoint_hook=_checkpoint_hook(out, cfg.text))
     for record in log:
         print(format_log_record(record, include_timing=True))
-    _, report = _test_report(cfg, params, ds, feat, graphs, cfg.train.gcn_layers)
+    report = _test_report(cfg, params, ds, feat, graphs, cfg.train.gcn_layers)
     lines = [format_log_record(record) + "\n" for record in log] + [report.to_line("test") + "\n"]
     (out / "train_log.txt").write_text("".join(lines), encoding="utf-8")
     _write_report(out, "test", report)
@@ -146,8 +170,8 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
-    params, ds, feat, graphs = _restore(cfg, args)
-    reps, report = _test_report(cfg, params, ds, feat, graphs, cfg.train.gcn_layers)
+    ds, reps = _restore(cfg, args)
+    report = evaluate(reps, ds, "test", cfg.eval_ks)
     out = _output_dir(cfg)
     print(_write_report(out, "test", report), end="")
     if cfg.longtail:
@@ -179,10 +203,9 @@ def cmd_recommend(cfg: RunConfig, args) -> int:
         raise ConfigError("recommend requires --user")
     if args.k < 1:
         raise ConfigError(f"recommend requires --k >= 1, got {args.k}")
-    params, ds, feat, graphs = _restore(cfg, args)
+    ds, reps = _restore(cfg, args)
     if args.user not in ds.user_index:
         raise DataError(f"unknown user key '{args.user}'")
-    reps = forward(params, graphs, feat, cfg.train.gcn_layers).reps
     user = ds.user_index[args.user]
     scores = reps.h_items @ reps.h_users[user]
     seen = ds.train[ds.train[:, 0] == user, 1]
@@ -209,7 +232,7 @@ def cmd_grid(cfg: RunConfig, args) -> int:
         graphs = graphs_by_k[train_cfg.k_prime]
         params, log = fit(ds, graphs, feat, train_cfg)
         best_val = max(rec["val_recall@20"] for rec in log)
-        _, report = _test_report(cfg, params, ds, feat, graphs, train_cfg.gcn_layers)
+        report = _test_report(cfg, params, ds, feat, graphs, train_cfg.gcn_layers)
         lines.append("\t".join(list(values) + [repr(best_val)]
                                + [repr(report.recall[k]) for k in cfg.eval_ks]
                                + [repr(report.ndcg[k]) for k in cfg.eval_ks]))

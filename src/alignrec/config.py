@@ -143,25 +143,23 @@ def parse_train(base: TrainConfig, values, section: str) -> TrainConfig:
                    **parsed[TrainConfig])
 
 
-def load_config(path, seed_override: int | None = None) -> RunConfig:
-    """Parse and range-check every section of a config file; reads no other file."""
-    path = Path(path)
-    check_file(path, "config file")
-    text = read_text(path, ConfigError)
+def parse_config(text: str, where, seed_override: int | None = None) -> RunConfig:
+    """Parse and range-check every section of config `text`, naming `where`
+    in errors; [paths] values stay as written."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"{where}: {exc}") from None
 
     parsed = {RunConfig: {}, TrainConfig: {}, LossWeights: {}, ProtocolConfig: {}}
     for section in parser.sections():
         if section not in _SCHEMA:
-            raise ConfigError(f"{path}: unknown section [{section}]")
+            raise ConfigError(f"{where}: unknown section [{section}]")
         values = dict(parser.items(section))
         for key in values:
             if key not in _SCHEMA[section]:
-                raise ConfigError(f"{path}: unknown key '{key}' in section [{section}]")
+                raise ConfigError(f"{where}: unknown key '{key}' in section [{section}]")
         if section == "grid":
             parsed[RunConfig]["grid"] = {key: [part.strip() for part in raw.split(",")]
                                          for key, raw in values.items()}
@@ -170,10 +168,17 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
 
     if seed_override is not None:
         parsed[RunConfig]["split_seed"] = parsed[TrainConfig]["seed"] = seed_override
-    cfg = RunConfig(
+    return RunConfig(
         train=TrainConfig(weights=LossWeights(**parsed[LossWeights]), **parsed[TrainConfig]),
         protocol=ProtocolConfig(**parsed[ProtocolConfig]), text=text,
         **parsed[RunConfig])
+
+
+def load_config(path, seed_override: int | None = None) -> RunConfig:
+    """Parse and range-check every section of a config file; reads no other file."""
+    path = Path(path)
+    check_file(path, "config file")
+    cfg = parse_config(read_text(path, ConfigError), path, seed_override)
     # relative paths, defaults included, are relative to the config file
     for name in _SCHEMA["paths"]:
         if getattr(cfg, name) is not None:

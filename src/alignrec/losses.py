@@ -102,13 +102,15 @@ def _infonce_side(x: np.ndarray, y: np.ndarray, tau: float):
     diag = np.arange(n)
     x_unit, x_norms, x_nz = unit_rows(x)
     y_unit, y_norms, y_nz = unit_rows(y)
-    logits = (x_unit @ y_unit.T) / tau
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    row_sum = exp.sum(axis=1)
-    value = float(-np.mean(shifted[diag, diag] - np.log(row_sum)))
-    # d loss / d logits = (softmax - one-hot target) / n, built in place of exp
-    d_logits = exp
+    # every n x n pass runs in place on the one GEMM output
+    logits = x_unit @ y_unit.T
+    logits /= tau
+    logits -= logits.max(axis=1, keepdims=True)
+    target = logits[diag, diag]
+    d_logits = np.exp(logits, out=logits)
+    row_sum = d_logits.sum(axis=1)
+    value = float(-np.mean(target - np.log(row_sum)))
+    # d loss / d logits = (softmax - one-hot target) / n
     d_logits /= row_sum[:, None]
     d_logits[diag, diag] -= 1.0
     d_logits /= n
@@ -147,20 +149,21 @@ def _reg_rep(fp: ForwardPass, feat: FeatureMatrix, batch: BatchSample,
     if not np.all(f_nz):
         raise DataError("zero-norm feature row among batch items")
     cos_x = x_unit @ x_unit.T
-    cos_f = f_unit @ f_unit.T
     m = n * (n - 1) // 2
-    diff = cos_x - cos_f
-    iu = np.triu_indices(n, k=1)
-    value = float(np.sum(np.abs(diff[iu])) / m)
+    # diff = cos_x - cos_f, over cos_f; the mask picks triu_indices' cells in order
+    diff = f_unit @ f_unit.T
+    np.subtract(cos_x, diff, out=diff)
+    value = float(np.sum(np.abs(diff[np.triu(np.ones((n, n), dtype=bool), 1)])) / m)
 
-    w = np.sign(diff) / m
+    w = np.sign(diff, out=diff)
+    w /= m
     np.fill_diagonal(w, 0.0)
     w[~x_nz, :] = 0.0
     w[:, ~x_nz] = 0.0
     # d/dx_c of sum_{a<b} w_ab cos(x_a, x_b):
     #   ( [w @ x_unit]_c  -  sum_b w_cb cos_cb * x_unit_c ) / |x_c|
     row_mix = w @ x_unit
-    diag_coef = np.sum(w * cos_x, axis=1, keepdims=True)
+    diag_coef = np.sum(np.multiply(w, cos_x, out=cos_x), axis=1, keepdims=True)
     d_x = np.zeros_like(x)
     d_x[x_nz] = (row_mix[x_nz] - diag_coef[x_nz] * x_unit[x_nz]) / x_norms[x_nz, None]
     g.h_mm_items[items] += weight * d_x

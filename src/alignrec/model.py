@@ -16,7 +16,8 @@ respect to any representation back to the parameters through `backward`.
 The bipartite adjacency is symmetric, which lets the backward pass reuse the
 same propagation routine, with the same R / R^T pair, for the embedding
 gradient. The backward pass takes R^T and sim^T from the GraphBundle, which
-builds them once.
+builds them once; its first two R^T products, of user-side gradients that are
+nonzero only on the batch's users, are sized to the batch (SparseMatrix.tdot).
 """
 
 from __future__ import annotations
@@ -92,15 +93,17 @@ class Representations:
 
 
 def lightgcn_propagate(inter_norm: SparseMatrix, inter_t: SparseMatrix,
-                       users: np.ndarray, items: np.ndarray,
-                       layers: int) -> tuple[np.ndarray, np.ndarray]:
+                       users: np.ndarray, items: np.ndarray, layers: int,
+                       user_rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Mean of the (users, items) embeddings and their `layers` successive
     propagations over [[0, R], [R^T, 0]], one half at a time:
-    (h_u, h_i) <- (R @ h_i, R^T @ h_u)."""
+    (h_u, h_i) <- (R @ h_i, R^T @ h_u). The first R^T product reads only
+    the sorted `user_rows`, if given, outside which `users` must be zero."""
     acc_u, acc_i = users.copy(), items.copy()
     h_u, h_i = users, items
-    for _ in range(layers):
-        h_u, h_i = inter_norm.dot(h_i), inter_t.dot(h_u)
+    for layer in range(layers):
+        h_u, h_i = inter_norm.dot(h_i), (inter_t.dot(h_u) if user_rows is None or layer
+                                         else inter_norm.tdot(h_u, user_rows))
         acc_u += h_u
         acc_i += h_i
     return acc_u / (layers + 1), acc_i / (layers + 1)
@@ -172,7 +175,9 @@ class ForwardPass:
 
         d_mm_users = g.h_mm_users + g.h_users
         d_id_users = g.h_id_users + g.h_users
-        d_mm_items = g.h_mm_items + g.h_items + self.graphs.inter_t.dot(d_mm_users)
+        # the users the losses touched; both user-side gradients are zero elsewhere
+        rows = np.flatnonzero(d_mm_users.any(axis=1) | d_id_users.any(axis=1))
+        d_mm_items = g.h_mm_items + g.h_items + self.graphs.inter_norm.tdot(d_mm_users, rows)
         d_id_items = g.h_id_items + g.h_items
         d_con = self.graphs.sim_t.dot(d_mm_items)
 
@@ -190,7 +195,7 @@ class ForwardPass:
         # transposed chain is the same propagation applied to the output
         # gradient
         d_users, d_items = lightgcn_propagate(self.graphs.inter_norm, self.graphs.inter_t,
-                                              d_id_users, d_id_items, self.layers)
+                                              d_id_users, d_id_items, self.layers, rows)
         grads["user_emb"] += d_users
         grads["item_emb"] += d_items
         return grads

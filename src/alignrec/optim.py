@@ -24,12 +24,17 @@ class Adam:
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         for name in PARAM_NAMES:
-            g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
-            getattr(params, name)[...] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # in place, each product with the operands of the textbook update
+            g, m, v = grads[name], self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            gg = (1.0 - self.beta2) * g
+            v += np.multiply(gg, g, out=gg)
+            den = np.add(np.sqrt(np.divide(v, bc2, out=gg), out=gg), self.eps, out=gg)
+            step = m / bc1
+            step *= self.lr
+            getattr(params, name)[...] -= np.divide(step, den, out=step)
 
 
 class SGD:

@@ -83,6 +83,13 @@ class SparseMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by operand with leading dim {dense.shape[0]}")
         return self._scipy @ dense
 
+    def tdot(self, dense: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """self^T @ dense for a `dense` that is zero outside the sorted `rows`,
+        from those rows alone. Bit for bit the full product: a dropped term is
+        a ±0 product, which leaves a sum that starts at +0.0 unchanged, and the
+        CSC scatter adds rows in increasing order, as the explicit transpose."""
+        return self._scipy[rows].T @ dense[rows]
+
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix.from_scipy(self._scipy.T)
 

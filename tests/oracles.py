@@ -489,3 +489,121 @@ def uniform_recall_baseline(k, num_items):
     """Expected recall of a uniformly random permutation over the full item
     set: each relevant item lands in the top-k with probability k/n."""
     return k / num_items
+
+
+# Frozen references for one train step: the kernels as they were before
+# they ran in place and before the backward pass sized its first R^T
+# products to the batch. The engine must match them bit for bit.
+
+def tdot_reference(m, x):
+    """m^T @ x through the explicit CSR transpose, over every row of x."""
+    return m.transpose().dot(x)
+
+
+def infonce_side_reference(x, y, tau):
+    """_infonce_side with a fresh array for every n x n pass."""
+    from alignrec.features import unit_rows
+    from alignrec.losses import _normalize_backward
+
+    n = x.shape[0]
+    diag = np.arange(n)
+    x_unit, x_norms, x_nz = unit_rows(x)
+    y_unit, y_norms, y_nz = unit_rows(y)
+    logits = (x_unit @ y_unit.T) / tau
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    row_sum = exp.sum(axis=1)
+    value = float(-np.mean(shifted[diag, diag] - np.log(row_sum)))
+    d_logits = exp
+    d_logits /= row_sum[:, None]
+    d_logits[diag, diag] -= 1.0
+    d_logits /= n
+    d_x_unit = (d_logits @ y_unit) / tau
+    d_y_unit = (d_logits.T @ x_unit) / tau
+    return value, _normalize_backward(d_x_unit, x_unit, x_norms, x_nz), \
+        _normalize_backward(d_y_unit, y_unit, y_norms, y_nz)
+
+
+def reg_rep_reference(fp, feat, batch, g, weight):
+    """_reg_rep with triu_indices and a fresh array for every n x n pass."""
+    from alignrec.errors import DataError
+    from alignrec.features import unit_rows
+
+    items = np.unique(batch.pos_items)
+    n = items.shape[0]
+    if n < 2:
+        return 0.0
+    x = fp.reps.h_mm_items[items]
+    x_unit, x_norms, x_nz = unit_rows(x)
+    f_unit, _, f_nz = unit_rows(feat.data[items])
+    if not np.all(f_nz):
+        raise DataError("zero-norm feature row among batch items")
+    cos_x = x_unit @ x_unit.T
+    cos_f = f_unit @ f_unit.T
+    m = n * (n - 1) // 2
+    diff = cos_x - cos_f
+    iu = np.triu_indices(n, k=1)
+    value = float(np.sum(np.abs(diff[iu])) / m)
+    w = np.sign(diff) / m
+    np.fill_diagonal(w, 0.0)
+    w[~x_nz, :] = 0.0
+    w[:, ~x_nz] = 0.0
+    row_mix = w @ x_unit
+    diag_coef = np.sum(w * cos_x, axis=1, keepdims=True)
+    d_x = np.zeros_like(x)
+    d_x[x_nz] = (row_mix[x_nz] - diag_coef[x_nz] * x_unit[x_nz]) / x_norms[x_nz, None]
+    g.h_mm_items[items] += weight * d_x
+    return value
+
+
+def backward_reference(fp, g):
+    """ForwardPass.backward with every R^T product over all users, through
+    the cached explicit transposes."""
+    from alignrec.model import lightgcn_propagate, zero_grads
+
+    p = fp.params
+    grads = zero_grads(p)
+    d_mm_users = g.h_mm_users + g.h_users
+    d_id_users = g.h_id_users + g.h_users
+    d_mm_items = g.h_mm_items + g.h_items + fp.graphs.inter_t.dot(d_mm_users)
+    d_id_items = g.h_id_items + g.h_items
+    d_con = fp.graphs.sim_t.dot(d_mm_items)
+    grads["item_emb"] += fp._gate * d_con
+    d_z2 = (p.item_emb * d_con) * fp._gate * (1.0 - fp._gate)
+    grads["gate_w2"] += fp._a1.T @ d_z2
+    grads["gate_b2"] += d_z2.sum(axis=0)
+    d_a1 = d_z2 @ p.gate_w2.T
+    d_z1 = d_a1 * (fp._z1 > 0.0)
+    grads["gate_w1"] += fp.feat.data.T @ d_z1
+    grads["gate_b1"] += d_z1.sum(axis=0)
+    d_users, d_items = lightgcn_propagate(fp.graphs.inter_norm, fp.graphs.inter_t,
+                                          d_id_users, d_id_items, fp.layers)
+    grads["user_emb"] += d_users
+    grads["item_emb"] += d_items
+    return grads
+
+
+class AdamReference:
+    """alignrec.optim.Adam with fresh arrays for m, v and every product."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        from alignrec.model import zero_grads
+
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = zero_grads(params)
+        self.v = zero_grads(params)
+
+    def step(self, params, grads):
+        from alignrec.model import PARAM_NAMES
+
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for name in PARAM_NAMES:
+            g = grads[name]
+            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
+            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
+            m_hat = self.m[name] / bc1
+            v_hat = self.v[name] / bc2
+            getattr(params, name)[...] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

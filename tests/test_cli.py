@@ -322,6 +322,52 @@ class TestEval:
             assert captured.out == ""
             assert captured.err == f"data error: {path}:3: byte 0xff is not UTF-8\n"
 
+    @pytest.mark.parametrize("section, line, message", [
+        ("train", "gcn_layers = 1", "[train] gcn_layers = 2, the config has 1"),
+        ("train", "k_prime = 5", "[train] k_prime = 4, the config has 5"),
+        ("split", "k_core = 3", "[split] k_core = 2, the config has 3"),
+        ("split", "ratios = 0.7, 0.2, 0.1",
+         "[split] ratios = (0.8, 0.1, 0.1), the config has (0.7, 0.2, 0.1)"),
+        ("split", "strategy = temporal-leave-one-out",
+         "[split] strategy = random, the config has temporal-leave-one-out"),
+    ])
+    def test_model_key_mismatch_is_config_error(self, workspace, capsys, section, line,
+                                                message):
+        assert _run(workspace, "train") == 0
+        report = (workspace / "out" / "report_test.txt").read_bytes()
+        path = workspace / "out" / "checkpoint_best.ackp"
+        (workspace / "run.ini").write_text(_section_config(section, line), encoding="utf-8")
+        capsys.readouterr()
+        for command in ("eval", "recommend"):
+            assert _run(workspace, command, "--checkpoint", str(path), "--user", "u00") == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"config error: {path} was trained with {message}\n"
+        assert (workspace / "out" / "report_test.txt").read_bytes() == report
+
+    def test_other_keys_and_seeds_are_not_compared(self, workspace, capsys):
+        assert _run(workspace, "train") == 0
+        report = (workspace / "out" / "report_test.txt").read_bytes()
+        path = str(workspace / "out" / "checkpoint_best.ackp")
+        config = _train_config("learning_rate = 0.5").replace("max_epochs = 3", "max_epochs = 9")
+        (workspace / "run.ini").write_text(config, encoding="utf-8")
+        assert _run(workspace, "eval", "--checkpoint", path) == 0
+        assert (workspace / "out" / "report_test.txt").read_bytes() == report
+        # --seed moves the split, so the report changes, but nothing is refused
+        assert _run(workspace, "eval", "--checkpoint", path, "--seed", "4") == 0
+        assert _run(workspace, "recommend", "--checkpoint", path, "--user", "u00",
+                    "--seed", "4") == 0
+
+    def test_unparsable_stored_config_is_data_error(self, workspace, capsys):
+        assert _run(workspace, "train") == 0
+        good = load_checkpoint(workspace / "out" / "checkpoint_best.ackp")
+        path = workspace / "bogus.ackp"
+        save_checkpoint(path, good.params, good.config_text + "[bogus]\nx = 1\n")
+        capsys.readouterr()
+        assert _run(workspace, "eval", "--checkpoint", str(path)) == 3
+        assert capsys.readouterr().err == (f"data error: {path}: stored config: "
+                                           f"unknown section [bogus]\n")
+
 
 class TestIntermediate:
     def test_all_protocols_run(self, workspace, capsys):
