@@ -207,9 +207,8 @@ def _run_steps(ds, feat, graphs, cfg, reference: bool, monkeypatch):
         # no moment shares memory with a parameter, a gradient or another moment
         moments = list(opt.m.values()) + list(opt.v.values())
         arrays = list(params.as_dict().values()) + list(grads.values()) + moments
-        for k, moment in enumerate(moments):
-            assert not any(np.shares_memory(moment, a) for a in arrays
-                           if a is not moments[k])
+        for moment in moments:
+            assert not any(np.shares_memory(moment, a) for a in arrays if a is not moment)
 
     opt.step = checked
 
