@@ -130,9 +130,10 @@ class Dataset:
         except KeyError:
             raise ConfigError(f"unknown split '{name}'") from None
 
-    def user_train_items(self) -> list[set[int]]:
-        indptr, items = items_by_user(self.train, self.num_users)
-        return [set(items[lo:hi].tolist()) for lo, hi in zip(indptr[:-1], indptr[1:])]
+    def user_train_items(self) -> np.ndarray:
+        """The sampler's ban list: sorted distinct train keys user * num_items + item."""
+        keys = np.sort(self.train[:, 0] * self.num_items + self.train[:, 1])
+        return keys[np.diff(keys, prepend=-1) != 0]
 
 
 def items_by_user(pairs: np.ndarray, num_users: int) -> tuple[np.ndarray, np.ndarray]:

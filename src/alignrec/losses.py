@@ -3,7 +3,8 @@
 Each public loss returns (value, grads) where grads is a dict keyed like
 ModelParams. Internally every loss adds its weighted gradient in
 representation space into one accumulator, a zeroed Representations,
-touching only the rows it uses; ForwardPass.backward chains the accumulator
+touching only the rows it uses (_row_sums adds a repeated row's terms from
++0.0 in order, as np.add.at into zeros); ForwardPass.backward chains the accumulator
 to the parameters. The combined objective has its four losses add into the
 same accumulator and runs a single backward pass, which by linearity equals
 the weighted sum of the component parameter gradients.
@@ -29,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
 from .errors import ConfigError, DataError
@@ -70,6 +72,15 @@ class BatchSample:
         return len(self.users)
 
 
+def _row_sums(index: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of `index` and the sum of each one's `rows`, added from
+    +0.0 in order of appearance by a unit-weight CSR product, as np.add.at into zeros."""
+    unique, counts = np.unique(index, return_counts=True)
+    picks = sp.csr_matrix((np.ones(len(index)), np.argsort(index, kind="stable"),
+                           np.append(0, np.cumsum(counts))), shape=(len(unique), len(index)))
+    return unique, picks @ rows
+
+
 def _bpr_rep(fp: ForwardPass, batch: BatchSample, g: Representations) -> float:
     reps = fp.reps
     u, i, j = batch.users, batch.pos_items, batch.neg_items
@@ -79,9 +90,11 @@ def _bpr_rep(fp: ForwardPass, batch: BatchSample, g: Representations) -> float:
     margin = np.sum(hi * hu, axis=1) - np.sum(hj * hu, axis=1)
     value = float(np.mean(np.logaddexp(0.0, -margin)))
     d_margin = -expit(-margin) / len(batch)
-    np.add.at(g.h_users, u, d_margin[:, None] * (hi - hj))
-    np.add.at(g.h_items, i, d_margin[:, None] * hu)
-    np.add.at(g.h_items, j, -d_margin[:, None] * hu)
+    unique, sums = _row_sums(u, d_margin[:, None] * (hi - hj))
+    g.h_users[unique] += sums
+    d_hu = d_margin[:, None] * hu  # -(d * hu) has the bits of (-d) * hu
+    unique, sums = _row_sums(np.concatenate([i, j]), np.concatenate([d_hu, -d_hu]))
+    g.h_items[unique] += sums
     return value
 
 
@@ -194,9 +207,7 @@ def _uia_rep(fp: ForwardPass, batch: BatchSample, g: Representations, weight: fl
                         - (cos[ok] / ri[ok] ** 2)[:, None] * hi[ok])
     # a repeated user or item sums its terms first; the weight scales the total
     for dst, index, rows in ((g.h_users, u, d_hu), (g.h_items, i, d_hi)):
-        unique, inverse = np.unique(index, return_inverse=True)
-        total = np.zeros((unique.size, rows.shape[1]))
-        np.add.at(total, inverse, rows)
+        unique, total = _row_sums(index, rows)
         dst[unique] += weight * total
     return value
 

@@ -7,6 +7,8 @@ import numpy as np
 from .errors import ConfigError
 from .model import PARAM_NAMES, ModelParams, zero_grads
 
+_BLOCK = 2048   # rows per in-place Adam update
+
 
 class Adam:
     def __init__(self, params: ModelParams, lr: float,
@@ -24,17 +26,21 @@ class Adam:
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         for name in PARAM_NAMES:
-            # in place, each product with the operands of the textbook update
-            g, m, v = grads[name], self.m[name], self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            gg = (1.0 - self.beta2) * g
-            v += np.multiply(gg, g, out=gg)
-            den = np.add(np.sqrt(np.divide(v, bc2, out=gg), out=gg), self.eps, out=gg)
-            step = m / bc1
-            step *= self.lr
-            getattr(params, name)[...] -= np.divide(step, den, out=step)
+            param = getattr(params, name)
+            # in place, each product with the operands of the textbook update,
+            # _BLOCK rows at a time so the scratch arrays stay in cache
+            for lo in range(0, len(param), _BLOCK):
+                rows = slice(lo, lo + _BLOCK)
+                g, m, v = grads[name][rows], self.m[name][rows], self.v[name][rows]
+                m *= self.beta1
+                m += (1.0 - self.beta1) * g
+                v *= self.beta2
+                gg = (1.0 - self.beta2) * g
+                v += np.multiply(gg, g, out=gg)
+                den = np.add(np.sqrt(np.divide(v, bc2, out=gg), out=gg), self.eps, out=gg)
+                step = m / bc1
+                step *= self.lr
+                param[rows] -= np.divide(step, den, out=step)
 
 
 class SGD:

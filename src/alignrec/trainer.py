@@ -63,19 +63,8 @@ class TrainState:
     counters: dict = field(default_factory=dict)
 
 
-def sample_negative(rng: np.random.Generator, num_items: int,
-                    banned: set[int], user: int) -> int:
-    """Uniform draw over items the user has not interacted with in train."""
-    if len(banned) >= num_items:
-        raise DataError(f"user {user} interacts with every item; cannot sample a negative")
-    while True:
-        cand = int(rng.integers(num_items))
-        if cand not in banned:
-            return cand
-
-
 def sample_batch(ds: Dataset, rng: np.random.Generator, batch_size: int,
-                 user_train: list[set[int]] | None = None) -> BatchSample:
+                 user_train: np.ndarray | None = None) -> BatchSample:
     """Draw batch_size train interactions without replacement plus one
     rejection-sampled negative each."""
     n = len(ds.train)
@@ -88,18 +77,37 @@ def sample_batch(ds: Dataset, rng: np.random.Generator, batch_size: int,
 
 
 def _batch_at(ds: Dataset, rows: np.ndarray, rng: np.random.Generator,
-              user_train: list[set[int]]) -> BatchSample:
-    """The train interactions at `rows`, each with one negative drawn by
-    sample_negative in row order."""
+              user_train: np.ndarray) -> BatchSample:
+    """The train interactions at `rows`, each with a uniform negative whose key
+    user * num_items + item is not in the sorted ban list `user_train`. Rows take
+    draws from one stream in order, a banned draw used up: the values and RNG
+    state of one scalar rng.integers per try, as numpy's rng.integers(n, size=k)
+    equals k scalar calls. Each refill draws one value per row still open, never
+    more than the rows need. Draws are checked 128 at a time."""
     users = ds.train[rows, 0]
-    neg = np.fromiter(
-        (sample_negative(rng, ds.num_items, user_train[u], int(u)) for u in users),
-        dtype=np.int64, count=len(rows))
+    n = ds.num_items
+    base = users * n
+    full = np.searchsorted(user_train, base + n) - np.searchsorted(user_train, base) >= n
+    if full.any():
+        raise DataError(f"user {users[full][0]} interacts with every item; cannot sample a negative")
+    neg = np.empty(len(rows), dtype=np.int64)
+    r = 0
+    while r < len(rows):
+        draws = rng.integers(n, size=len(rows) - r)
+        d = 0
+        while d < len(draws):
+            cand = draws[d:d + 128]
+            keys = base[r:r + len(cand)] + cand
+            banned = np.searchsorted(user_train, keys, "right") > np.searchsorted(user_train, keys)
+            q = int(banned.argmax()) if banned.any() else len(cand)
+            neg[r:r + q] = cand[:q]
+            r += q
+            d += min(q + 1, len(cand))  # a banned draw is used up
     return BatchSample(users=users, pos_items=ds.train[rows, 1], neg_items=neg)
 
 
 def _epoch_batches(ds: Dataset, rng: np.random.Generator, batch_size: int,
-                   user_train: list[set[int]]):
+                   user_train: np.ndarray):
     perm = rng.permutation(len(ds.train))
     for start in range(0, len(perm), batch_size):
         yield _batch_at(ds, perm[start:start + batch_size], rng, user_train)
@@ -107,7 +115,7 @@ def _epoch_batches(ds: Dataset, rng: np.random.Generator, batch_size: int,
 
 def train_epoch(state: TrainState, ds: Dataset, graphs: GraphBundle,
                 feat: FeatureMatrix, cfg: TrainConfig,
-                user_train: list[set[int]] | None = None) -> dict:
+                user_train: np.ndarray | None = None) -> dict:
     """One optimization pass; returns the per-loss epoch means."""
     if user_train is None:
         user_train = ds.user_train_items()

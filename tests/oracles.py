@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from alignrec.data import RawInteractions
-from alignrec.errors import EmptyInputError, ParseError
+from alignrec.data import RawInteractions, items_by_user
+from alignrec.errors import DataError, EmptyInputError, ParseError
 
 
 def to_dense(m):
@@ -607,3 +607,24 @@ class AdamReference:
             m_hat = self.m[name] / bc1
             v_hat = self.v[name] / bc2
             getattr(params, name)[...] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def sample_negative(rng, num_items, banned, user):
+    """Uniform draw over items the user has not interacted with in train."""
+    if len(banned) >= num_items:
+        raise DataError(f"user {user} interacts with every item; cannot sample a negative")
+    while True:
+        cand = int(rng.integers(num_items))
+        if cand not in banned:
+            return cand
+
+
+def negatives_reference(ds, rows, rng):
+    """The per-row rejection sampler that trainer._batch_at replaced: the ban
+    lists as one Python set per user, and one scalar draw per try, each row
+    of `rows` in order."""
+    indptr, items = items_by_user(ds.train, ds.num_users)
+    user_train = [set(items[lo:hi].tolist()) for lo, hi in zip(indptr[:-1], indptr[1:])]
+    return np.fromiter(
+        (sample_negative(rng, ds.num_items, user_train[u], int(u)) for u in ds.train[rows, 0]),
+        dtype=np.int64, count=len(rows))

@@ -185,6 +185,90 @@ class TestAdamInPlace:
         assert opt.t == ref.t == 5
 
 
+    def test_rows_past_one_block_match_reference(self, rng):
+        # 4100 user rows: two full 2048-row blocks and a short one
+        params = init_params(4100, 5, 3, 4, 2, rng)
+        ref_params = params.copy()
+        opt, ref = Adam(params, 0.01), AdamReference(ref_params, 0.01)
+        for _ in range(3):
+            grads = {name: rng.normal(size=getattr(params, name).shape) * 1e-3
+                     for name in PARAM_NAMES}
+            opt.step(params, {name: g.copy() for name, g in grads.items()})
+            ref.step(ref_params, grads)
+        for name in PARAM_NAMES:
+            assert _same_bytes(getattr(params, name), getattr(ref_params, name))
+            assert _same_bytes(opt.m[name], ref.m[name])
+            assert _same_bytes(opt.v[name], ref.v[name])
+
+
+def _add_at_sums(index, rows):
+    """np.add.at into zeros, the scatter _row_sums replaced."""
+    total = np.zeros((int(index.max()) + 1, rows.shape[1]))
+    np.add.at(total, index, rows)
+    unique = np.unique(index)
+    return unique, total[unique]
+
+
+class TestRowSums:
+    def _check(self, index, rows):
+        unique, sums = losses._row_sums(np.asarray(index, dtype=np.int64), rows)
+        want_unique, want = _add_at_sums(np.asarray(index, dtype=np.int64), rows)
+        assert _same_bytes(unique, want_unique)
+        assert _same_bytes(sums, want)
+        assert not np.signbit(sums[sums == 0.0]).any()  # sums start at +0.0
+
+    def test_negative_zeros(self, rng):
+        rows = rng.normal(size=(9, 3))
+        rows[[0, 4]] = -0.0  # index 2 sums -0.0 rows only
+        rows[5, 1] = -0.0
+        self._check([2, 7, 1, 7, 2, 1, 0, 7, 3], rows)
+
+    def test_subnormal_rows(self, rng):
+        tiny = np.finfo(float).smallest_subnormal
+        rows = rng.integers(-50, 50, size=(40, 4)) * tiny
+        rows[::7] *= 1e300  # large terms between subnormal ones: the order shows
+        self._check(rng.integers(0, 5, size=40), rows)
+
+    def test_one_index(self, rng):
+        rows = rng.normal(size=(86, 5)) * np.exp(rng.normal(scale=20.0, size=(86, 1)))
+        self._check(np.full(86, 11), rows)
+        self._check([0], rows[:1])
+
+    def test_zipf_repeats(self, rng):
+        index = np.minimum(rng.zipf(1.3, size=2048), 20124) - 1
+        assert np.bincount(index).max() > 50
+        self._check(index, rng.normal(size=(2048, 64)) * np.exp(rng.normal(scale=8.0, size=(2048, 1))))
+
+    def test_positives_then_negatives(self, rng):
+        pos, neg = rng.integers(0, 30, size=200), rng.integers(0, 30, size=200)
+        d = rng.normal(size=(200, 6))
+        unique, sums = losses._row_sums(np.concatenate([pos, neg]), np.concatenate([d, -d]))
+        want = np.zeros((30, 6))
+        np.add.at(want, pos, d)
+        np.add.at(want, neg, -d)
+        assert _same_bytes(unique, np.unique(np.concatenate([pos, neg])))
+        assert _same_bytes(sums, want[unique])
+
+    def test_bpr_accumulator_matches_add_at_scatter(self, rng):
+        ds, feat, graphs, params, _ = random_instance(rng, num_users=8, num_items=9)
+        fp = model.forward(params, graphs, feat, 2)
+        # users repeat, and items 1 and 4 are both positive and negative
+        batch = manual_batch([0, 3, 0, 5, 3, 0], [1, 4, 2, 1, 4, 6], [4, 1, 7, 8, 1, 4])
+        g = fp.zero_rep_grads()
+        value = losses._bpr_rep(fp, batch, g)
+        u, i, j = batch.users, batch.pos_items, batch.neg_items
+        hu, hi, hj = fp.reps.h_users[u], fp.reps.h_items[i], fp.reps.h_items[j]
+        margin = np.sum(hi * hu, axis=1) - np.sum(hj * hu, axis=1)
+        d_margin = -losses.expit(-margin) / len(batch)
+        want = fp.zero_rep_grads()
+        np.add.at(want.h_users, u, d_margin[:, None] * (hi - hj))
+        np.add.at(want.h_items, i, d_margin[:, None] * hu)
+        np.add.at(want.h_items, j, -d_margin[:, None] * hu)
+        assert _same_bytes(value, np.mean(np.logaddexp(0.0, -margin)))
+        assert _same_bytes(g.h_users, want.h_users)
+        assert _same_bytes(g.h_items, want.h_items)
+
+
 def _run_steps(ds, feat, graphs, cfg, reference: bool, monkeypatch):
     """One train_epoch from a fixed start; returns the state, each step's
     loss parts and the users of each batch."""

@@ -1,17 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from alignrec.data import RawInteractions, split_dataset
+from alignrec.data import Dataset, RawInteractions, split_dataset
 from alignrec.errors import DataError
 from alignrec.losses import total_loss
 from alignrec.model import PARAM_NAMES, forward, init_params
 from alignrec.optim import Adam, SGD
-from alignrec.trainer import (TrainConfig, TrainState, fit, sample_batch,
+from alignrec.trainer import (TrainConfig, TrainState, _batch_at, fit, sample_batch,
                               train_epoch)
 
 from conftest import random_instance
-from oracles import ScalarAdam
+from oracles import ScalarAdam, negatives_reference
+
+
+def _train_only_dataset(train, num_items):
+    num_users = int(train[:, 0].max()) + 1
+    return Dataset(num_users=num_users, num_items=num_items, train=train,
+                   val=train[:0], test=train[:0],
+                   user_keys=[f"u{u}" for u in range(num_users)],
+                   item_keys=[f"i{i}" for i in range(num_items)], user_index={}, item_index={})
 
 
 def _tiny_setup(rng, **kwargs):
@@ -41,6 +51,64 @@ class TestSampling:
         with pytest.raises(DataError, match="user"):
             sample_batch(ds, rng, 4)
 
+    def test_full_user_error_names_first_in_row_order(self):
+        # users 1 and 2 have every item; user 2's row comes first
+        train = np.array([[0, 0], [1, 0], [1, 1], [1, 2], [2, 0], [2, 1], [2, 2]],
+                         dtype=np.int64)
+        ds = _train_only_dataset(train, num_items=3)
+        with pytest.raises(DataError) as err:
+            _batch_at(ds, np.array([0, 5, 1, 2]), np.random.default_rng(0),
+                      ds.user_train_items())
+        assert str(err.value) == "user 2 interacts with every item; cannot sample a negative"
+
+    @settings(max_examples=150, deadline=None)
+    @given(num_items=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+           kinds=st.lists(st.sampled_from(["all_but_one"] * 3 + ["random"] * 3 + ["full"]),
+                          min_size=1, max_size=8),
+           sizes=st.lists(st.integers(1, 300), min_size=1, max_size=3))
+    def test_vectorized_negatives_equal_per_row_loop(self, num_items, seed, kinds, sizes):
+        """Per batch, the same negatives, the same DataError and the same
+        RNG state after it as the scalar loop in oracles.py; the batches
+        run past the 128-draw window and users leave one item free."""
+        rng = np.random.default_rng(seed)
+        pairs = []
+        for u, kind in enumerate(kinds):
+            k = {"all_but_one": num_items - 1, "full": num_items,
+                 "random": int(rng.integers(1, num_items + 1))}[kind]
+            pairs += [[u, i] for i in rng.choice(num_items, size=k, replace=False)]
+        if not pairs:
+            return  # num_items == 1 and every user left their item free
+        ds = _train_only_dataset(np.array(pairs, dtype=np.int64), num_items)
+        banned = ds.user_train_items()
+        got, want = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        for size in sizes:
+            rows = rng.integers(len(ds.train), size=size)
+            try:
+                expected = negatives_reference(ds, rows, want)
+            except DataError as exc:
+                with pytest.raises(DataError, match=f"^{exc}$"):
+                    _batch_at(ds, rows, got, banned)
+                return
+            batch = _batch_at(ds, rows, got, banned)
+            assert np.array_equal(batch.neg_items, expected)
+            assert batch.neg_items.dtype == np.int64
+            assert got.bit_generator.state == want.bit_generator.state
+
+    def test_sparse_bans_over_many_windows(self, rng):
+        # most windows of 128 draws pass clean; user 0 bans all items but one
+        num_items = 300
+        pairs = [[0, i] for i in range(num_items - 1)]
+        pairs += [[u, i] for u in range(1, 60) for i in rng.choice(num_items, 8, replace=False)]
+        ds = _train_only_dataset(np.array(pairs, dtype=np.int64), num_items)
+        banned = ds.user_train_items()
+        got, want = np.random.default_rng(4), np.random.default_rng(4)
+        for size in (2048, 700, 129):
+            rows = rng.integers(num_items - 1, len(ds.train), size=size)
+            rows[[5, size // 2]] = 0  # two rows of user 0
+            batch = _batch_at(ds, rows, got, banned)
+            assert np.array_equal(batch.neg_items, negatives_reference(ds, rows, want))
+            assert got.bit_generator.state == want.bit_generator.state
+
     def test_fixed_seed_reproduces_batches(self, rng):
         ds, feat, graphs = _tiny_setup(rng)
         a = sample_batch(ds, np.random.default_rng(9), 6)
@@ -56,13 +124,11 @@ class TestSampling:
         ds = split_dataset(RawInteractions.from_records(records), (1.0, 0.0, 0.0), seed=0)
         ds.train = np.array([[0, 0], [0, 1]] + [[1, k] for k in range(5)], dtype=np.int64)
         ds.item_train_degree = np.bincount(ds.train[:, 1], minlength=5)
-        rng = np.random.default_rng(31)
-        user_train = ds.user_train_items()
-        counts = np.zeros(5)
         draws = 10_000
-        from alignrec.trainer import sample_negative
-        for _ in range(draws):
-            counts[sample_negative(rng, 5, user_train[0], 0)] += 1
+        rows = np.zeros(draws, dtype=np.int64)  # user 0's first train row, every time
+        neg = _batch_at(ds, rows, np.random.default_rng(31), ds.user_train_items()).neg_items
+        assert np.array_equal(neg, negatives_reference(ds, rows, np.random.default_rng(31)))
+        counts = np.bincount(neg, minlength=5)
         assert counts[0] == 0 and counts[1] == 0
         observed = counts[2:]
         chi2 = float(((observed - draws / 3) ** 2 / (draws / 3)).sum())
@@ -97,14 +163,11 @@ class TestEpoch:
 
         # replay the same rng stream to reconstruct the one batch
         from alignrec.losses import BatchSample
-        from alignrec.trainer import sample_negative
         rng2 = np.random.default_rng(77)
         perm = rng2.permutation(len(ds.train))
         users = ds.train[perm, 0]
         pos = ds.train[perm, 1]
-        ut = ds.user_train_items()
-        neg = np.array([sample_negative(rng2, ds.num_items, ut[int(u)], int(u))
-                        for u in users])
+        neg = negatives_reference(ds, perm, rng2)
         batch = BatchSample(users=users, pos_items=pos, neg_items=neg)
         fp = forward(start, graphs, feat, cfg.gcn_layers)
         _, grads, _ = total_loss(fp, feat, batch, cfg.weights)
