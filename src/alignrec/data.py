@@ -132,8 +132,13 @@ class Dataset:
 
     def user_train_items(self) -> np.ndarray:
         """The sampler's ban list: sorted distinct train keys user * num_items + item."""
-        keys = np.sort(self.train[:, 0] * self.num_items + self.train[:, 1])
-        return keys[np.diff(keys, prepend=-1) != 0]
+        return sorted_distinct(self.train[:, 0] * self.num_items + self.train[:, 1])
+
+
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique of a nonnegative int array, from one sort and a diff mask."""
+    values = np.sort(values)
+    return values[np.diff(values, prepend=-1) != 0]
 
 
 def items_by_user(pairs: np.ndarray, num_users: int) -> tuple[np.ndarray, np.ndarray]:
@@ -141,8 +146,7 @@ def items_by_user(pairs: np.ndarray, num_users: int) -> tuple[np.ndarray, np.nda
     pairs as one CSR pair (indptr, items): user u's items, ascending, are
     items[indptr[u]:indptr[u + 1]]."""
     base = int(pairs[:, 1].max()) + 1 if len(pairs) else 1
-    keys = np.sort(pairs[:, 0] * base + pairs[:, 1])
-    users, items = np.divmod(keys[np.diff(keys, prepend=-1) != 0], base)
+    users, items = np.divmod(sorted_distinct(pairs[:, 0] * base + pairs[:, 1]), base)
     return np.searchsorted(users, np.arange(num_users + 1)), items
 
 
@@ -243,7 +247,7 @@ def _digit_stamps(buf, starts, lengths) -> tuple[np.ndarray, np.ndarray]:
     values = np.zeros(starts.size, dtype=np.uint64)
     fits = np.zeros(starts.size, dtype=bool)
     windows = _windows(buf, _TS_DIGITS)
-    for length in np.unique(lengths[(lengths >= 1) & (lengths <= _TS_DIGITS)]).tolist():
+    for length in np.flatnonzero(np.bincount(lengths[(lengths >= 1) & (lengths <= _TS_DIGITS)])):
         rows = np.flatnonzero(lengths == length)
         digits = np.ascontiguousarray(windows[starts[rows], :length].T) - np.uint8(ord("0"))
         # 19 digits fit uint64, so the sum cannot wrap

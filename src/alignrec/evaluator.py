@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, items_by_user
-from .errors import ConfigError
+from .errors import ConfigError, InternalInvariantError
 from .model import Representations
 from .sparse import top_k
 
@@ -132,9 +132,11 @@ def ranked_report(tops, relevant, ks, **fields) -> EvalReport:
     return EvalReport(recall=recall, ndcg=ndcg, users_evaluated=count, **fields)
 
 
-def _split_items(ds: Dataset, split: str):
+def _split_items(reps: Representations, ds: Dataset, split: str):
     """Per-user CSR lists (indptr, items) of the excluded and the relevant
     items of a split: train is excluded, and val too when ranking test."""
+    if reps.h_users.shape[0] != ds.num_users:  # a train step's partial pass
+        raise InternalInvariantError(f"cannot rank {reps.h_users.shape[0]} of {ds.num_users} users")
     seen = ds.train if split == "val" else np.concatenate([ds.train, ds.val])
     return (items_by_user(seen, ds.num_users),
             items_by_user(ds.split(split), ds.num_users))
@@ -164,7 +166,7 @@ def evaluate(reps: Representations, ds: Dataset, split: str,
     split."""
     if split not in ("val", "test"):
         raise ConfigError(f"evaluation split must be val or test, got '{split}'")
-    exclude, relevant = _split_items(ds, split)
+    exclude, relevant = _split_items(reps, ds, split)
     users = np.flatnonzero(np.diff(relevant[0]))
     return _evaluate_users(reps, users, exclude, relevant, ks)
 
@@ -173,7 +175,7 @@ def longtail_evaluate(reps: Representations, ds: Dataset, ks=(10, 20, 50),
                       threshold: float = 4) -> EvalReport:
     """Test-split evaluation restricted to items with a train interaction
     count strictly below the threshold."""
-    exclude, (indptr, items) = _split_items(ds, "test")
+    exclude, (indptr, items) = _split_items(reps, ds, "test")
     keep = ds.item_train_degree[items] < threshold
     restricted = np.concatenate([[0], np.cumsum(keep)])[indptr]
     has_kept = np.diff(restricted) > 0

@@ -28,11 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
+from .data import sorted_distinct
 from .errors import ConfigError, DataError
 from .features import FeatureMatrix, unit_rows
 from .model import ForwardPass, Representations
@@ -71,6 +73,9 @@ class BatchSample:
     def __len__(self) -> int:
         return len(self.users)
 
+    distinct_users = cached_property(lambda self: sorted_distinct(self.users))
+    distinct_items = cached_property(lambda self: sorted_distinct(self.pos_items))
+
 
 def _row_sums(index: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of `index` and the sum of each one's `rows`, added from
@@ -83,7 +88,7 @@ def _row_sums(index: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def _bpr_rep(fp: ForwardPass, batch: BatchSample, g: Representations) -> float:
     reps = fp.reps
-    u, i, j = batch.users, batch.pos_items, batch.neg_items
+    u, i, j = fp.user_rows(batch.users), batch.pos_items, batch.neg_items
     hu = reps.h_users[u]
     hi = reps.h_items[i]
     hj = reps.h_items[j]
@@ -105,15 +110,15 @@ def _normalize_backward(d_unit, unit, norms, nz) -> np.ndarray:
     return out
 
 
-def _infonce_side(x: np.ndarray, y: np.ndarray, tau: float):
+def _infonce_side(x: np.ndarray, y: np.ndarray, tau: float, x_rows=None):
     """Cross-entropy of matching row a of x to row a of y among all rows.
 
     Returns the mean loss and gradients with respect to the raw (pre
-    normalization) inputs.
+    normalization) inputs. x_rows, if given, is unit_rows(x).
     """
     n = x.shape[0]
     diag = np.arange(n)
-    x_unit, x_norms, x_nz = unit_rows(x)
+    x_unit, x_norms, x_nz = unit_rows(x) if x_rows is None else x_rows
     y_unit, y_norms, y_nz = unit_rows(y)
     # every n x n pass runs in place on the one GEMM output
     logits = x_unit @ y_unit.T
@@ -134,12 +139,12 @@ def _infonce_side(x: np.ndarray, y: np.ndarray, tau: float):
 
 
 def _cca_rep(fp: ForwardPass, batch: BatchSample, tau: float,
-             g: Representations, weight: float) -> float:
+             g: Representations, weight: float, mm_rows=None) -> float:
     reps = fp.reps
-    items = np.unique(batch.pos_items)
-    users = np.unique(batch.users)
+    items = batch.distinct_items
+    users = fp.user_rows(batch.distinct_users)
     v_items, d_mm_i, d_id_i = _infonce_side(reps.h_mm_items[items],
-                                            reps.h_id_items[items], tau)
+                                            reps.h_id_items[items], tau, mm_rows)
     v_users, d_mm_u, d_id_u = _infonce_side(reps.h_mm_users[users],
                                             reps.h_id_users[users], tau)
     g.h_mm_items[items] += weight * d_mm_i
@@ -150,14 +155,14 @@ def _cca_rep(fp: ForwardPass, batch: BatchSample, tau: float,
 
 
 def _reg_rep(fp: ForwardPass, feat: FeatureMatrix, batch: BatchSample,
-             g: Representations, weight: float) -> float:
+             g: Representations, weight: float, mm_rows=None) -> float:
     reps = fp.reps
-    items = np.unique(batch.pos_items)
+    items = batch.distinct_items
     n = items.shape[0]
     if n < 2:
         return 0.0
     x = reps.h_mm_items[items]
-    x_unit, x_norms, x_nz = unit_rows(x)
+    x_unit, x_norms, x_nz = unit_rows(x) if mm_rows is None else mm_rows
     f_unit, _, f_nz = unit_rows(feat.data[items])
     if not np.all(f_nz):
         raise DataError("zero-norm feature row among batch items")
@@ -186,7 +191,7 @@ def _reg_rep(fp: ForwardPass, feat: FeatureMatrix, batch: BatchSample,
 def _uia_rep(fp: ForwardPass, batch: BatchSample, g: Representations, weight: float,
              counters: dict | None = None) -> float:
     reps = fp.reps
-    u, i = batch.users, batch.pos_items
+    u, i = fp.user_rows(batch.users), batch.pos_items
     hu = reps.h_users[u]
     hi = reps.h_items[i]
     ru = np.linalg.norm(hu, axis=1)
@@ -236,11 +241,12 @@ def total_loss(fp: ForwardPass, feat: FeatureMatrix, batch: BatchSample,
                weights: LossWeights, counters: dict | None = None):
     """Weighted objective. Returns (value, grads, per-component values)."""
     g = fp.zero_rep_grads()
+    mm_rows = unit_rows(fp.reps.h_mm_items[batch.distinct_items])
     # BPR has weight 1 and adds first, straight into the zeroed accumulator
     v_bpr = _bpr_rep(fp, batch, g)
-    v_cca = _cca_rep(fp, batch, weights.tau, g, weights.alpha)
+    v_cca = _cca_rep(fp, batch, weights.tau, g, weights.alpha, mm_rows)
     v_uia = _uia_rep(fp, batch, g, weights.beta, counters)
-    v_reg = _reg_rep(fp, feat, batch, g, weights.lambda_)
+    v_reg = _reg_rep(fp, feat, batch, g, weights.lambda_, mm_rows)
     value = v_bpr + weights.alpha * v_cca + weights.beta * v_uia + weights.lambda_ * v_reg
     parts = {"bpr": v_bpr, "cca": v_cca, "uia": v_uia, "reg": v_reg}
     return value, fp.backward(g), parts

@@ -15,13 +15,16 @@ ForwardPass caches the intermediates so losses can push gradients with
 respect to any representation back to the parameters through `backward`.
 The bipartite adjacency is symmetric, which lets the backward pass reuse the
 same propagation routine, with the same R / R^T pair, for the embedding
-gradient. The backward pass takes R^T and sim^T from the GraphBundle, which
-builds them once; its first two R^T products, of user-side gradients that are
-nonzero only on the batch's users, are sized to the batch (SparseMatrix.tdot).
+gradient. Each propagation layer runs R @ h_i on the caller's thread while
+one persistent helper thread runs R^T @ h_u. Given a train batch's sorted
+distinct users U, `forward` computes the user side at U alone from the slice
+R[U], which `backward` reuses for its user-side R^T products; each row keeps
+the bits of the full pass. Rankings take the full pass (users=None).
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -32,6 +35,7 @@ from .features import FeatureMatrix
 from .graphs import GraphBundle
 from .sparse import SparseMatrix
 
+_HELPER = ThreadPoolExecutor(1, thread_name_prefix="alignrec-propagate")
 PARAM_NAMES = ("user_emb", "item_emb", "gate_w1", "gate_b1", "gate_w2", "gate_b2")
 
 
@@ -94,17 +98,30 @@ class Representations:
 
 def lightgcn_propagate(inter_norm: SparseMatrix, inter_t: SparseMatrix,
                        users: np.ndarray, items: np.ndarray, layers: int,
-                       user_rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                       user_rows: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Mean of the (users, items) embeddings and their `layers` successive
-    propagations over [[0, R], [R^T, 0]], one half at a time:
-    (h_u, h_i) <- (R @ h_i, R^T @ h_u). The first R^T product reads only
-    the sorted `user_rows`, if given, outside which `users` must be zero."""
-    acc_u, acc_i = users.copy(), items.copy()
+    propagations over [[0, R], [R^T, 0]]: (h_u, h_i) <- (R @ h_i, R^T @ h_u),
+    the R^T half on the helper thread. With user_rows = (U, R[U]), U sorted
+    distinct users, a full-size `users` gives the user mean at U (last R
+    product from R[U]); the rows U of a `users` zero elsewhere give it full
+    size (first R^T product from R[U])."""
+    rows, r_rows = user_rows or (None, None)
+    scatter = rows is not None and users.shape[0] != inter_norm.rows
+    if scatter:
+        acc_u = np.zeros((inter_norm.rows, users.shape[1]))
+        acc_u[rows] = users
+    else:
+        acc_u = users.copy() if rows is None else users[rows]
+    acc_i = items.copy()
     h_u, h_i = users, items
     for layer in range(layers):
-        h_u, h_i = inter_norm.dot(h_i), (inter_t.dot(h_u) if user_rows is None or layer
-                                         else inter_norm.tdot(h_u, user_rows))
-        acc_u += h_u
+        t_half = _HELPER.submit(r_rows.tdot if scatter and not layer else inter_t.dot, h_u)
+        last = rows is not None and not scatter and layer == layers - 1
+        try:
+            h_u = (r_rows if last else inter_norm).dot(h_i)
+        finally:  # the helper's product is always waited for and its error raised
+            h_i = t_half.result()
+        acc_u += h_u if len(h_u) == len(acc_u) else h_u[rows]
         acc_i += h_i
     return acc_u / (layers + 1), acc_i / (layers + 1)
 
@@ -160,6 +177,7 @@ class ForwardPass:
     graphs: GraphBundle
     feat: FeatureMatrix
     layers: int
+    _user_rows: tuple = field(repr=False, default=None)  # (U, R[U]): the user side at U
     _z1: np.ndarray = field(repr=False, default=None)
     _a1: np.ndarray = field(repr=False, default=None)
     _gate: np.ndarray = field(repr=False, default=None)
@@ -168,6 +186,10 @@ class ForwardPass:
         return Representations(**{f.name: np.zeros(getattr(self.reps, f.name).shape)
                                   for f in fields(Representations)})
 
+    def user_rows(self, users: np.ndarray) -> np.ndarray:
+        """The rows of the user-side representations that hold `users`."""
+        return users if self._user_rows is None else np.searchsorted(self._user_rows[0], users)
+
     def backward(self, g: Representations) -> dict[str, np.ndarray]:
         """Chain representation-space gradients back to parameter space."""
         p = self.params
@@ -175,9 +197,12 @@ class ForwardPass:
 
         d_mm_users = g.h_mm_users + g.h_users
         d_id_users = g.h_id_users + g.h_users
-        # the users the losses touched; both user-side gradients are zero elsewhere
-        rows = np.flatnonzero(d_mm_users.any(axis=1) | d_id_users.any(axis=1))
-        d_mm_items = g.h_mm_items + g.h_items + self.graphs.inter_norm.tdot(d_mm_users, rows)
+        rows = self._user_rows
+        if rows is None:  # a full pass: the users the losses touched, zero elsewhere
+            users = np.flatnonzero(d_mm_users.any(axis=1) | d_id_users.any(axis=1))
+            rows = (users, self.graphs.inter_norm.take_rows(users))
+            d_mm_users, d_id_users = d_mm_users[users], d_id_users[users]
+        d_mm_items = g.h_mm_items + g.h_items + rows[1].tdot(d_mm_users)
         d_id_items = g.h_id_items + g.h_items
         d_con = self.graphs.sim_t.dot(d_mm_items)
 
@@ -202,21 +227,22 @@ class ForwardPass:
 
 
 def forward(params: ModelParams, graphs: GraphBundle, feat: FeatureMatrix,
-            layers: int) -> ForwardPass:
-    """Run the full representation pipeline and retain intermediates."""
+            layers: int, users: np.ndarray | None = None) -> ForwardPass:
+    """The representation pipeline and its intermediates, the user side at `users` alone."""
     if layers < 0:
         raise DimensionError(f"layer count must be >= 0, got {layers}")
     _check_shapes(params, graphs, feat)
+    rows = None if users is None else (users, graphs.inter_norm.take_rows(users))
     h_id_users, h_id_items = lightgcn_propagate(graphs.inter_norm, graphs.inter_t,
-                                                params.user_emb, params.item_emb, layers)
+                                                params.user_emb, params.item_emb, layers, rows)
 
     h_con, z1, a1, gate = _gate_forward(params, feat.data)
     h_mm_items = item_multimodal(graphs.sim, h_con)
-    h_mm_users = user_multimodal(graphs.inter_norm, h_mm_items)
+    h_mm_users = user_multimodal(graphs.inter_norm if rows is None else rows[1], h_mm_items)
 
     reps = Representations(
         h_id_users=h_id_users, h_id_items=h_id_items,
         h_mm_items=h_mm_items, h_mm_users=h_mm_users,
         h_users=fuse(h_mm_users, h_id_users), h_items=fuse(h_mm_items, h_id_items))
-    return ForwardPass(reps=reps, params=params, graphs=graphs, feat=feat,
-                       layers=layers, _z1=z1, _a1=a1, _gate=gate)
+    return ForwardPass(reps=reps, params=params, graphs=graphs, feat=feat, layers=layers,
+                       _user_rows=rows, _z1=z1, _a1=a1, _gate=gate)

@@ -83,12 +83,14 @@ class SparseMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by operand with leading dim {dense.shape[0]}")
         return self._scipy @ dense
 
-    def tdot(self, dense: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """self^T @ dense for a `dense` that is zero outside the sorted `rows`,
-        from those rows alone. Bit for bit the full product: a dropped term is
-        a ±0 product, which leaves a sum that starts at +0.0 unchanged, and the
-        CSC scatter adds rows in increasing order, as the explicit transpose."""
-        return self._scipy[rows].T @ dense[rows]
+    def take_rows(self, rows: np.ndarray) -> "SparseMatrix":
+        """The matrix of the sorted distinct `rows` of self, in that order."""
+        return SparseMatrix.from_scipy(self._scipy[rows])
+
+    def tdot(self, dense: np.ndarray) -> np.ndarray:
+        """self^T @ dense, adding rows in increasing order as the explicit transpose, so
+        R[U]^T @ x[U] is R^T @ x bit for bit if x is zero off U (a ±0 term adds nothing)."""
+        return self._scipy.T @ dense
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix.from_scipy(self._scipy.T)

@@ -126,7 +126,7 @@ def train_epoch(state: TrainState, ds: Dataset, graphs: GraphBundle,
         # overflow inside a diverging step is reported through the explicit
         # check below, not as a numpy warning
         with np.errstate(all="ignore"):
-            fp = forward(state.params, graphs, feat, cfg.gcn_layers)
+            fp = forward(state.params, graphs, feat, cfg.gcn_layers, batch.distinct_users)
             value, grads, parts = total_loss(fp, feat, batch, cfg.weights, state.counters)
         if not np.isfinite(value) or any(not np.all(np.isfinite(g)) for g in grads.values()):
             raise TrainingDivergedError(

@@ -492,7 +492,8 @@ def uniform_recall_baseline(k, num_items):
 
 
 # Frozen references for one train step: the kernels as they were before
-# they ran in place and before the backward pass sized its first R^T
+# they ran in place, before the propagation ran its R^T halves on a helper
+# thread and before the forward and backward passes sized their user-side
 # products to the batch. The engine must match them bit for bit.
 
 def tdot_reference(m, x):
@@ -500,8 +501,38 @@ def tdot_reference(m, x):
     return m.transpose().dot(x)
 
 
-def infonce_side_reference(x, y, tau):
-    """_infonce_side with a fresh array for every n x n pass."""
+def lightgcn_reference(inter_norm, inter_t, users, items, layers):
+    """lightgcn_propagate on the calling thread alone: per layer R @ h_i,
+    then R^T @ h_u through the explicit transpose, both over all rows."""
+    acc_u, acc_i = users.copy(), items.copy()
+    h_u, h_i = users, items
+    for _ in range(layers):
+        h_u, h_i = inter_norm.dot(h_i), inter_t.dot(h_u)
+        acc_u += h_u
+        acc_i += h_i
+    return acc_u / (layers + 1), acc_i / (layers + 1)
+
+
+def forward_reference(params, graphs, feat, layers, users=None):
+    """forward with every product over all users, serial; `users` is
+    ignored, so the pass is always the full one."""
+    from alignrec.model import ForwardPass, Representations, _gate_forward
+
+    h_id_users, h_id_items = lightgcn_reference(graphs.inter_norm, graphs.inter_t,
+                                                params.user_emb, params.item_emb, layers)
+    h_con, z1, a1, gate = _gate_forward(params, feat.data)
+    h_mm_items = graphs.sim.dot(h_con)
+    h_mm_users = graphs.inter_norm.dot(h_mm_items)
+    reps = Representations(h_id_users=h_id_users, h_id_items=h_id_items,
+                           h_mm_items=h_mm_items, h_mm_users=h_mm_users,
+                           h_users=h_mm_users + h_id_users, h_items=h_mm_items + h_id_items)
+    return ForwardPass(reps=reps, params=params, graphs=graphs, feat=feat, layers=layers,
+                       _z1=z1, _a1=a1, _gate=gate)
+
+
+def infonce_side_reference(x, y, tau, x_rows=None):
+    """_infonce_side with a fresh array for every n x n pass; it normalizes
+    x itself, whatever x_rows holds."""
     from alignrec.features import unit_rows
     from alignrec.losses import _normalize_backward
 
@@ -524,8 +555,9 @@ def infonce_side_reference(x, y, tau):
         _normalize_backward(d_y_unit, y_unit, y_norms, y_nz)
 
 
-def reg_rep_reference(fp, feat, batch, g, weight):
-    """_reg_rep with triu_indices and a fresh array for every n x n pass."""
+def reg_rep_reference(fp, feat, batch, g, weight, mm_rows=None):
+    """_reg_rep with np.unique, triu_indices and a fresh array for every
+    n x n pass; it normalizes the rows itself, whatever mm_rows holds."""
     from alignrec.errors import DataError
     from alignrec.features import unit_rows
 
@@ -557,9 +589,9 @@ def reg_rep_reference(fp, feat, batch, g, weight):
 
 
 def backward_reference(fp, g):
-    """ForwardPass.backward with every R^T product over all users, through
-    the cached explicit transposes."""
-    from alignrec.model import lightgcn_propagate, zero_grads
+    """ForwardPass.backward of a full pass with every R^T product over all
+    users, through the cached explicit transposes, serial."""
+    from alignrec.model import zero_grads
 
     p = fp.params
     grads = zero_grads(p)
@@ -576,7 +608,7 @@ def backward_reference(fp, g):
     d_z1 = d_a1 * (fp._z1 > 0.0)
     grads["gate_w1"] += fp.feat.data.T @ d_z1
     grads["gate_b1"] += d_z1.sum(axis=0)
-    d_users, d_items = lightgcn_propagate(fp.graphs.inter_norm, fp.graphs.inter_t,
+    d_users, d_items = lightgcn_reference(fp.graphs.inter_norm, fp.graphs.inter_t,
                                           d_id_users, d_id_items, fp.layers)
     grads["user_emb"] += d_users
     grads["item_emb"] += d_items

@@ -1,7 +1,10 @@
-"""The train step's kernels, bit for bit against the frozen out-of-place
-references in oracles.py: the batch-sized R^T product, the in-place InfoNCE
-side, similarity regularizer and Adam, and a few train_epoch steps whose
-batches each cover a strict subset of the users."""
+"""The train step's kernels, bit for bit against the frozen serial and
+out-of-place references in oracles.py: the batch-sized R^T product, the
+two-lane propagation, the forward pass sized to a batch's users, the in-place
+InfoNCE side, similarity regularizer and Adam, and a few train_epoch steps
+whose batches each cover a strict subset of the users."""
+
+import threading
 
 from types import SimpleNamespace
 
@@ -9,16 +12,19 @@ import numpy as np
 import pytest
 
 from alignrec import losses, model, trainer
+from alignrec.errors import DimensionError, InternalInvariantError
+from alignrec.evaluator import evaluate, longtail_evaluate
 from alignrec.features import FeatureMatrix
 from alignrec.losses import _infonce_side, _reg_rep
-from alignrec.model import PARAM_NAMES, ForwardPass, init_params
+from alignrec.model import PARAM_NAMES, ForwardPass, init_params, lightgcn_propagate
 from alignrec.optim import Adam
 from alignrec.sparse import SparseMatrix
 from alignrec.trainer import TrainConfig, TrainState, train_epoch
 
 from conftest import manual_batch, random_instance
-from oracles import (AdamReference, backward_reference, infonce_side_reference,
-                     reg_rep_reference, tdot_reference)
+from oracles import (AdamReference, backward_reference, forward_reference,
+                     infonce_side_reference, lightgcn_reference, reg_rep_reference,
+                     tdot_reference)
 
 
 def _same_bytes(a, b):
@@ -52,7 +58,7 @@ class TestTdot:
         if rows.size:
             x[rows[0], 1] = 0.0
             x[rows[-1]] = -0.0  # a kept row of -0.0 only
-        got = R.tdot(x, rows)
+        got = R.take_rows(rows).tdot(x[rows])
         assert _same_bytes(got, tdot_reference(R, x))
         assert _same_bytes(got, R._scipy.T @ x)
         assert not np.signbit(got[got == 0.0]).any()  # sums start at +0.0
@@ -62,7 +68,7 @@ class TestTdot:
         for _ in range(20):
             x = np.where(rng.random((300, 1)) < 0.2, rng.normal(size=(300, 8)), -0.0)
             rows = np.flatnonzero(x.any(axis=1))
-            assert _same_bytes(R.tdot(x, rows), tdot_reference(R, x))
+            assert _same_bytes(R.take_rows(rows).tdot(x[rows]), tdot_reference(R, x))
 
 
 class TestInfonceSide:
@@ -122,6 +128,126 @@ def test_backward_matches_full_products_on_disjoint_user_rows(rng, layers):
     got, want = fp.backward(g), backward_reference(fp, g)
     for name in PARAM_NAMES:
         assert _same_bytes(got[name], want[name])
+
+
+def _user_sets(n, rng):
+    """Sorted distinct user sets: every user, one user, the first, the last,
+    a random batch's users and none."""
+    return {"all": np.arange(n), "one": np.array([n // 2]), "first": np.array([0]),
+            "last": np.array([n - 1]), "batch": np.unique(rng.integers(n, size=n // 2)),
+            "empty": np.array([], dtype=np.int64)}
+
+
+class TestTwoLanePropagation:
+    @pytest.mark.parametrize("layers", [0, 1, 2, 3])
+    def test_full_products_match_serial_reference(self, rng, layers):
+        ds, feat, graphs, params, _ = random_instance(rng, num_users=30, num_items=12)
+        got = lightgcn_propagate(graphs.inter_norm, graphs.inter_t,
+                                 params.user_emb, params.item_emb, layers)
+        want = lightgcn_reference(graphs.inter_norm, graphs.inter_t,
+                                  params.user_emb, params.item_emb, layers)
+        assert all(_same_bytes(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("layers", [0, 1, 2, 3])
+    def test_user_mean_at_rows_matches_serial_reference(self, rng, layers):
+        R = _interactions(rng)
+        Rt = R.transpose()
+        users, items = rng.normal(size=(R.rows, 5)), rng.normal(size=(R.cols, 5))
+        want_u, want_i = lightgcn_reference(R, Rt, users, items, layers)
+        for case, rows in _user_sets(R.rows, rng).items():
+            got_u, got_i = lightgcn_propagate(R, Rt, users, items, layers,
+                                              (rows, R.take_rows(rows)))
+            assert _same_bytes(got_u, want_u[rows]), case
+            assert _same_bytes(got_i, want_i), case
+
+    @pytest.mark.parametrize("layers", [0, 1, 2, 3])
+    def test_input_at_rows_matches_serial_reference(self, rng, layers):
+        # the rows of an input that is zero outside them, as the backward
+        # pass hands over its user-side gradient; kept rows hold -0.0 too
+        R = _interactions(rng)
+        Rt = R.transpose()
+        items = rng.normal(size=(R.cols, 5))
+        for case, rows in _user_sets(R.rows, rng).items():
+            users = np.zeros((R.rows, 5))
+            users[rows] = rng.normal(size=(len(rows), 5))
+            if rows.size:
+                users[rows[-1]] = -0.0
+            got = lightgcn_propagate(R, Rt, users[rows], items, layers,
+                                     (rows, R.take_rows(rows)))
+            want = lightgcn_reference(R, Rt, users, items, layers)
+            assert all(_same_bytes(a, b) for a, b in zip(got, want)), case
+
+    def test_error_on_the_helper_comes_back_typed(self, rng):
+        R = _interactions(rng)
+        Rt = R.transpose()
+        items = rng.normal(size=(R.cols, 3))
+        bad = rng.normal(size=(R.rows + 1, 3))  # only the R^T half rejects it
+        with pytest.raises(DimensionError) as serial:
+            Rt.dot(bad)
+        with pytest.raises(DimensionError) as helper:
+            lightgcn_propagate(R, Rt, bad, items, 2)
+        assert str(helper.value) == str(serial.value)
+        # the helper goes on serving later layers
+        users = rng.normal(size=(R.rows, 3))
+        got = lightgcn_propagate(R, Rt, users, items, 2)
+        assert all(_same_bytes(a, b) for a, b in
+                   zip(got, lightgcn_reference(R, Rt, users, items, 2)))
+
+    def test_one_helper_thread_after_many_forwards(self, rng):
+        ds, feat, graphs, params, _ = random_instance(rng, num_users=30, num_items=12)
+        for n in range(40):
+            users = np.unique(rng.integers(ds.num_users, size=5)) if n % 2 else None
+            model.forward(params, graphs, feat, 1 + n % 3, users)
+        helpers = [t for t in threading.enumerate() if t.name.startswith("alignrec-propagate")]
+        assert len(helpers) == 1 and helpers[0].is_alive()
+
+
+class TestBatchForward:
+    @pytest.mark.parametrize("layers", [0, 1, 2, 3])
+    def test_rows_at_users_match_full_forward(self, rng, layers):
+        ds, feat, graphs, params, _ = random_instance(rng, num_users=30, num_items=12)
+        full = model.forward(params, graphs, feat, layers).reps
+        ref = forward_reference(params, graphs, feat, layers).reps
+        for name in ("h_id_users", "h_id_items", "h_mm_items", "h_mm_users",
+                     "h_users", "h_items"):
+            assert _same_bytes(getattr(full, name), getattr(ref, name))
+        for case, users in _user_sets(ds.num_users, rng).items():
+            if not users.size:
+                continue  # a batch has at least one user
+            fp = model.forward(params, graphs, feat, layers, users)
+            assert np.array_equal(fp.user_rows(users), np.arange(len(users))), case
+            for name in ("h_id_users", "h_mm_users", "h_users"):
+                assert _same_bytes(getattr(fp.reps, name), getattr(full, name)[users]), case
+            for name in ("h_id_items", "h_mm_items", "h_items"):
+                assert _same_bytes(getattr(fp.reps, name), getattr(full, name)), case
+
+    @pytest.mark.parametrize("layers", [0, 1, 2, 3])
+    def test_total_loss_matches_full_forward(self, rng, layers):
+        # the losses read and the backward pass chains the user side at the
+        # batch's rows; values, parts and all six gradients keep their bits
+        ds, feat, graphs, params, _ = random_instance(rng, num_users=30, num_items=12)
+        weights = losses.LossWeights()
+        for size in (1, 7, 40):
+            rows = rng.integers(len(ds.train), size=size)
+            batch = manual_batch(ds.train[rows, 0], ds.train[rows, 1],
+                                 rng.integers(ds.num_items, size=size))
+            for users in (batch.distinct_users, np.arange(ds.num_users)):
+                got = losses.total_loss(model.forward(params, graphs, feat, layers, users),
+                                        feat, batch, weights)
+                want = losses.total_loss(forward_reference(params, graphs, feat, layers),
+                                         feat, batch, weights)
+                assert _same_bytes(got[0], want[0])
+                assert all(_same_bytes(got[2][k], want[2][k]) for k in want[2])
+                assert all(_same_bytes(got[1][k], want[1][k]) for k in PARAM_NAMES)
+
+    def test_partial_representations_are_never_ranked(self, rng):
+        ds, feat, graphs, params, _ = random_instance(rng, num_users=30, num_items=12)
+        reps = model.forward(params, graphs, feat, 2, np.arange(0, 30, 3)).reps
+        for rank in (lambda: evaluate(reps, ds, "val", (5,)),
+                     lambda: evaluate(reps, ds, "test", (5,)),
+                     lambda: longtail_evaluate(reps, ds, (5,))):
+            with pytest.raises(InternalInvariantError, match="cannot rank 10 of 30 users"):
+                rank()
 
 
 def _reg_case(x_rows, f_rows):
@@ -296,19 +422,20 @@ def _run_steps(ds, feat, graphs, cfg, reference: bool, monkeypatch):
 
     opt.step = checked
 
-    tdot = SparseMatrix.tdot
+    take_rows = SparseMatrix.take_rows
 
-    def spied(self, dense, rows):
+    def spied(self, rows):
         restricted.append(rows)
-        return tdot(self, dense, rows)
+        return take_rows(self, rows)
 
     with monkeypatch.context() as m:
         m.setattr(trainer, "total_loss", recorded)
         if reference:
             m.setattr(losses, "_infonce_side", infonce_side_reference)
             m.setattr(losses, "_reg_rep", reg_rep_reference)
+            m.setattr(trainer, "forward", forward_reference)
             m.setattr(ForwardPass, "backward", backward_reference)
-        m.setattr(SparseMatrix, "tdot", spied)
+        m.setattr(SparseMatrix, "take_rows", spied)
         moments = [id(opt.m[n]) for n in PARAM_NAMES] + [id(opt.v[n]) for n in PARAM_NAMES]
         train_epoch(state, ds, graphs, feat, cfg)
     if not reference:
@@ -325,11 +452,11 @@ def test_train_epoch_trajectory_matches_reference_bitwise(rng, monkeypatch):
     ref_state, ref_steps, ref_restricted = _run_steps(ds, feat, graphs, cfg, True, monkeypatch)
 
     assert len(steps) >= 3 and not ref_restricted
-    # every batch leaves users out, and each backward sized its two products
-    # to the users the batch touched
+    # every batch leaves users out, and each step sliced R once, at its
+    # batch's users, for the forward's and the backward's user-side products
     assert all(users.size < ds.num_users for _, _, users in steps)
-    assert len(restricted) == 2 * len(steps)
-    for (_, _, users), rows in zip(steps, restricted[::2]):
+    assert len(restricted) == len(steps)
+    for (_, _, users), rows in zip(steps, restricted):
         assert np.array_equal(rows, users)
     for (value, parts, _), (ref_value, ref_parts, _) in zip(steps, ref_steps):
         assert _same_bytes(value, ref_value)
