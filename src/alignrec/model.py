@@ -141,7 +141,7 @@ def _gate_forward(params: ModelParams, feat_data: np.ndarray):
     z2 = a1 @ params.gate_w2 + params.gate_b2
     gate = expit(z2)
     h_con = params.item_emb * gate
-    return h_con, z1, a1, gate
+    return h_con, a1, gate
 
 
 def item_multimodal(sim: SparseMatrix, h_con_items: np.ndarray) -> np.ndarray:
@@ -178,7 +178,6 @@ class ForwardPass:
     feat: FeatureMatrix
     layers: int
     _user_rows: tuple = field(repr=False, default=None)  # (U, R[U]): the user side at U
-    _z1: np.ndarray = field(repr=False, default=None)
     _a1: np.ndarray = field(repr=False, default=None)
     _gate: np.ndarray = field(repr=False, default=None)
 
@@ -212,7 +211,7 @@ class ForwardPass:
         grads["gate_w2"] += self._a1.T @ d_z2
         grads["gate_b2"] += d_z2.sum(axis=0)
         d_a1 = d_z2 @ p.gate_w2.T
-        d_z1 = d_a1 * (self._z1 > 0.0)
+        d_z1 = d_a1 * (self._a1 > 0.0)  # a1 = max(z1, 0) > 0 exactly where z1 > 0
         grads["gate_w1"] += self.feat.data.T @ d_z1
         grads["gate_b1"] += d_z1.sum(axis=0)
 
@@ -236,7 +235,7 @@ def forward(params: ModelParams, graphs: GraphBundle, feat: FeatureMatrix,
     h_id_users, h_id_items = lightgcn_propagate(graphs.inter_norm, graphs.inter_t,
                                                 params.user_emb, params.item_emb, layers, rows)
 
-    h_con, z1, a1, gate = _gate_forward(params, feat.data)
+    h_con, a1, gate = _gate_forward(params, feat.data)
     h_mm_items = item_multimodal(graphs.sim, h_con)
     h_mm_users = user_multimodal(graphs.inter_norm if rows is None else rows[1], h_mm_items)
 
@@ -245,4 +244,4 @@ def forward(params: ModelParams, graphs: GraphBundle, feat: FeatureMatrix,
         h_mm_items=h_mm_items, h_mm_users=h_mm_users,
         h_users=fuse(h_mm_users, h_id_users), h_items=fuse(h_mm_items, h_id_items))
     return ForwardPass(reps=reps, params=params, graphs=graphs, feat=feat, layers=layers,
-                       _user_rows=rows, _z1=z1, _a1=a1, _gate=gate)
+                       _user_rows=rows, _a1=a1, _gate=gate)

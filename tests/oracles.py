@@ -516,18 +516,22 @@ def lightgcn_reference(inter_norm, inter_t, users, items, layers):
 def forward_reference(params, graphs, feat, layers, users=None):
     """forward with every product over all users, serial; `users` is
     ignored, so the pass is always the full one."""
-    from alignrec.model import ForwardPass, Representations, _gate_forward
+    from scipy.special import expit
+
+    from alignrec.model import ForwardPass, Representations
 
     h_id_users, h_id_items = lightgcn_reference(graphs.inter_norm, graphs.inter_t,
                                                 params.user_emb, params.item_emb, layers)
-    h_con, z1, a1, gate = _gate_forward(params, feat.data)
+    a1 = np.maximum(feat.data @ params.gate_w1 + params.gate_b1, 0.0)
+    gate = expit(a1 @ params.gate_w2 + params.gate_b2)
+    h_con = params.item_emb * gate
     h_mm_items = graphs.sim.dot(h_con)
     h_mm_users = graphs.inter_norm.dot(h_mm_items)
     reps = Representations(h_id_users=h_id_users, h_id_items=h_id_items,
                            h_mm_items=h_mm_items, h_mm_users=h_mm_users,
                            h_users=h_mm_users + h_id_users, h_items=h_mm_items + h_id_items)
     return ForwardPass(reps=reps, params=params, graphs=graphs, feat=feat, layers=layers,
-                       _z1=z1, _a1=a1, _gate=gate)
+                       _a1=a1, _gate=gate)
 
 
 def infonce_side_reference(x, y, tau, x_rows=None):
@@ -605,7 +609,7 @@ def backward_reference(fp, g):
     grads["gate_w2"] += fp._a1.T @ d_z2
     grads["gate_b2"] += d_z2.sum(axis=0)
     d_a1 = d_z2 @ p.gate_w2.T
-    d_z1 = d_a1 * (fp._z1 > 0.0)
+    d_z1 = d_a1 * (fp.feat.data @ p.gate_w1 + p.gate_b1 > 0.0)
     grads["gate_w1"] += fp.feat.data.T @ d_z1
     grads["gate_b1"] += d_z1.sum(axis=0)
     d_users, d_items = lightgcn_reference(fp.graphs.inter_norm, fp.graphs.inter_t,
