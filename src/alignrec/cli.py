@@ -23,11 +23,12 @@ from .data import (file_sha256, kcore_filter, load_interactions, save_splits,
                    split_dataset, write_manifest)
 from .errors import (AlignRecError, ConfigError, DataError, ParseError,
                      TrainingDivergedError)
-from .evaluator import evaluate, longtail_evaluate, rank_all
+from .evaluator import evaluate, longtail_evaluate
 from .features import align_features, load_features, read_item_list
 from .graphs import build_graphs
 from .model import forward
 from .protocols import BASE_PROTOCOLS, mask_modality_eval
+from .sparse import top_k
 from .trainer import fit, format_log_record
 
 
@@ -209,7 +210,7 @@ def cmd_recommend(cfg: RunConfig, args) -> int:
     user = ds.user_index[args.user]
     scores = reps.h_items @ reps.h_users[user]
     seen = ds.train[ds.train[:, 0] == user, 1]
-    for item in rank_all(scores, seen, args.k):
+    for item in top_k(scores, seen, args.k):
         print(f"{ds.item_keys[item]}\t{float(scores[item])!r}")
     return 0
 

@@ -4,11 +4,12 @@ A ranked query is a score over all items, an int array of excluded items and
 an ascending one of relevant items, slices of data.items_by_user's per-user
 CSR lists; its top is the first K non-excluded items by descending score,
 ties to the lower item index. evaluate and longtail_evaluate score
-each user by the inner product and select with rank_all, the exact partial
-top-K of sparse.top_k (it partitions to the K-th value and sorts only the
-items that reach it, so its output is the prefix of the full sort); a thread
-pool ranks chunks of users and hands their tops back in user order. The
-feature protocols rank their queries with sparse.score_top_k. Every ranking
+each user by the inner product, one GEMV per user into a reused block of
+8 rows, and select the block with rank_all, sparse.block_top_k: one
+partition and one row-wise sort for the block, and sparse.top_k for a row
+whose tie group is cut, so each row's top is the prefix of its full sort. A
+thread pool ranks chunks of users and hands their tops back in user order.
+The feature protocols rank their queries with sparse.score_top_k. Every ranking
 ends in ranked_report, which turns all tops at once into per-K recall and
 NDCG values. Seen positives are masked: the train split is always excluded
 from the candidate set, and the validation split is additionally excluded
@@ -32,9 +33,10 @@ import numpy as np
 from .data import Dataset, items_by_user
 from .errors import ConfigError, InternalInvariantError
 from .model import Representations
-from .sparse import top_k
+from .sparse import block_top_k
 
-_CHUNK = 256
+_CHUNK = 256  # users per pool task
+_BLOCK = 8  # users per rank_all call; each pool thread's arena keeps its buffers resident
 
 
 def max_workers() -> int:
@@ -73,8 +75,8 @@ class EvalReport:
         return " ".join(parts)
 
 
-# the ranking kernel of evaluate; _evaluate_users calls it through this module global
-rank_all = top_k
+# the block selector of evaluate; _evaluate_users calls it through this module global
+rank_all = block_top_k
 
 
 def check_ks(ks, name: str) -> None:
@@ -144,13 +146,19 @@ def _split_items(reps: Representations, ds: Dataset, split: str):
 
 def _evaluate_users(reps, users, exclude, relevant, ks, **fields) -> EvalReport:
     """Report over the inner-product rankings of `users`, with per-user CSR
-    lists; the pool ranks chunks of users and returns tops in user order."""
+    lists; the pool ranks chunks of users, a block of GEMV score rows a
+    rank_all call, and returns tops in user order."""
     k = _sorted_ks(ks)[-1]
     ex_ptr, ex_items = exclude
 
     def chunk_tops(chunk):
-        return [rank_all(reps.h_items @ reps.h_users[u], ex_items[ex_ptr[u]:ex_ptr[u + 1]], k)
-                for u in chunk]
+        buffer, tops = np.empty((_BLOCK, reps.h_items.shape[0])), []
+        for part in (chunk[s:s + _BLOCK] for s in range(0, len(chunk), _BLOCK)):
+            for row, u in zip(buffer, part):  # the GEMV bits of h_items @ h_users[u]
+                np.matmul(reps.h_items, reps.h_users[u], out=row)
+            tops += rank_all(buffer[:len(part)], [ex_items[ex_ptr[u]:ex_ptr[u + 1]]
+                                                  for u in part], k)
+        return tops
 
     chunks = [users[s:s + _CHUNK] for s in range(0, len(users), _CHUNK)]
     with ThreadPoolExecutor(max_workers()) as pool:

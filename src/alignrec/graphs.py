@@ -11,8 +11,8 @@ stored together with its transpose:
   the k' largest off-diagonal entries (ties to the lower index), negatives
   clamped to zero, then symmetrically normalized by row-sum degrees. Pruning
   is per row, so sim is not symmetric in general. The cosines come from one
-  GEMM per 512-row block, and each row keeps exactly what the rankings'
-  `top_k` keeps, with the row's own item excluded.
+  GEMM per 512-row block, and the evaluator's `sparse.block_top_k` keeps in
+  each row exactly what `top_k` keeps, with the row's own item excluded.
 
 All four are built once from frozen inputs and never updated during
 training.
@@ -27,7 +27,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError, DataError, InternalInvariantError
 from .features import FeatureMatrix
-from .sparse import SparseMatrix, top_k
+from .sparse import SparseMatrix, block_top_k
 
 _SIM_CHUNK = 512
 
@@ -59,10 +59,9 @@ def build_knn_similarity(feat: FeatureMatrix, k_prime: int) -> SparseMatrix:
     Selection keeps the k' largest off-diagonal cosines per row before any
     clamping, ties to the lower index, so a row whose best candidates are
     all nonpositive ends up empty. The cosines come a 512-row block at a
-    time from one GEMM, and one partition and one row-wise lexsort select
-    the whole block; only rows whose k'-th value is tied with an unselected
-    entry go through `top_k`. The result equals `top_k` on every row, bit
-    for bit.
+    time from one GEMM, and `sparse.block_top_k` selects the whole block
+    with each row's own item excluded: the result equals `top_k` on every
+    row, bit for bit.
     """
     n = feat.rows
     if n < 2:
@@ -81,7 +80,8 @@ def build_knn_similarity(feat: FeatureMatrix, k_prime: int) -> SparseMatrix:
     for start in range(0, n, _SIM_CHUNK):
         stop = min(start + _SIM_CHUNK, n)
         block = unit[start:stop] @ unit.T
-        cols, vals = _block_top_k(block, start, k_prime)
+        cols = np.array(block_top_k(block, np.arange(start, stop)[:, None], k_prime))
+        vals = np.take_along_axis(block, cols, axis=1)
         pos = vals > 0.0
         rows_out.append(np.repeat(np.arange(start, stop), pos.sum(axis=1)))
         cols_out.append(cols[pos])
@@ -98,24 +98,6 @@ def build_knn_similarity(feat: FeatureMatrix, k_prime: int) -> SparseMatrix:
     # a kept positive weight implies both endpoint degrees are positive
     scaled = vals_arr * inv_sqrt[rows_arr] * inv_sqrt[cols_arr]
     return SparseMatrix.from_coo(n, n, rows_arr, cols_arr, scaled)
-
-
-def _block_top_k(block: np.ndarray, start: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row r of the finite `block` (item start + r against all items),
-    the columns and values of `top_k(row, (start + r,), k)`: one partition
-    selects every row's k largest and a row-wise lexsort orders them by
-    (-value, column). Only a row whose tie group at the k-th value is cut
-    goes through top_k itself. The diagonal entries are set to -inf."""
-    n = block.shape[1]
-    rows = np.arange(block.shape[0])
-    block[rows, start + rows] = -np.inf  # the diagonal never competes
-    cols = np.argpartition(block, n - k, axis=1)[:, n - k:]
-    vals = np.take_along_axis(block, cols, axis=1)
-    cols = np.take_along_axis(cols, np.lexsort((cols, -vals), axis=1), axis=1)
-    cut = np.count_nonzero(block >= vals.min(axis=1)[:, None], axis=1) > k
-    for r in np.flatnonzero(cut).tolist():
-        cols[r] = top_k(block[r], (start + r,), k)
-    return cols, np.take_along_axis(block, cols, axis=1)
 
 
 def build_graphs(ds: Dataset, feat: FeatureMatrix, k_prime: int) -> GraphBundle:

@@ -1,6 +1,7 @@
-"""Compressed-sparse-row matrices used by the graph operators, the exact
-top-K row selection shared by the kNN graph build and every ranking, and the
-exact blocked cosine ranking of the feature protocols.
+"""Compressed-sparse-row matrices used by the graph operators, and the exact
+top-K selections: top_k for one score vector, block_top_k for a block of
+score rows a call (the kNN graph build and the evaluator), and the exact
+blocked cosine ranking of the feature protocols, score_top_k.
 
 Thin immutable wrapper around canonical CSR arrays. scipy does the heavy
 lifting for products; the wrapper pins down the invariants the rest of the
@@ -84,8 +85,11 @@ class SparseMatrix:
         return self._scipy @ dense
 
     def take_rows(self, rows: np.ndarray) -> "SparseMatrix":
-        """The matrix of the sorted distinct `rows` of self, in that order."""
-        return SparseMatrix.from_scipy(self._scipy[rows])
+        """The matrix of the sorted distinct `rows` of self, in that order: a
+        canonical row slice, whose arrays __post_init__ checks as they are."""
+        mat = self._scipy[rows]
+        return SparseMatrix(mat.shape[0], self.cols, mat.indptr.astype(np.int64),
+                            mat.indices.astype(np.int64), mat.data)
 
     def tdot(self, dense: np.ndarray) -> np.ndarray:
         """self^T @ dense, adding rows in increasing order as the explicit transpose, so
@@ -118,8 +122,38 @@ def top_k(scores: np.ndarray, exclude, k: int) -> np.ndarray:
     return idx[np.lexsort((idx, neg))[:k]]
 
 
-# query rows per GEMM in score_top_k: 128 x 5.4k items is a 5.5 MB block
-_QUERY_BLOCK = 128
+def _largest(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns and values of each row's k+1 largest entries (k < n) by (-value,
+    column); NaN is largest in the argpartition and last in the lexsort."""
+    n = rows.shape[1]
+    cols = np.argpartition(rows, n - k - 1, axis=1)[:, n - k - 1:]
+    vals = np.take_along_axis(rows, cols, axis=1)
+    order = np.lexsort((cols, -vals), axis=1)
+    return np.take_along_axis(cols, order, axis=1), np.take_along_axis(vals, order, axis=1)
+
+
+def block_top_k(block: np.ndarray, exclude, k: int) -> list[np.ndarray]:
+    """top_k(block[r], exclude[r], k) for every row r of the float64 block,
+    with the int arrays exclude[r] written into it as -inf first. A row's
+    first k of its k+1 largest are its top_k if its k-th value is above its
+    (k+1)-th: no unselected score ties the cut, and the k-th is neither -inf
+    (fewer than k candidates) nor NaN. Other rows, and all when k >= n, go
+    through top_k itself."""
+    rows, n = block.shape  # rows >= 1
+    counts = [len(ex) for ex in exclude]
+    block[np.repeat(np.arange(rows), counts), np.concatenate(exclude)] = -np.inf
+    if k >= n:
+        return [top_k(row, ex, k) for row, ex in zip(block, exclude)]
+    cols, vals = _largest(block, k)
+    tops = list(cols[:, :k])
+    for r in np.flatnonzero(~(vals[:, k - 1] > vals[:, k])).tolist():
+        tops[r] = top_k(block[r], exclude[r], k)
+    return tops
+
+
+# score_top_k's query rows per GEMM (128 x 5.4k items is a 5.5 MB block) and
+# per partition of its order test (a 16-row int64 index block)
+_QUERY_BLOCK, _ORDER_ROWS = 128, 16
 
 
 def _abs_max(U: np.ndarray) -> float:
@@ -136,13 +170,18 @@ def score_top_k(Q: np.ndarray, U: np.ndarray, exclude, k: int) -> list[np.ndarra
 
     Each block of query rows is first scored by one GEMM, with its excluded
     items set to -inf by one fancy assignment. The GEMM value and the
-    canonical score both lie within gamma_d * ||q||_1 * max|U| of the exact
-    product in any summation order, gamma_d = d*u/(1 - d*u), u = eps/2 (plus
-    an absolute term for underflow). So every item of the canonical top K,
-    and of its tie group at the cut, has a GEMM value at most four times
-    that below the row's K-th largest one. Only the items in a band twice
-    that wide are rescored canonically, one query at a time.
-    """
+    canonical score both lie within E = gamma_d * ||q||_1 * max|U| of the
+    exact product in any summation order, gamma_d = d*u/(1 - d*u), u = eps/2
+    (plus an absolute term for underflow); a row's band width is about 8E.
+
+    A row whose k+1 largest GEMM values (k < n) are finite and each more
+    than the width apart takes its first k items in GEMM order: two canonical
+    scores differ by their GEMM values' difference to within 4E, so a larger
+    gap orders them the same way, strictly, and no item below the (k+1)-th
+    GEMM value reaches the canonical top k. In any other row, every item of
+    the canonical top K, and of its tie group at the cut, has a GEMM value at
+    most 4E below the K-th largest one: only the items within the width of
+    it are rescored canonically, one query at a time."""
     n, d = U.shape
     # ||q||_1 * max|U| bounds sum|q_i u_i| with no squaring to underflow
     slack = 4.0 * d * np.finfo(np.float64).eps * _abs_max(U)
@@ -155,12 +194,22 @@ def score_top_k(Q: np.ndarray, U: np.ndarray, exclude, k: int) -> list[np.ndarra
         counts = [len(ex) for ex in banned]
         gemm[np.repeat(np.arange(len(counts)), counts), np.concatenate(banned)] = -np.inf
         widths = slack * np.abs(block).sum(axis=1) + floor
-        for q, row, width in zip(block, gemm, widths):
-            # the K-th value row by row: no partitioned copy of the block
-            kth = np.partition(row, n - k)[n - k] if k <= n else -np.inf
-            cand = np.flatnonzero(row >= max(kth - width, lowest))
-            terms = U[cand]
-            terms *= q  # in place: the bits of U[cand] * q, one allocation fewer
-            tops.append(cand[top_k(terms.sum(axis=1), (), k)])
-        del gemm, row  # so the next GEMM is not allocated beside this one
+        for s in range(0, len(block), _ORDER_ROWS):
+            rows, ordered = gemm[s:s + _ORDER_ROWS], np.zeros(_ORDER_ROWS, dtype=bool)
+            if k < n:
+                cols, vals = _largest(rows, k)
+                with np.errstate(invalid="ignore"):  # -inf - -inf: a NaN gap fails the test
+                    ordered = np.isfinite(vals).all(axis=1) & (
+                        vals[:, :-1] - vals[:, 1:] > widths[s:s + _ORDER_ROWS, None]).all(axis=1)
+            for r, row in enumerate(rows):
+                if ordered[r]:
+                    tops.append(cols[r, :k])
+                    continue
+                # the K-th value row by row: no partitioned copy of the block
+                kth = np.partition(row, n - k)[n - k] if k <= n else -np.inf
+                cand = np.flatnonzero(row >= max(kth - widths[s + r], lowest))
+                terms = U[cand]
+                terms *= block[s + r]  # in place: the bits of U[cand] * q, one allocation fewer
+                tops.append(cand[top_k(terms.sum(axis=1), (), k)])
+        del gemm, rows, row  # so the next GEMM is not allocated beside this one
     return tops

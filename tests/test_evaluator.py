@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from alignrec import evaluator
 from alignrec.data import Dataset
 from alignrec.errors import ConfigError
-from alignrec.evaluator import evaluate, longtail_evaluate, rank_all, ranked_report
+from alignrec.evaluator import evaluate, longtail_evaluate, ranked_report
 from alignrec.model import Representations
+from alignrec.sparse import top_k
 
 from oracles import bruteforce_evaluate, ndcg_at_k, recall_at_k
 
@@ -35,20 +36,20 @@ def _dataset(num_users, num_items, train, val, test):
 
 class TestRanking:
     def test_simple_order(self):
-        order = rank_all(np.array([0.5, 0.9, 0.1]), [], 3)
+        order = top_k(np.array([0.5, 0.9, 0.1]), [], 3)
         assert order.tolist() == [1, 0, 2]
 
     def test_tie_breaks_by_index(self):
-        order = rank_all(np.array([1.0, 1.0, 1.0, 1.0]), [], 4)
+        order = top_k(np.array([1.0, 1.0, 1.0, 1.0]), [], 4)
         assert order.tolist() == [0, 1, 2, 3]
 
     def test_excluded_missing_from_output(self):
-        order = rank_all(np.array([0.5, 0.9, 0.1, 0.7]), np.array([1, 2]), 4)
+        order = top_k(np.array([0.5, 0.9, 0.1, 0.7]), np.array([1, 2]), 4)
         assert order.tolist() == [3, 0]
 
     def test_matches_full_sort_oracle(self, rng):
         scores = rng.normal(size=40)
-        got = rank_all(scores, np.array([3, 17]), len(scores))
+        got = top_k(scores, np.array([3, 17]), len(scores))
         want = sorted((j for j in range(40) if j not in {3, 17}),
                       key=lambda j: (-scores[j], j))
         assert got.tolist() == want
@@ -68,7 +69,7 @@ def test_top_k_is_prefix_of_full_sort_under_ties(values, data):
     idx = np.array([j for j in range(n) if j not in exclude], dtype=np.int64)
     full = idx[np.lexsort((idx, -scores[idx]))].tolist()
     for k in range(1, n + 2):
-        assert rank_all(scores, np.array(sorted(exclude), dtype=np.int64), k).tolist() == full[:k]
+        assert top_k(scores, np.array(sorted(exclude), dtype=np.int64), k).tolist() == full[:k]
 
 
 class TestMetrics:
@@ -217,7 +218,7 @@ class TestLongtail:
         hits = []
         for u in (1, 3):
             exclude = [i for uu, i in ds.train.tolist() if uu == u]
-            ranked = rank_all(reps.h_items @ reps.h_users[u], exclude, ds.num_items)
+            ranked = top_k(reps.h_items @ reps.h_users[u], exclude, ds.num_items)
             hits.append(1.0 if 4 in ranked[:5].tolist() else 0.0)
         assert report.recall[5] == pytest.approx(sum(hits) / 2, abs=1e-15)
 
@@ -235,6 +236,59 @@ def test_thread_cap_does_not_change_results(rng, monkeypatch):
     threaded = evaluate(reps, ds, "test", (5, 10))
     assert serial.recall == threaded.recall
     assert serial.ndcg == threaded.ndcg
+
+
+def _ranked_instance(rng, num_users=300, num_items=40):
+    """More users than one pool task and not a multiple of a block; items 7,
+    8 and 9 copy item 3 and item 20 copies item 11, so their GEMV scores tie
+    or split by the kernel's row path; user 0 has all but 4 items in train
+    and user 1 all but 8."""
+    h_items = rng.normal(size=(num_items, 6))
+    h_items[[7, 8, 9]] = h_items[3]
+    h_items[20] = h_items[11]
+    h_users = rng.normal(size=(num_users, 6))
+    h_users[2] = 0.0  # every score ties
+    train, val, test = [], [], []
+    for u in range(num_users):
+        order = rng.permutation(num_items).tolist()
+        held = {0: 4, 1: 8}.get(u, int(rng.integers(2, 10)))
+        train += [[u, i] for i in order[held:]]
+        val += [[u, i] for i in order[:held // 2]]
+        test += [[u, i] for i in order[held // 2:held]]
+    return _dataset(num_users, num_items, train, val, test), _reps(h_users, h_items)
+
+
+def test_block_ranking_matches_bruteforce(rng):
+    ds, reps = _ranked_instance(rng)
+    ks = (1, 3, 7, 10)
+    for split in ("val", "test"):
+        report = evaluate(reps, ds, split, ks)
+        recall, ndcg, count = bruteforce_evaluate(reps.h_users, reps.h_items, ds, split, ks)
+        assert report.users_evaluated == count == ds.num_users
+        assert report.recall == recall and report.ndcg == ndcg
+
+
+def test_block_longtail_matches_bruteforce_on_the_slice(rng):
+    ds, reps = _ranked_instance(rng)
+    threshold = float(np.median(ds.item_train_degree))
+    report = longtail_evaluate(reps, ds, (1, 3, 7, 10), threshold=threshold)
+    kept = ds.test[ds.item_train_degree[ds.test[:, 1]] < threshold].tolist()
+    sliced = _dataset(ds.num_users, ds.num_items, ds.train.tolist(), ds.val.tolist(), kept)
+    recall, ndcg, count = bruteforce_evaluate(reps.h_users, reps.h_items, sliced, "test",
+                                              (1, 3, 7, 10))
+    assert 0 < report.users_evaluated == count < ds.num_users
+    assert report.recall == recall and report.ndcg == ndcg
+
+
+@pytest.mark.parametrize("num_items, dim", [(1003, 64), (37, 5), (13, 768)])
+def test_gemv_into_a_buffer_row_has_the_plain_product_bits(rng, num_items, dim):
+    # the evaluator writes each user's scores into a row of a reused buffer
+    h_items, h_users = rng.normal(size=(num_items, dim)), rng.normal(size=(40, dim))
+    buffer = np.empty((evaluator._BLOCK, num_items))
+    for u in range(40):
+        row = buffer[u % evaluator._BLOCK]
+        np.matmul(h_items, h_users[u], out=row)
+        assert row.tobytes() == (h_items @ h_users[u]).tobytes()
 
 
 def test_report_text_roundtrip_fields(rng):
@@ -268,7 +322,7 @@ def test_ranked_report_by_hit_count_matches_bruteforce(rng):
     assert report.users_evaluated == count == len(users)
     assert report.recall == recall and report.ndcg == ndcg
     for u, hits in enumerate(users):
-        top = rank_all(h_users[u], ds.train[ds.train[:, 0] == u, 1], 10).tolist()
+        top = top_k(h_users[u], ds.train[ds.train[:, 0] == u, 1], 10).tolist()
         assert sum(1 for i in top if [u, i] in test) == hits
 
 

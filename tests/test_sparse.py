@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alignrec import sparse
 from alignrec.errors import DataError, DimensionError
-from alignrec.sparse import SparseMatrix, _abs_max, score_top_k, top_k
+from alignrec.sparse import SparseMatrix, _abs_max, block_top_k, score_top_k, top_k
 
-from oracles import canonical_scores, canonical_top_k_reference, to_dense
+from oracles import canonical_scores, canonical_top_k_reference, to_dense, to_scipy
 
 
 def test_from_coo_canonicalizes_and_sums_duplicates():
@@ -98,6 +99,115 @@ def test_transpose_roundtrip(rng):
     dense = rng.normal(size=(4, 6)) * (rng.random(size=(4, 6)) < 0.5)
     m = SparseMatrix.from_scipy(dense)
     assert np.array_equal(to_dense(m.transpose()), dense.T)
+
+
+@pytest.mark.parametrize("rows", [[], [0], [3], [8], list(range(9)), [1, 4, 8]],
+                         ids=["none", "one", "first", "last", "all", "with-empty-row"])
+def test_take_rows_equals_the_from_scipy_slice(rng, rows):
+    dense = rng.normal(size=(9, 7)) * (rng.random(size=(9, 7)) < 0.4)
+    dense[4] = 0.0
+    m = SparseMatrix.from_scipy(dense)
+    rows = np.array(rows, dtype=np.int64)
+    got, want = m.take_rows(rows), SparseMatrix.from_scipy(to_scipy(m)[rows])
+    assert (got.rows, got.cols) == (want.rows, want.cols) == (len(rows), 7)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert np.array_equal(to_dense(got), dense[rows])
+
+
+# ties at and across the cut, signed zeros, NaN and infinities, next to
+# distinct values that let a row settle without top_k
+_BLOCK_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.0, np.inf, -np.inf, np.nan]),
+                           st.floats(-4.0, 4.0))
+
+
+def _assert_block_equals_rows(block, exclude, k):
+    want = [top_k(row, ex, k) for row, ex in zip(block, exclude)]
+    got = block_top_k(block.copy(), exclude, k)
+    assert len(got) == len(want)
+    for top, ranking in zip(got, want):
+        assert top.dtype == ranking.dtype and top.tobytes() == ranking.tobytes()
+
+
+@given(st.integers(1, 12), st.integers(1, 5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_block_top_k_equals_top_k_on_every_row(n, count, data):
+    rows = data.draw(st.lists(st.lists(_BLOCK_ENTRIES, min_size=n, max_size=n),
+                              min_size=count, max_size=count))
+    if count > 1 and data.draw(st.booleans()):
+        rows[-1] = rows[0]
+    block = np.array(rows, dtype=np.float64).reshape(count, n)
+    # unsorted, repeated, none or (at up to n + 2 draws) every item
+    exclude = [np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=n + 2)),
+                        dtype=np.int64) for _ in range(count)]
+    for k in range(1, n + 3):
+        _assert_block_equals_rows(block, exclude, k)
+
+
+def test_block_top_k_every_item_excluded_and_fewer_than_k(rng):
+    block = rng.normal(size=(4, 9))
+    exclude = [np.arange(9), np.arange(8)[::-1], np.array([], dtype=np.int64), np.array([2, 2])]
+    for k in (1, 2, 8, 9, 12):
+        _assert_block_equals_rows(block, exclude, k)
+
+
+def test_block_top_k_settles_distinct_rows_itself(rng, monkeypatch):
+    block = rng.normal(size=(16, 300))
+    exclude = [rng.choice(300, size=20, replace=False) for _ in range(16)]
+    want = [top_k(row, ex, 50) for row, ex in zip(block, exclude)]
+    monkeypatch.setattr(sparse, "top_k", None)  # a call would raise
+    got = block_top_k(block, exclude, 50)
+    assert [top.tolist() for top in got] == [top.tolist() for top in want]
+    assert np.all(block[np.repeat(np.arange(16), 20), np.concatenate(exclude)] == -np.inf)
+
+
+def _spy_rescoring(monkeypatch):
+    """The canonical band scores of each row score_top_k rescores: only that
+    path calls top_k."""
+    rescored = []
+
+    def spy(scores, exclude, k):
+        rescored.append(scores)
+        return top_k(scores, exclude, k)
+    monkeypatch.setattr(sparse, "top_k", spy)
+    return rescored
+
+
+def test_score_top_k_takes_separated_rows_in_gemm_order(rng, monkeypatch):
+    rescored = _spy_rescoring(monkeypatch)
+    items = rng.normal(size=(300, 16))
+    queries = rng.normal(size=(140, 16))  # past one 128-row GEMM block
+    exclude = [set(rng.choice(300, size=int(rng.integers(0, 30))).tolist()) for _ in range(140)]
+    for k in (1, 10, 50):
+        _assert_canonical_tops(queries, items, exclude, k)
+    assert rescored == []
+    # fewer than k + 1 candidates: every row is rescored
+    _assert_canonical_tops(queries[:3], items, [set(range(250))] * 3, 50)
+    assert len(rescored) == 3
+
+
+def test_score_top_k_rescores_duplicate_and_one_ulp_rows(rng, monkeypatch):
+    rescored = _spy_rescoring(monkeypatch)
+    items = rng.normal(size=(60, 16))
+    items[59], items[58] = items[0], items[5]
+    items[57] = items[9]
+    items[57, 0] = np.nextafter(items[9, 0], np.inf)  # a 1-ulp apart item
+    queries = items[[0, 5, 9]] * 3.0  # each query's own item is its top
+    _assert_canonical_tops(queries, items, [set(), set(), set()], 3)
+    assert len(rescored) == 3 and all(len(band) >= 2 for band in rescored)
+    rescored.clear()
+    # k = n takes no fast path: no (k+1)-th value to separate from
+    _assert_canonical_tops(queries[:1] / 3.0 + 1.0, items, [set()], 60)
+    assert len(rescored) == 1
+    rescored.clear()
+    # exact scores one ulp apart: the GEMM gaps are positive but below the width
+    ulp_items = np.zeros((40, 9))
+    ulp_items[:, 0] = 0.75 + np.arange(40) * np.spacing(0.75)
+    signs = np.zeros((2, 9))
+    signs[:, 0] = [1.0, -1.0]
+    _assert_canonical_tops(signs, ulp_items, [set(), set()], 5)
+    assert len(rescored) == 2
 
 
 def _assert_canonical_tops(queries, items, exclude, k):
