@@ -3,17 +3,15 @@
 A ranked query is a score over all items, an int array of excluded items and
 an ascending one of relevant items, slices of data.items_by_user's per-user
 CSR lists; its top is the first K non-excluded items by descending score,
-ties to the lower item index. evaluate and longtail_evaluate score
-each user by the inner product, one GEMV per user into a reused block of
-8 rows, and select the block with rank_all, sparse.block_top_k: one
-partition and one row-wise sort for the block, and sparse.top_k for a row
-whose tie group is cut, so each row's top is the prefix of its full sort. A
-thread pool ranks chunks of users and hands their tops back in user order.
-The feature protocols rank their queries with sparse.score_top_k. Every ranking
-ends in ranked_report, which turns all tops at once into per-K recall and
-NDCG values. Seen positives are masked: the train split is always excluded
-from the candidate set, and the validation split is additionally excluded
-when scoring the test split.
+ties to the lower item index. evaluate and longtail_evaluate rank the inner
+products h_items @ h_users[u] with rank_all, sparse.gemv_top_k, a block of
+128 users a call: one GEMM screens the block, and a row whose order the gap
+test cannot prove is ranked by its own GEMV and sparse.top_k, so each top
+has the bits of the per-user GEMV ranking. The feature protocols rank their
+queries with sparse.score_top_k. Every ranking ends in ranked_report, which
+turns all tops at once into per-K recall and NDCG values. Seen positives are
+masked: the train split is always excluded from the candidate set, and the
+validation split is additionally excluded when scoring the test split.
 
 Per-user metric values are accumulated with exactly-rounded summation
 (math.fsum) so reported means are reproducible bit for bit and can be checked
@@ -22,10 +20,8 @@ against an independent implementation without tolerance.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,15 +29,12 @@ import numpy as np
 from .data import Dataset, items_by_user
 from .errors import ConfigError, InternalInvariantError
 from .model import Representations
-from .sparse import block_top_k
+from .sparse import gemv_top_k
 
-_CHUNK = 256  # users per pool task
-_BLOCK = 8  # users per rank_all call; each pool thread's arena keeps its buffers resident
+_USER_BLOCK = 128  # users per rank_all call: one GEMM block of gemv_top_k
 
 
-def max_workers() -> int:
-    """Threads of the evaluator's pool: the CPUs this process may run on, at
-    most 8."""
+def max_workers() -> int:  # usable CPUs, at most 8: read by perfbench/machine.py alone
     return min(len(os.sched_getaffinity(0)), 8)
 
 
@@ -75,8 +68,8 @@ class EvalReport:
         return " ".join(parts)
 
 
-# the block selector of evaluate; _evaluate_users calls it through this module global
-rank_all = block_top_k
+# the block ranking of evaluate; _evaluate_users calls it through this module global
+rank_all = gemv_top_k
 
 
 def check_ks(ks, name: str) -> None:
@@ -146,23 +139,14 @@ def _split_items(reps: Representations, ds: Dataset, split: str):
 
 def _evaluate_users(reps, users, exclude, relevant, ks, **fields) -> EvalReport:
     """Report over the inner-product rankings of `users`, with per-user CSR
-    lists; the pool ranks chunks of users, a block of GEMV score rows a
-    rank_all call, and returns tops in user order."""
+    lists, ranked a block of users per rank_all call."""
     k = _sorted_ks(ks)[-1]
     ex_ptr, ex_items = exclude
-
-    def chunk_tops(chunk):
-        buffer, tops = np.empty((_BLOCK, reps.h_items.shape[0])), []
-        for part in (chunk[s:s + _BLOCK] for s in range(0, len(chunk), _BLOCK)):
-            for row, u in zip(buffer, part):  # the GEMV bits of h_items @ h_users[u]
-                np.matmul(reps.h_items, reps.h_users[u], out=row)
-            tops += rank_all(buffer[:len(part)], [ex_items[ex_ptr[u]:ex_ptr[u + 1]]
-                                                  for u in part], k)
-        return tops
-
-    chunks = [users[s:s + _CHUNK] for s in range(0, len(users), _CHUNK)]
-    with ThreadPoolExecutor(max_workers()) as pool:
-        tops = list(itertools.chain.from_iterable(pool.map(chunk_tops, chunks)))
+    tops = []
+    for start in range(0, len(users), _USER_BLOCK):
+        block = users[start:start + _USER_BLOCK]
+        tops += rank_all(reps.h_users[block], reps.h_items,
+                         [ex_items[ex_ptr[u]:ex_ptr[u + 1]] for u in block], k)
     rel_ptr, rel_items = relevant
     return ranked_report(tops, [rel_items[rel_ptr[u]:rel_ptr[u + 1]] for u in users],
                          ks, **fields)

@@ -11,8 +11,8 @@ stored together with its transpose:
   the k' largest off-diagonal entries (ties to the lower index), negatives
   clamped to zero, then symmetrically normalized by row-sum degrees. Pruning
   is per row, so sim is not symmetric in general. The cosines come from one
-  GEMM per 512-row block, and the evaluator's `sparse.block_top_k` keeps in
-  each row exactly what `top_k` keeps, with the row's own item excluded.
+  GEMM per 512-row block, and `sparse.block_top_k` (this build's alone) keeps
+  in each row exactly what `top_k` keeps, with the row's own item excluded.
 
 All four are built once from frozen inputs and never updated during
 training.

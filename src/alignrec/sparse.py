@@ -1,7 +1,7 @@
 """Compressed-sparse-row matrices used by the graph operators, and the exact
 top-K selections: top_k for one score vector, block_top_k for a block of
-score rows a call (the kNN graph build and the evaluator), and the exact
-blocked cosine ranking of the feature protocols, score_top_k.
+score rows (the kNN graph build), and the rankings screened by one GEMM per
+block of queries, score_top_k of canonical scores and gemv_top_k of GEMVs.
 
 Thin immutable wrapper around canonical CSR arrays. scipy does the heavy
 lifting for products; the wrapper pins down the invariants the rest of the
@@ -151,42 +151,34 @@ def block_top_k(block: np.ndarray, exclude, k: int) -> list[np.ndarray]:
     return tops
 
 
-# score_top_k's query rows per GEMM (128 x 5.4k items is a 5.5 MB block) and
-# per partition of its order test (a 16-row int64 index block)
+# query rows per GEMM of the screened rankings (128 x 5.4k items is a 5.5 MB
+# block) and per partition of their gap test (a 16-row int64 index block)
 _QUERY_BLOCK, _ORDER_ROWS = 128, 16
 
 
 def _abs_max(U: np.ndarray) -> float:
-    """max|U|, +0.0 for an empty or all-zero U, without the full-size |U|."""
-    return max(0.0, float(U.max()), float(-U.min())) if U.size else 0.0
+    """max|U|, NaN if U holds one, +0.0 for an empty or all-zero U, without
+    the full-size |U|."""
+    return max(abs(float(U.max())), abs(float(U.min()))) if U.size else 0.0
 
 
-def score_top_k(Q: np.ndarray, U: np.ndarray, exclude, k: int) -> list[np.ndarray]:
-    """For each query row q of Q, the top_k (k >= 1) of the canonical scores
-    np.sum(U * q, axis=1) without the int array exclude[r] of items: the
-    prefix of the full canonical sort, ties to the lower index. Q and U are
-    finite float64 matrices with as many columns. A canonical score does not
-    depend on the other rows summed with it, nor on the BLAS kernel.
-
-    Each block of query rows is first scored by one GEMM, with its excluded
-    items set to -inf by one fancy assignment. The GEMM value and the
-    canonical score both lie within E = gamma_d * ||q||_1 * max|U| of the
-    exact product in any summation order, gamma_d = d*u/(1 - d*u), u = eps/2
-    (plus an absolute term for underflow); a row's band width is about 8E.
-
-    A row whose k+1 largest GEMM values (k < n) are finite and each more
-    than the width apart takes its first k items in GEMM order: two canonical
-    scores differ by their GEMM values' difference to within 4E, so a larger
-    gap orders them the same way, strictly, and no item below the (k+1)-th
-    GEMM value reaches the canonical top k. In any other row, every item of
-    the canonical top K, and of its tie group at the cut, has a GEMM value at
-    most 4E below the K-th largest one: only the items within the width of
-    it are rescored canonically, one query at a time."""
+def _screen_top_k(Q: np.ndarray, U: np.ndarray, exclude, k: int, settle) -> list[np.ndarray]:
+    """The top k (k >= 1) of a reference score of the items U for each query
+    row q = Q[r], without the int array exclude[r]: the GEMM order where the
+    gap test proves it, else settle(r, row, width) on the row's masked GEMM
+    scores and band width. A GEMM value and a reference score summed from
+    the same d products in any order lie within E = gamma_d * ||q||_1 * max|U|
+    of the exact product, gamma_d = d*u/(1 - d*u), u = eps/2 (plus an
+    absolute term for underflow; no overflow); the width is about 8E. If a
+    row's k+1 largest GEMM values (k < n) are finite and each more than the
+    width apart, their reference scores, within 4E of their differences,
+    keep that order strictly, and no item below them reaches the top k.
+    Ties, duplicate item rows, fewer than k+1 candidates and a NaN or +-inf
+    in q or U (a NaN or infinite width) fail the test."""
     n, d = U.shape
     # ||q||_1 * max|U| bounds sum|q_i u_i| with no squaring to underflow
     slack = 4.0 * d * np.finfo(np.float64).eps * _abs_max(U)
     floor = 4.0 * d * np.finfo(np.float64).tiny
-    lowest = np.finfo(np.float64).min  # above -inf: an excluded item is never in the band
     tops = []
     for start in range(0, Q.shape[0], _QUERY_BLOCK):
         block, banned = Q[start:start + _QUERY_BLOCK], exclude[start:start + _QUERY_BLOCK]
@@ -202,14 +194,37 @@ def score_top_k(Q: np.ndarray, U: np.ndarray, exclude, k: int) -> list[np.ndarra
                     ordered = np.isfinite(vals).all(axis=1) & (
                         vals[:, :-1] - vals[:, 1:] > widths[s:s + _ORDER_ROWS, None]).all(axis=1)
             for r, row in enumerate(rows):
-                if ordered[r]:
-                    tops.append(cols[r, :k])
-                    continue
-                # the K-th value row by row: no partitioned copy of the block
-                kth = np.partition(row, n - k)[n - k] if k <= n else -np.inf
-                cand = np.flatnonzero(row >= max(kth - widths[s + r], lowest))
-                terms = U[cand]
-                terms *= block[s + r]  # in place: the bits of U[cand] * q, one allocation fewer
-                tops.append(cand[top_k(terms.sum(axis=1), (), k)])
+                top = cols[r, :k] if ordered[r] else settle(start + s + r, row, widths[s + r])
+                tops.append(top)
         del gemm, rows, row  # so the next GEMM is not allocated beside this one
     return tops
+
+
+def score_top_k(Q: np.ndarray, U: np.ndarray, exclude, k: int) -> list[np.ndarray]:
+    """For each query row q of Q, the top_k (k >= 1) of the canonical scores
+    np.sum(U * q, axis=1) without the int array exclude[r]: the prefix of the
+    full canonical sort, ties to the lower index, for finite float64 Q and U.
+    A canonical score depends neither on the other rows summed with it nor
+    on the BLAS kernel. In a row _screen_top_k leaves open, the canonical top
+    K and its tie group at the cut lie at most 4E below the K-th largest GEMM
+    value: only the items within the width of it are summed canonically."""
+    n = U.shape[0]
+    lowest = np.finfo(np.float64).min  # above -inf: an excluded item is never in the band
+
+    def rescore(r, row, width):
+        # the K-th value row by row: no partitioned copy of the block
+        kth = np.partition(row, n - k)[n - k] if k <= n else -np.inf
+        cand = np.flatnonzero(row >= max(kth - width, lowest))
+        terms = U[cand]
+        terms *= Q[r]  # in place: the bits of U[cand] * q, one allocation fewer
+        return cand[top_k(terms.sum(axis=1), (), k)]
+
+    return _screen_top_k(Q, U, exclude, k, rescore)
+
+
+def gemv_top_k(Q: np.ndarray, U: np.ndarray, exclude, k: int) -> list[np.ndarray]:
+    """top_k(U @ q, exclude[r], k) for each query row q = Q[r], with the bits of
+    that GEMV, ties and NaN included; Q and U need not be finite. The GEMV is
+    a reference score within E of the exact product, so _screen_top_k's GEMM
+    order is exact for it, and a row it leaves open is ranked by the GEMV."""
+    return _screen_top_k(Q, U, exclude, k, lambda r, row, width: top_k(U @ Q[r], exclude[r], k))

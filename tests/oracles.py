@@ -296,7 +296,9 @@ def bruteforce_evaluate(h_users, h_items, ds, split, ks):
         banned = exclude.get(u, set())
         scores = h_items @ h_users[u]
         candidates = [j for j in range(ds.num_items) if j not in banned]
-        ranking = sorted(candidates, key=lambda j: (-scores[j], j))
+        # descending score, ties to the lower index, NaN last as in top_k
+        ranking = sorted(candidates, key=lambda j: (1, 0.0, j) if math.isnan(scores[j])
+                         else (0, -scores[j], j))
         rel = relevant[u]
         for k in ks:
             top = ranking[:k]

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alignrec import evaluator
+from alignrec import evaluator, sparse
 from alignrec.data import Dataset
 from alignrec.errors import ConfigError
 from alignrec.evaluator import evaluate, longtail_evaluate, ranked_report
 from alignrec.model import Representations
-from alignrec.sparse import top_k
+from alignrec.sparse import gemv_top_k, top_k
 
 from oracles import bruteforce_evaluate, ndcg_at_k, recall_at_k
 
@@ -223,26 +223,28 @@ class TestLongtail:
         assert report.recall[5] == pytest.approx(sum(hits) / 2, abs=1e-15)
 
 
-def test_thread_cap_does_not_change_results(rng, monkeypatch):
-    # enough users to span several chunks
+def test_several_user_blocks_match_bruteforce(rng, monkeypatch):
+    # 600 users: five rank_all calls, the last one short
     num_users, num_items = 600, 30
     train = [[u, u % num_items] for u in range(num_users)]
     test = [[u, (u + 7) % num_items] for u in range(num_users)]
     ds = _dataset(num_users, num_items, train, [], test)
     reps = _reps(rng.normal(size=(num_users, 4)), rng.normal(size=(num_items, 4)))
-    monkeypatch.setattr(evaluator, "max_workers", lambda: 1)
-    serial = evaluate(reps, ds, "test", (5, 10))
-    monkeypatch.setattr(evaluator, "max_workers", lambda: 4)
-    threaded = evaluate(reps, ds, "test", (5, 10))
-    assert serial.recall == threaded.recall
-    assert serial.ndcg == threaded.ndcg
+    calls = []
+    monkeypatch.setattr(evaluator, "rank_all",
+                        lambda Q, *args: calls.append(len(Q)) or gemv_top_k(Q, *args))
+    report = evaluate(reps, ds, "test", (5, 10))
+    assert calls == [128, 128, 128, 128, 88]
+    recall, ndcg, count = bruteforce_evaluate(reps.h_users, reps.h_items, ds, "test", (5, 10))
+    assert report.users_evaluated == count == num_users
+    assert report.recall == recall and report.ndcg == ndcg
 
 
 def _ranked_instance(rng, num_users=300, num_items=40):
-    """More users than one pool task and not a multiple of a block; items 7,
-    8 and 9 copy item 3 and item 20 copies item 11, so their GEMV scores tie
-    or split by the kernel's row path; user 0 has all but 4 items in train
-    and user 1 all but 8."""
+    """More users than two blocks and not a multiple of one; items 7, 8 and 9
+    copy item 3 and item 20 copies item 11, so their GEMV scores tie or split
+    by the kernel's row path; user 0 has all but 4 items in train and user 1
+    all but 8."""
     h_items = rng.normal(size=(num_items, 6))
     h_items[[7, 8, 9]] = h_items[3]
     h_items[20] = h_items[11]
@@ -280,15 +282,149 @@ def test_block_longtail_matches_bruteforce_on_the_slice(rng):
     assert report.recall == recall and report.ndcg == ndcg
 
 
+def _spy_fallbacks(monkeypatch):
+    """The (scores, exclude, top) of every top_k call the GEMV fallback makes."""
+    calls = []
+
+    def spy(scores, exclude, k):
+        calls.append((scores, np.asarray(exclude), top_k(scores, exclude, k)))
+        return calls[-1][2]
+    monkeypatch.setattr(sparse, "top_k", spy)
+    return calls
+
+
+def test_separated_rows_take_no_fallback(rng, monkeypatch):
+    # distinct random scores and at least 36 candidates a user: every row's
+    # order is proven by the GEMM alone
+    num_users, num_items = 300, 60
+    train, val, test = [], [], []
+    for u in range(num_users):
+        order = rng.permutation(num_items).tolist()
+        train += [[u, i] for i in order[:20]]
+        val += [[u, i] for i in order[20:22]]
+        test += [[u, i] for i in order[22:24]]
+    ds = _dataset(num_users, num_items, train, val, test)
+    reps = _reps(rng.normal(size=(num_users, 6)), rng.normal(size=(num_items, 6)))
+    calls = _spy_fallbacks(monkeypatch)
+    for split in ("val", "test"):
+        report = evaluate(reps, ds, split, (1, 5, 10))
+        recall, ndcg, _ = bruteforce_evaluate(reps.h_users, reps.h_items, ds, split, (1, 5, 10))
+        assert report.recall == recall and report.ndcg == ndcg
+    assert calls == []
+
+
+def test_rows_with_copied_items_near_the_cut_fall_back(rng, monkeypatch):
+    ds, reps = _ranked_instance(rng)
+    k = 3
+    calls = _spy_fallbacks(monkeypatch)
+    report = evaluate(reps, ds, "val", (1, k))
+    recall, ndcg, _ = bruteforce_evaluate(reps.h_users, reps.h_items, ds, "val", (1, k))
+    assert report.recall == recall and report.ndcg == ndcg
+    # each fallback ranked its user's plain GEMV without its train items
+    gemv = {(reps.h_items @ h).tobytes(): u for u, h in enumerate(reps.h_users)}
+    fallen = set()
+    for scores, exclude, top in calls:
+        u = gemv[scores.tobytes()]
+        assert exclude.tolist() == sorted(ds.train[ds.train[:, 0] == u, 1].tolist())
+        assert top.tolist() == top_k(reps.h_items @ reps.h_users[u], exclude, k).tolist()
+        fallen.add(u)
+    # two copies among a user's k+1 best candidates sit within the band width
+    copied = {}
+    for u in range(ds.num_users):
+        best = set(top_k(reps.h_items @ reps.h_users[u], ds.train[ds.train[:, 0] == u, 1],
+                         k + 1).tolist())
+        copied[u] = len(best & {3, 7, 8, 9}) >= 2 or {11, 20} <= best
+    must = {u for u, c in copied.items() if c}
+    assert len(must) >= 10 and must | {2} <= fallen < set(range(ds.num_users))
+
+
+@pytest.mark.parametrize("num_items, dim, near", [(1003, 64, 300), (60, 16, 20), (40, 6, 10)])
+def test_items_an_ulp_apart_rank_by_their_gemv(rng, num_items, dim, near):
+    # the last `near` item rows move their sources by about an ulp, and the
+    # first `near` users sit close to the sources: GEMM and GEMV order such
+    # pairs differently, so only the band width keeps those rows off the GEMM order
+    h_items = rng.normal(size=(num_items, dim))
+    source = rng.choice(num_items - near, size=near, replace=False)
+    h_items[-near:] = h_items[source] + rng.normal(size=(near, dim)) * 1e-16
+    h_users = rng.normal(size=(300, dim))
+    h_users[:near] = 3 * h_items[source] + rng.normal(size=(near, dim)) * 0.01
+    exclude = [rng.choice(num_items, size=3, replace=False) for _ in range(300)]
+    tops = gemv_top_k(h_users, h_items, exclude, 10)
+    for top, h, ex in zip(tops, h_users, exclude):
+        assert top.tolist() == top_k(h_items @ h, ex, 10).tolist()
+
+
+@pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_item_sends_every_row_to_the_fallback(rng, monkeypatch, special):
+    # excluded from every user, so no GEMM value shows it; max|U| still does
+    h_items, h_users = rng.normal(size=(30, 4)), rng.normal(size=(10, 4))
+    h_items[5, 2] = special
+    calls = _spy_fallbacks(monkeypatch)
+    with np.errstate(invalid="ignore"):
+        gemv_top_k(h_users, h_items, [np.array([5])] * 10, 3)
+    assert len(calls) == 10
+
+
 @pytest.mark.parametrize("num_items, dim", [(1003, 64), (37, 5), (13, 768)])
-def test_gemv_into_a_buffer_row_has_the_plain_product_bits(rng, num_items, dim):
-    # the evaluator writes each user's scores into a row of a reused buffer
+def test_gemv_into_a_buffer_row_has_the_plain_product_bits(rng, monkeypatch, num_items, dim):
+    # the fallback takes each user's GEMV from a row of the gathered user block
     h_items, h_users = rng.normal(size=(num_items, dim)), rng.normal(size=(40, dim))
-    buffer = np.empty((evaluator._BLOCK, num_items))
-    for u in range(40):
-        row = buffer[u % evaluator._BLOCK]
-        np.matmul(h_items, h_users[u], out=row)
-        assert row.tobytes() == (h_items @ h_users[u]).tobytes()
+    users = rng.permutation(40)
+    calls = _spy_fallbacks(monkeypatch)
+    # k >= n: every row falls back
+    gemv_top_k(h_users[users], h_items, [np.empty(0, np.int64)] * 40, num_items)
+    assert len(calls) == 40
+    for u, (scores, _, _) in zip(users, calls):
+        assert scores.tobytes() == (h_items @ h_users[u]).tobytes()
+
+
+# entries drawn to defeat the GEMM screen, at three magnitudes
+_SPECIALS = [np.nan, np.inf, -np.inf]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_evaluate_and_longtail_match_bruteforce_on_drawn_instances(data):
+    num_users, num_items = data.draw(st.integers(1, 8)), data.draw(st.integers(2, 12))
+    dim, seed = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    h_users, h_items = rng.normal(size=(num_users, dim)), rng.normal(size=(num_items, dim))
+    if data.draw(st.booleans()):  # duplicated item rows
+        h_items[data.draw(st.integers(0, num_items - 1))] = h_items[0]
+    if data.draw(st.booleans()):  # an all-zero user row: every score ties
+        h_users[data.draw(st.integers(0, num_users - 1))] = 0.0
+    scale = data.draw(st.sampled_from([1.0, 1e-160, 1e150]))
+    h_users, h_items = h_users * scale, h_items * scale
+    for _ in range(data.draw(st.integers(0, 2))):  # NaN or +-inf in either matrix
+        target = data.draw(st.sampled_from([h_users, h_items]))
+        target[data.draw(st.integers(0, len(target) - 1)),
+               data.draw(st.integers(0, dim - 1))] = data.draw(st.sampled_from(_SPECIALS))
+    # each user's items in a random order: the first `held` split between val
+    # and test, the rest in train, so a user may have fewer than K candidates
+    train, val, test = [], [], []
+    for u in range(num_users):
+        order = rng.permutation(num_items).tolist()
+        held = data.draw(st.integers(2 if u == 0 else 0, num_items))
+        train += [[u, i] for i in order[held:]]
+        val += [[u, i] for i in order[:held // 2]]
+        test += [[u, i] for i in order[held // 2:held]]
+    ks = tuple(data.draw(st.lists(st.integers(1, num_items + 2), min_size=1, max_size=3,
+                                  unique=True)))  # K >= num_items too
+    ds, reps = _dataset(num_users, num_items, train, val, test), _reps(h_users, h_items)
+    threshold = data.draw(st.sampled_from([1, 2, 4, float("inf")]))
+    kept = ds.test[ds.item_train_degree[ds.test[:, 1]] < threshold].tolist()
+    sliced = _dataset(num_users, num_items, train, val, kept)
+    with np.errstate(all="ignore"):
+        reports = [(evaluate(reps, ds, "val", ks), ds, "val"),
+                   (evaluate(reps, ds, "test", ks), ds, "test"),
+                   (longtail_evaluate(reps, ds, ks, threshold), sliced, "test")]
+        for report, truth, split in reports:
+            if not len(truth.split(split)):
+                assert report.users_evaluated == 0
+                continue
+            recall, ndcg, count = bruteforce_evaluate(h_users, h_items, truth, split, ks)
+            assert report.users_evaluated == count
+            assert report.recall == recall and report.ndcg == ndcg
 
 
 def test_report_text_roundtrip_fields(rng):
