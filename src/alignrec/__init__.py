@@ -9,9 +9,8 @@ from .features import FeatureMatrix, align_features, load_features, read_item_li
 from .graphs import GraphBundle, build_graphs, build_knn_similarity, build_norm_interaction
 from .losses import (BatchSample, LossWeights, bpr_loss, cca_infonce,
                      reg_similarity, total_loss, uia_cosine)
-from .model import (ModelParams, Representations, content_gate, forward, fuse,
-                    init_params, item_multimodal, lightgcn_propagate,
-                    user_multimodal)
+from .model import (ModelParams, Representations, content_gate, forward, init_params,
+                    item_multimodal, lightgcn_propagate, user_multimodal)
 from .protocols import (ProtocolConfig, itemcf_eval, itemcf_score,
                         mask_modality_eval, zero_shot_eval)
 from .sparse import SparseMatrix

@@ -8,10 +8,11 @@ products h_items @ h_users[u] with rank_all, sparse.gemv_top_k, a block of
 128 users a call: one GEMM screens the block, and a row whose order the gap
 test cannot prove is ranked by its own GEMV and sparse.top_k, so each top
 has the bits of the per-user GEMV ranking. The feature protocols rank their
-queries with sparse.score_top_k. Every ranking ends in ranked_report, which
-turns all tops at once into per-K recall and NDCG values. Seen positives are
-masked: the train split is always excluded from the candidate set, and the
-validation split is additionally excluded when scoring the test split.
+queries with sparse.score_top_k, as the kNN graph build selects its
+neighbours. Every ranking ends in ranked_report, which turns all tops at
+once into per-K recall and NDCG values. Seen positives are masked: the train
+split is always excluded from the candidate set, and the validation split is
+additionally excluded when scoring the test split.
 
 Per-user metric values are accumulated with exactly-rounded summation
 (math.fsum) so reported means are reproducible bit for bit and can be checked

@@ -1,20 +1,20 @@
 """Sparse operators the model propagates over.
 
-Two matrices are derived from a dataset and its feature matrix, and each is
-stored together with its transpose:
+Two matrices are derived from a dataset and its feature matrix:
 
 * inter_norm (R): user-rows by item-cols matrix of train edges, entry
   (u, i) = 1 / sqrt(deg(u) * deg(i)). It is the off-diagonal block of the
   symmetric degree-normalized bipartite adjacency [[0, R], [R^T, 0]], so R
-  and R^T together apply that adjacency to user and item halves.
+  and R^T together apply that adjacency to user and item halves; R^T is
+  stored as inter_t.
 * sim: item-item similarity graph. Cosine similarities per row are pruned to
   the k' largest off-diagonal entries (ties to the lower index), negatives
   clamped to zero, then symmetrically normalized by row-sum degrees. Pruning
-  is per row, so sim is not symmetric in general. The cosines come from one
-  GEMM per 512-row block, and `sparse.block_top_k` (this build's alone) keeps
-  in each row exactly what `top_k` keeps, with the row's own item excluded.
+  is per row, so sim is not symmetric in general. The cosines are the
+  canonical row sums np.sum(unit[j] * unit[i]) of the unit feature rows, and
+  `sparse.score_top_k` selects them, as it does for the feature protocols.
 
-All four are built once from frozen inputs and never updated during
+All three are built once from frozen inputs and never updated during
 training.
 """
 
@@ -26,10 +26,11 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DataError, InternalInvariantError
-from .features import FeatureMatrix
-from .sparse import SparseMatrix, block_top_k
+from .features import FeatureMatrix, unit_rows
+from .sparse import SparseMatrix, score_top_k
 
-_SIM_CHUNK = 512
+# rows per product block of the kept weights (8 x k' x d floats)
+_WEIGHT_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,6 @@ class GraphBundle:
     inter_norm: SparseMatrix  # num_users x num_items
     inter_t: SparseMatrix     # inter_norm transposed, num_items x num_users
     sim: SparseMatrix         # num_items x num_items
-    sim_t: SparseMatrix       # sim transposed
 
 
 def build_norm_interaction(ds: Dataset) -> SparseMatrix:
@@ -56,12 +56,10 @@ def build_norm_interaction(ds: Dataset) -> SparseMatrix:
 def build_knn_similarity(feat: FeatureMatrix, k_prime: int) -> SparseMatrix:
     """Pruned and normalized item-item cosine graph.
 
-    Selection keeps the k' largest off-diagonal cosines per row before any
-    clamping, ties to the lower index, so a row whose best candidates are
-    all nonpositive ends up empty. The cosines come a 512-row block at a
-    time from one GEMM, and `sparse.block_top_k` selects the whole block
-    with each row's own item excluded: the result equals `top_k` on every
-    row, bit for bit.
+    Selection keeps the k' largest off-diagonal canonical cosines per row
+    before any clamping, ties to the lower index, so a row whose best
+    candidates are all nonpositive ends up empty. The weights do not depend
+    on the BLAS kernel or on any block shape.
     """
     n = feat.rows
     if n < 2:
@@ -70,28 +68,26 @@ def build_knn_similarity(feat: FeatureMatrix, k_prime: int) -> SparseMatrix:
         raise ConfigError(f"k_prime must be >= 1, got {k_prime}")
     if k_prime >= n:
         raise ConfigError(f"k_prime {k_prime} must be smaller than the item count {n}")
-    norms = np.linalg.norm(feat.data, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DataError(f"zero-norm feature row for item {int(zero[0])}")
-    unit = feat.data / norms[:, None]
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        unit, norms, _ = unit_rows(feat.data)
+    bad = np.flatnonzero((norms == 0.0) | np.isinf(norms))
+    if bad.size:
+        what = "zero" if norms[bad[0]] == 0.0 else "overflowing"
+        raise DataError(f"{what} L2 norm of the feature row for item {int(bad[0])}")
 
-    rows_out, cols_out, vals_out = [], [], []
-    for start in range(0, n, _SIM_CHUNK):
-        stop = min(start + _SIM_CHUNK, n)
-        block = unit[start:stop] @ unit.T
-        cols = np.array(block_top_k(block, np.arange(start, stop)[:, None], k_prime))
-        vals = np.take_along_axis(block, cols, axis=1)
-        pos = vals > 0.0
-        rows_out.append(np.repeat(np.arange(start, stop), pos.sum(axis=1)))
-        cols_out.append(cols[pos])
-        vals_out.append(vals[pos])
-    rows_arr = np.concatenate(rows_out)
-    cols_arr = np.concatenate(cols_out)
-    vals_arr = np.concatenate(vals_out)
+    cols = np.array(score_top_k(unit, unit, np.arange(n)[:, None], k_prime))
+    vals_t = np.empty((k_prime, n))  # rank-major: the products broadcast over the leading axis
+    for start in range(0, n, _WEIGHT_ROWS):
+        stop = start + _WEIGHT_ROWS
+        terms = unit[cols[start:stop].T]
+        terms *= unit[start:stop]  # in place: the bits of unit[j] * unit[i]
+        vals_t[:, start:stop] = terms.sum(axis=2)
+    vals = vals_t.T
+    pos = vals > 0.0
+    rows_arr = np.repeat(np.arange(n), pos.sum(axis=1))
+    cols_arr, vals_arr = cols[pos], vals[pos]
 
-    deg = np.zeros(n, dtype=np.float64)
-    np.add.at(deg, rows_arr, vals_arr)
+    deg = np.bincount(rows_arr, weights=vals_arr, minlength=n)  # added in order, as np.add.at
     inv_sqrt = np.zeros(n, dtype=np.float64)
     nz = deg > 0.0
     inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
@@ -105,5 +101,4 @@ def build_graphs(ds: Dataset, feat: FeatureMatrix, k_prime: int) -> GraphBundle:
         raise DataError(f"feature matrix has {feat.rows} rows for {ds.num_items} items")
     inter = build_norm_interaction(ds)
     sim = build_knn_similarity(feat, k_prime)
-    return GraphBundle(inter_norm=inter, inter_t=inter.transpose(),
-                       sim=sim, sim_t=sim.transpose())
+    return GraphBundle(inter_norm=inter, inter_t=inter.transpose(), sim=sim)

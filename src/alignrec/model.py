@@ -15,11 +15,13 @@ ForwardPass caches the intermediates so losses can push gradients with
 respect to any representation back to the parameters through `backward`.
 The bipartite adjacency is symmetric, which lets the backward pass reuse the
 same propagation routine, with the same R / R^T pair, for the embedding
-gradient. Each propagation layer runs R @ h_i on the caller's thread while
-one persistent helper thread runs R^T @ h_u. Given a train batch's sorted
-distinct users U, `forward` computes the user side at U alone from the slice
-R[U], which `backward` reuses for its user-side R^T products; each row keeps
-the bits of the full pass. Rankings take the full pass (users=None).
+gradient; the content gradient takes sim^T implicitly (sim.tdot), adding in
+the row order of the explicit transpose. Each propagation layer runs R @ h_i
+on the caller's thread while one persistent helper thread runs R^T @ h_u.
+Given a train batch's sorted distinct users U, `forward` computes the user
+side at U alone from the slice R[U], which `backward` reuses for its
+user-side R^T products; each row keeps the bits of the full pass. Rankings
+take the full pass (users=None).
 """
 
 from __future__ import annotations
@@ -152,10 +154,6 @@ def user_multimodal(inter_norm: SparseMatrix, h_mm_items: np.ndarray) -> np.ndar
     return inter_norm.dot(h_mm_items)
 
 
-def fuse(h_mm: np.ndarray, h_id: np.ndarray) -> np.ndarray:
-    return h_mm + h_id
-
-
 def _check_shapes(params: ModelParams, graphs: GraphBundle, feat: FeatureMatrix) -> None:
     """Raise DimensionError unless every tensor fits the graphs' users and
     items, the feature width and the d_e and d_h the biases imply."""
@@ -203,7 +201,7 @@ class ForwardPass:
             d_mm_users, d_id_users = d_mm_users[users], d_id_users[users]
         d_mm_items = g.h_mm_items + g.h_items + rows[1].tdot(d_mm_users)
         d_id_items = g.h_id_items + g.h_items
-        d_con = self.graphs.sim_t.dot(d_mm_items)
+        d_con = self.graphs.sim.tdot(d_mm_items)
 
         # gate path
         grads["item_emb"] += self._gate * d_con
@@ -242,6 +240,6 @@ def forward(params: ModelParams, graphs: GraphBundle, feat: FeatureMatrix,
     reps = Representations(
         h_id_users=h_id_users, h_id_items=h_id_items,
         h_mm_items=h_mm_items, h_mm_users=h_mm_users,
-        h_users=fuse(h_mm_users, h_id_users), h_items=fuse(h_mm_items, h_id_items))
+        h_users=h_mm_users + h_id_users, h_items=h_mm_items + h_id_items)
     return ForwardPass(reps=reps, params=params, graphs=graphs, feat=feat, layers=layers,
                        _user_rows=rows, _a1=a1, _gate=gate)

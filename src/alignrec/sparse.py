@@ -1,7 +1,7 @@
 """Compressed-sparse-row matrices used by the graph operators, and the exact
-top-K selections: top_k for one score vector, block_top_k for a block of
-score rows (the kNN graph build), and the rankings screened by one GEMM per
-block of queries, score_top_k of canonical scores and gemv_top_k of GEMVs.
+top-K selections: top_k for one score vector, and the rankings screened by
+one GEMM per block of queries, score_top_k of canonical scores (the feature
+protocols and the kNN graph build) and gemv_top_k of GEMVs (evaluate).
 
 Thin immutable wrapper around canonical CSR arrays. scipy does the heavy
 lifting for products; the wrapper pins down the invariants the rest of the
@@ -125,30 +125,11 @@ def top_k(scores: np.ndarray, exclude, k: int) -> np.ndarray:
 def _largest(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Columns and values of each row's k+1 largest entries (k < n) by (-value,
     column); NaN is largest in the argpartition and last in the lexsort."""
-    n = rows.shape[1]
+    n, r = rows.shape[1], np.arange(len(rows))[:, None]  # take_along_axis's set-up outweighs this work
     cols = np.argpartition(rows, n - k - 1, axis=1)[:, n - k - 1:]
-    vals = np.take_along_axis(rows, cols, axis=1)
+    vals = rows[r, cols]
     order = np.lexsort((cols, -vals), axis=1)
-    return np.take_along_axis(cols, order, axis=1), np.take_along_axis(vals, order, axis=1)
-
-
-def block_top_k(block: np.ndarray, exclude, k: int) -> list[np.ndarray]:
-    """top_k(block[r], exclude[r], k) for every row r of the float64 block,
-    with the int arrays exclude[r] written into it as -inf first. A row's
-    first k of its k+1 largest are its top_k if its k-th value is above its
-    (k+1)-th: no unselected score ties the cut, and the k-th is neither -inf
-    (fewer than k candidates) nor NaN. Other rows, and all when k >= n, go
-    through top_k itself."""
-    rows, n = block.shape  # rows >= 1
-    counts = [len(ex) for ex in exclude]
-    block[np.repeat(np.arange(rows), counts), np.concatenate(exclude)] = -np.inf
-    if k >= n:
-        return [top_k(row, ex, k) for row, ex in zip(block, exclude)]
-    cols, vals = _largest(block, k)
-    tops = list(cols[:, :k])
-    for r in np.flatnonzero(~(vals[:, k - 1] > vals[:, k])).tolist():
-        tops[r] = top_k(block[r], exclude[r], k)
-    return tops
+    return cols[r, order], vals[r, order]
 
 
 # query rows per GEMM of the screened rankings (128 x 5.4k items is a 5.5 MB

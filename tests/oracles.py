@@ -200,24 +200,22 @@ def dense_knn_reference(feat, k_prime):
 
 
 def knn_full_sort_reference(feat, k_prime):
-    """The kNN graph as built before the partial selection: cosines from one
-    GEMM per 512 rows, the diagonal set to -inf, a full lexsort of every
-    row (ties to the lower index), the first k' kept if positive, then
-    row-sum degree normalization. Returns a canonical scipy CSR matrix."""
+    """The kNN graph by full sorts of canonical cosines: each row's
+    np.sum(unit * unit[r], axis=1), the diagonal set to -inf, a full lexsort
+    (ties to the lower index), the first k' kept if positive, then row-sum
+    degree normalization. Returns a canonical scipy CSR matrix."""
     n = feat.shape[0]
     unit = feat / np.linalg.norm(feat, axis=1)[:, None]
     arange = np.arange(n)
     rows, cols, vals = [], [], []
-    for start in range(0, n, 512):
-        sims = unit[start:start + 512] @ unit.T
-        for off, row in enumerate(sims):
-            r = start + off
-            row[r] = -np.inf
-            order = np.lexsort((arange, -row))[:k_prime]
-            kept = row[order]
-            rows.append(np.full(int(np.sum(kept > 0.0)), r))
-            cols.append(order[kept > 0.0])
-            vals.append(kept[kept > 0.0])
+    for r in range(n):
+        row = canonical_scores(unit, unit[r])
+        row[r] = -np.inf
+        order = np.lexsort((arange, -row))[:k_prime]
+        kept = row[order]
+        rows.append(np.full(int(np.sum(kept > 0.0)), r))
+        cols.append(order[kept > 0.0])
+        vals.append(kept[kept > 0.0])
     rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
     deg = np.zeros(n)
     np.add.at(deg, rows, vals)
@@ -596,7 +594,7 @@ def reg_rep_reference(fp, feat, batch, g, weight, mm_rows=None):
 
 def backward_reference(fp, g):
     """ForwardPass.backward of a full pass with every R^T product over all
-    users, through the cached explicit transposes, serial."""
+    users, through explicit transposes, serial."""
     from alignrec.model import zero_grads
 
     p = fp.params
@@ -605,7 +603,7 @@ def backward_reference(fp, g):
     d_id_users = g.h_id_users + g.h_users
     d_mm_items = g.h_mm_items + g.h_items + fp.graphs.inter_t.dot(d_mm_users)
     d_id_items = g.h_id_items + g.h_items
-    d_con = fp.graphs.sim_t.dot(d_mm_items)
+    d_con = tdot_reference(fp.graphs.sim, d_mm_items)
     grads["item_emb"] += fp._gate * d_con
     d_z2 = (p.item_emb * d_con) * fp._gate * (1.0 - fp._gate)
     grads["gate_w2"] += fp._a1.T @ d_z2

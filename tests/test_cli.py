@@ -481,7 +481,7 @@ class TestGrid:
 
     def test_graphs_built_once_per_k_prime(self, workspace, capsys, monkeypatch):
         def arrays(bundle):
-            return [a.copy() for m in (bundle.inter_norm, bundle.inter_t, bundle.sim, bundle.sim_t)
+            return [a.copy() for m in (bundle.inter_norm, bundle.inter_t, bundle.sim)
                     for a in (m.indptr, m.indices, m.data)]
 
         built = []

@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -76,12 +77,12 @@ class TestInteraction:
         pairs = _random_bipartite(rng, 12, 9)
         ds = _ds_from_pairs(pairs, 12, 9)
         bundle = build_graphs(ds, FeatureMatrix(rng.normal(size=(9, 4))), k_prime=3)
-        for mat, mat_t in ((bundle.inter_norm, bundle.inter_t), (bundle.sim, bundle.sim_t)):
-            want = mat.transpose()
-            assert np.array_equal(mat_t.indptr, want.indptr)
-            assert np.array_equal(mat_t.indices, want.indices)
-            assert np.array_equal(mat_t.data, want.data)
-            assert np.array_equal(to_dense(mat_t), to_dense(mat).T)
+        mat, mat_t = bundle.inter_norm, bundle.inter_t
+        want = mat.transpose()
+        assert np.array_equal(mat_t.indptr, want.indptr)
+        assert np.array_equal(mat_t.indices, want.indices)
+        assert np.array_equal(mat_t.data, want.data)
+        assert np.array_equal(to_dense(mat_t), to_dense(mat).T)
 
 
 class TestKnnSimilarity:
@@ -128,11 +129,22 @@ class TestKnnSimilarity:
         feat[np.arange(n), first] = 1.0
         two = rng.random(n) < 0.5
         feat[np.flatnonzero(two), (first[two] + rng.integers(1, d, size=two.sum())) % d] = 1.0
-        # duplicates on both sides of the 512-row block boundaries
+        # duplicates on both sides of rows 512 and 1024, which are also
+        # boundaries of score_top_k's 128-row query blocks
         feat[[509, 510, 513, 514, 1022, 1025]] = feat[511]
         feat[[512, 1023, 1024]] = feat[0]
         got = build_knn_similarity(FeatureMatrix(feat), k_prime)
         want = knn_full_sort_reference(feat, k_prime)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
+
+    def test_wide_rows_match_full_sort_bitwise(self, rng):
+        # d above numpy's 128-element pairwise-summation block: each kept
+        # weight has the bits of the row's canonical np.sum
+        feat = rng.normal(size=(300, 300))
+        got = build_knn_similarity(FeatureMatrix(feat), 7)
+        want = knn_full_sort_reference(feat, 7)
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert got.data.tobytes() == want.data.tobytes()
@@ -142,7 +154,8 @@ class TestKnnSimilarity:
         n, d, k_prime = 1100, 12, 3
         feat = rng.normal(size=(n, d))
         # one-hot copies score each other exactly 1.0 in any summation order:
-        # five such neighbours for three places, in blocks 0, 1 and 2 ...
+        # five such neighbours for three places, on both sides of rows 512
+        # and 1024 (boundaries of score_top_k's 128-row query blocks) ...
         feat[[505, 509, 511, 512, 515, 1030]] = np.eye(d)[0]
         # ... and exactly three, a tie inside the selection but no cut
         feat[[1020, 1023, 1024, 1099]] = np.eye(d)[1]
@@ -163,6 +176,14 @@ class TestKnnSimilarity:
         feat = FeatureMatrix(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
         with pytest.raises(DataError, match="item 1"):
             build_knn_similarity(feat, 1)
+
+    def test_overflowing_norm_row_rejected(self):
+        # the squares overflow, so the norm is inf and the unit row would be zero
+        feat = FeatureMatrix(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1e200, 1e200, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="overflowing L2 norm .* item 2"):
+                build_knn_similarity(feat, 1)
 
     def test_k_prime_too_large(self, rng):
         feat = FeatureMatrix(rng.normal(size=(4, 3)))

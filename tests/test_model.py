@@ -6,9 +6,8 @@ import scipy.sparse as sp
 
 from alignrec.errors import DimensionError
 from alignrec.features import FeatureMatrix
-from alignrec.model import (PARAM_NAMES, content_gate, forward, fuse,
-                            init_params, item_multimodal, lightgcn_propagate,
-                            user_multimodal)
+from alignrec.model import (PARAM_NAMES, content_gate, forward, init_params,
+                            item_multimodal, lightgcn_propagate, user_multimodal)
 from alignrec.sparse import SparseMatrix
 
 from conftest import random_instance
@@ -124,11 +123,17 @@ class TestAggregation:
 
 class TestFuse:
     def test_trivials(self, rng):
-        h_id = rng.normal(size=(4, 3))
-        assert np.array_equal(fuse(np.zeros_like(h_id), h_id), h_id)
-        assert np.all(fuse(-h_id, h_id) == 0.0)
-        a, b = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-        assert np.array_equal(fuse(a, b), a + b)
+        # forward's fused representations hold the bits of h_mm + h_id; a zero
+        # item table zeroes the content path, which leaves the ID parts
+        _, feat, graphs, params, _ = random_instance(rng, num_users=6, num_items=7)
+        reps = forward(params, graphs, feat, 2).reps
+        assert reps.h_users.tobytes() == (reps.h_mm_users + reps.h_id_users).tobytes()
+        assert reps.h_items.tobytes() == (reps.h_mm_items + reps.h_id_items).tobytes()
+        params.item_emb[:] = 0.0
+        reps = forward(params, graphs, feat, 2).reps
+        assert not reps.h_mm_users.any() and not reps.h_mm_items.any()
+        assert np.array_equal(reps.h_users, reps.h_id_users)
+        assert np.array_equal(reps.h_items, reps.h_id_items)
 
 
 class TestForward:

@@ -1,5 +1,6 @@
-"""Peak traced allocations of the ranking paths on a synthetic of 3000 items
-with 256-d features, as multiples of the feature matrix's bytes (6.1 MB).
+"""Peak traced allocations of the ranking paths, the kNN graph build among them,
+on a synthetic of 3000 items with 256-d features, as multiples of the feature
+matrix's bytes (6.1 MB).
 
 numpy reports its array allocations to tracemalloc, so the peak covers every
 temporary the call makes and returns. The blocks are sized in rows, not in
@@ -16,6 +17,7 @@ import pytest
 from alignrec.data import split_dataset
 from alignrec.evaluator import evaluate
 from alignrec.features import FeatureMatrix, unit_rows
+from alignrec.graphs import build_knn_similarity
 from alignrec.model import Representations
 from alignrec.protocols import ProtocolConfig, itemcf_eval
 from alignrec.sparse import score_top_k
@@ -56,6 +58,14 @@ def test_score_top_k_holds_one_query_block(corpus):
     unit = unit_rows(x)[0]
     exclude = np.arange(len(unit))[:, None]
     assert _peak_multiple(lambda: score_top_k(unit, unit, exclude, 50), x.nbytes) <= 1.0
+
+
+def test_knn_build_holds_one_query_block(corpus):
+    # the unit rows (1x), score_top_k's block of GEMM scores (0.5x), the kept
+    # columns and the graph's COO arrays: never a 512-row block of cosines
+    _, x = corpus
+    feat = FeatureMatrix(x)
+    assert _peak_multiple(lambda: build_knn_similarity(feat, 10), x.nbytes) <= 2.0
 
 
 def test_evaluate_holds_one_user_block(made):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from alignrec import sparse
 from alignrec.errors import DataError, DimensionError
-from alignrec.sparse import SparseMatrix, _abs_max, block_top_k, score_top_k, top_k
+from alignrec.sparse import SparseMatrix, _abs_max, score_top_k, top_k
 
 from oracles import canonical_scores, canonical_top_k_reference, to_dense, to_scipy
 
@@ -114,52 +114,6 @@ def test_take_rows_equals_the_from_scipy_slice(rng, rows):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert np.array_equal(to_dense(got), dense[rows])
-
-
-# ties at and across the cut, signed zeros, NaN and infinities, next to
-# distinct values that let a row settle without top_k
-_BLOCK_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.0, np.inf, -np.inf, np.nan]),
-                           st.floats(-4.0, 4.0))
-
-
-def _assert_block_equals_rows(block, exclude, k):
-    want = [top_k(row, ex, k) for row, ex in zip(block, exclude)]
-    got = block_top_k(block.copy(), exclude, k)
-    assert len(got) == len(want)
-    for top, ranking in zip(got, want):
-        assert top.dtype == ranking.dtype and top.tobytes() == ranking.tobytes()
-
-
-@given(st.integers(1, 12), st.integers(1, 5), st.data())
-@settings(max_examples=200, deadline=None)
-def test_block_top_k_equals_top_k_on_every_row(n, count, data):
-    rows = data.draw(st.lists(st.lists(_BLOCK_ENTRIES, min_size=n, max_size=n),
-                              min_size=count, max_size=count))
-    if count > 1 and data.draw(st.booleans()):
-        rows[-1] = rows[0]
-    block = np.array(rows, dtype=np.float64).reshape(count, n)
-    # unsorted, repeated, none or (at up to n + 2 draws) every item
-    exclude = [np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=n + 2)),
-                        dtype=np.int64) for _ in range(count)]
-    for k in range(1, n + 3):
-        _assert_block_equals_rows(block, exclude, k)
-
-
-def test_block_top_k_every_item_excluded_and_fewer_than_k(rng):
-    block = rng.normal(size=(4, 9))
-    exclude = [np.arange(9), np.arange(8)[::-1], np.array([], dtype=np.int64), np.array([2, 2])]
-    for k in (1, 2, 8, 9, 12):
-        _assert_block_equals_rows(block, exclude, k)
-
-
-def test_block_top_k_settles_distinct_rows_itself(rng, monkeypatch):
-    block = rng.normal(size=(16, 300))
-    exclude = [rng.choice(300, size=20, replace=False) for _ in range(16)]
-    want = [top_k(row, ex, 50) for row, ex in zip(block, exclude)]
-    monkeypatch.setattr(sparse, "top_k", None)  # a call would raise
-    got = block_top_k(block, exclude, 50)
-    assert [top.tolist() for top in got] == [top.tolist() for top in want]
-    assert np.all(block[np.repeat(np.arange(16), 20), np.concatenate(exclude)] == -np.inf)
 
 
 def _spy_rescoring(monkeypatch):

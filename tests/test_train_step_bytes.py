@@ -1,8 +1,9 @@
 """The train step's kernels, bit for bit against the frozen serial and
 out-of-place references in oracles.py: the batch-sized R^T product, the
-two-lane propagation, the forward pass sized to a batch's users, the in-place
-InfoNCE side, similarity regularizer and Adam, and a few train_epoch steps
-whose batches each cover a strict subset of the users."""
+implicit sim^T product, the two-lane propagation, the forward pass sized to
+a batch's users, the in-place InfoNCE side, similarity regularizer and Adam,
+and a few train_epoch steps whose batches each cover a strict subset of the
+users."""
 
 import threading
 
@@ -15,6 +16,7 @@ from alignrec import losses, model, trainer
 from alignrec.errors import DimensionError, InternalInvariantError
 from alignrec.evaluator import evaluate, longtail_evaluate
 from alignrec.features import FeatureMatrix
+from alignrec.graphs import build_knn_similarity
 from alignrec.losses import _infonce_side, _reg_rep
 from alignrec.model import PARAM_NAMES, ForwardPass, init_params, lightgcn_propagate
 from alignrec.optim import Adam
@@ -69,6 +71,21 @@ class TestTdot:
             x = np.where(rng.random((300, 1)) < 0.2, rng.normal(size=(300, 8)), -0.0)
             rows = np.flatnonzero(x.any(axis=1))
             assert _same_bytes(R.take_rows(rows).tdot(x[rows]), tdot_reference(R, x))
+
+    def test_knn_sim_product_matches_explicit_transpose(self, rng):
+        # backward's sim^T product: item 4's feature is orthogonal to every
+        # other row, so its row and column of sim are empty
+        feat = rng.normal(size=(40, 6))
+        feat[:, 0] = 0.0
+        feat[4] = np.eye(6)[0]
+        sim = build_knn_similarity(FeatureMatrix(feat), 5)
+        dense = sim._scipy.toarray()
+        assert not dense[4].any() and not dense[:, 4].any()
+        for _ in range(10):
+            x = rng.normal(size=(40, 8))
+            x[rng.random(40) < 0.3] = 0.0
+            x[rng.random((40, 8)) < 0.2] = -0.0
+            assert _same_bytes(sim.tdot(x), tdot_reference(sim, x))
 
 
 class TestInfonceSide:
