@@ -6,6 +6,11 @@ and int64 user-code, item-code and timestamp columns. The codes index the
 sorted tables, so they are the dense indices of the Dataset and identical
 inputs always produce identical datasets.
 
+Both split strategies start from the records in (user, timestamp, item)
+order: one argsort of an int64 key of dense ranks (`_record_order`). The
+collapse of repeated pairs, k-core filtering, the splits and their check
+sort no record-sized array stably; records that tie on a key are equal.
+
 Split strategies:
 
 random
@@ -92,13 +97,16 @@ def _collapse(user_keys, user_codes, item_keys, item_codes, stamps,
     """Collapse repeated (user, item) pairs of coded columns to one record
     carrying the earliest timestamp, at the pair's first appearance."""
     stamps = np.asarray(stamps, dtype=np.int64)
-    _, first, inverse = np.unique(user_codes * len(item_keys) + item_codes,
-                                  return_index=True, return_inverse=True)
-    earliest = np.full(first.size, _MAX_TIMESTAMP)
-    np.minimum.at(earliest, inverse, stamps)
+    pair = user_codes * len(item_keys) + item_codes
+    order = np.argsort(pair)
+    groups = np.flatnonzero(np.diff(pair[order], prepend=-1) != 0)
+    # a group's least record index is the pair's first appearance
+    first = np.minimum.reduceat(order, groups)
+    earliest = np.empty_like(stamps)
+    earliest[first] = np.minimum.reduceat(stamps[order], groups)
     keep = np.sort(first)
     return RawInteractions(user_keys, item_keys, user_codes[keep], item_codes[keep],
-                           earliest[inverse[keep]], sha256)
+                           earliest[keep], sha256)
 
 
 @dataclass
@@ -351,19 +359,33 @@ def kcore_filter(raw: RawInteractions, k: int) -> RawInteractions:
     rows = np.arange(len(raw))
     while True:
         users, items = raw.users[rows], raw.items[rows]
-        keep = (np.bincount(users)[users] >= k) & (np.bincount(items)[items] >= k)
+        user_deg, item_deg = np.bincount(users), np.bincount(items)
+        keep = (user_deg[users] >= k) & (item_deg[items] >= k)
         if keep.all():
             break
         rows = rows[keep]
     if not rows.size:
         raise EmptyAfterFilterError(f"no interactions survive {k}-core filtering")
-    # codes follow sorted-key order, so compacting the tables keeps it
-    user_codes, users = np.unique(users, return_inverse=True)
-    item_codes, items = np.unique(items, return_inverse=True)
+    # codes follow sorted-key order, so compacting the tables keeps it; the
+    # codes in use and their ranks are np.unique's, without its sort
+    user_codes, item_codes = np.flatnonzero(user_deg), np.flatnonzero(item_deg)
     return RawInteractions([raw.user_keys[c] for c in user_codes.tolist()],
                            [raw.item_keys[c] for c in item_codes.tolist()],
-                           users.astype(np.int64), items.astype(np.int64),
-                           raw.timestamps[rows])
+                           (np.cumsum(user_deg > 0) - 1)[users],
+                           (np.cumsum(item_deg > 0) - 1)[items], raw.timestamps[rows])
+
+
+def _record_order(raw: RawInteractions) -> np.ndarray:
+    """The record indices in (user, timestamp, item) order, from one argsort
+    of an int64 key of dense ranks. Records with equal keys are equal
+    triples, so the sort need not be stable."""
+    # every key is used, so each rank and each table size is at most the
+    # record count n and each key below n**2: no int64 overflow below 3e9
+    # records, far more than a log that fits in memory holds
+    _, stamp_rank = np.unique(raw.timestamps, return_inverse=True)
+    inner, inner_rank = np.unique(stamp_rank * len(raw.item_keys) + raw.items,
+                                  return_inverse=True)
+    return np.argsort(raw.users * inner.size + inner_rank)
 
 
 def split_dataset(raw: RawInteractions, ratios: tuple[float, float, float],
@@ -374,7 +396,7 @@ def split_dataset(raw: RawInteractions, ratios: tuple[float, float, float],
     num_users, num_items = len(raw.user_keys), len(raw.item_keys)
     # group by user; within a user, order by (timestamp, item) so the
     # pre-shuffle order is canonical
-    order = np.lexsort((raw.items, raw.timestamps, raw.users))
+    order = _record_order(raw)
     pairs = np.stack([raw.users[order], raw.items[order]], axis=1)
     counts = np.bincount(raw.users, minlength=num_users)
     ends = np.cumsum(counts)
@@ -449,8 +471,10 @@ def _check_partition(ds: Dataset, total: int, strategy: str) -> None:
     if n != total:
         raise DataError(f"splits hold {n} interactions, expected {total}")
     pairs = np.concatenate([ds.train, ds.val, ds.test])
-    _, first = np.unique(pairs[:, 0] * ds.num_items + pairs[:, 1], return_index=True)
-    if first.size != len(pairs):
+    keys = pairs[:, 0] * ds.num_items + pairs[:, 1]
+    if np.any(np.diff(np.sort(keys)) == 0):
+        # name the first repeat in scan order
+        _, first = np.unique(keys, return_index=True)
         repeated = np.ones(len(pairs), dtype=bool)
         repeated[first] = False
         u, i = pairs[np.argmax(repeated)]

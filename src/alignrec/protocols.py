@@ -84,30 +84,32 @@ def zero_shot_eval(feat: FeatureMatrix, ds: Dataset, cfg: ProtocolConfig) -> Eva
     return report
 
 
-_ITEM_BLOCK = 512  # itemcf_score's dense cosine block: 22 MB at 5.4k items
+_ITEM_BLOCK = 512  # items per sparse block R[:, block]^T R
 
 
 def itemcf_score(ds: Dataset) -> np.ndarray:
     """Each item's partner: the argmax over j != i of the train co-occurrence
     cosine |U_i & U_j| / sqrt(|U_i| |U_j|), ties to the lower index, -1 if
     all are 0. The rows R[:, block]^T R of the user-item matrix come a block
-    of items at a time."""
+    of items at a time, as CSR; each row's maximum and its lowest column are
+    reduced over the row's stored entries, the only nonzero cosines."""
     r = sp.csr_matrix((np.ones(len(ds.train)), (ds.train[:, 0], ds.train[:, 1])),
                       shape=(ds.num_users, ds.num_items))
     r_cols = r.tocsc()
     deg = np.bincount(ds.train[:, 1], minlength=ds.num_items).astype(np.float64)
     partner = np.full(ds.num_items, -1)
-    cosine = np.zeros((min(_ITEM_BLOCK, ds.num_items), ds.num_items))
     for start in range(0, ds.num_items, _ITEM_BLOCK):
         co = r_cols[:, start:start + _ITEM_BLOCK].T @ r  # CSR
-        block, diag = cosine[:co.shape[0]], np.arange(co.shape[0])
-        rows, cols = np.repeat(diag, np.diff(co.indptr)), co.indices
-        block[rows, cols] = co.data / np.sqrt(deg[rows + start] * deg[cols])
-        block[diag, diag + start] = 0.0
-        best = np.argmax(block, axis=1)  # the first maximum: ties to the lower index
-        found = block[diag, best] > 0.0
-        partner[start:start + co.shape[0]][found] = best[found]
-        block[rows, cols] = 0.0
+        sizes = np.diff(co.indptr)
+        rows = np.repeat(np.arange(start, start + sizes.size), sizes)
+        cols, cosine = co.indices, co.data
+        cosine /= np.sqrt(deg[rows] * deg[cols])
+        cosine[cols == rows] = 0.0
+        filled = np.flatnonzero(sizes)  # an item with no train user has an empty row
+        best = np.maximum.reduceat(cosine, co.indptr[filled])
+        at_best = cosine == np.repeat(best, sizes[filled])
+        lowest = np.minimum.reduceat(np.where(at_best, cols, ds.num_items), co.indptr[filled])
+        partner[start + filled[best > 0.0]] = lowest[best > 0.0]
     return partner
 
 

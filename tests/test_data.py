@@ -3,11 +3,11 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from alignrec.data import (Dataset, RawInteractions, _check_partition, items_by_user,
-                           kcore_filter, load_interactions, split_dataset,
+from alignrec.data import (Dataset, RawInteractions, _check_partition, _record_order,
+                           items_by_user, kcore_filter, load_interactions, split_dataset,
                            write_manifest)
 from alignrec.errors import (AlignRecError, ConfigError, DataError,
                              EmptyAfterFilterError, EmptyInputError, ParseError)
@@ -154,6 +154,22 @@ def test_load_matches_line_reference(tmp_path_factory, blob):
     path = tmp_path_factory.mktemp("log") / "inter.tsv"
     path.write_bytes(blob)
     assert _outcome(load_interactions, path) == _outcome(load_interactions_reference, path)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_collapse_keeps_first_appearance_and_earliest_timestamp(seed):
+    # thousands of records over a few hundred pairs, far past the size where
+    # numpy's default sort is an insertion sort, so ties in the pair key do
+    # reorder and the first appearance must come from the record index
+    rng = np.random.default_rng(seed)
+    n = 6000
+    users, items = rng.integers(30, size=n), rng.integers(12, size=n)
+    stamps = rng.choice([0, 5, 2 ** 63 - 1, int(rng.integers(2 ** 62))], size=n)
+    records = [(f"u{u:02d}", f"i{i:02d}", int(t)) for u, i, t in zip(users, items, stamps)]
+    want = {}
+    for user, item, ts in records:
+        want[user, item] = min(want.get((user, item), ts), ts)
+    assert RawInteractions.from_records(records).records() == [(u, i, ts) for (u, i), ts in want.items()]
 
 
 def _random_raw(rng, num_users, num_items, density):
@@ -307,6 +323,8 @@ def test_split_matches_per_record_reference():
            st.sampled_from([(0.8, 0.1, 0.1), (0.4, 0.3, 0.3), (0.2, 0.4, 0.4),
                             (0.0, 0.5, 0.5)]),
            st.sampled_from(["random", "temporal-leave-one-out"]))
+    # an instance the repair moves one interaction of, so every run exercises it
+    @example(0, 3, 4, (0.0, 0.5, 0.5), "random")
     @settings(max_examples=80, deadline=None)
     def check(seed, num_users, num_items, ratios, strategy):
         # small dense corpora with timestamp ties, in shuffled record order
@@ -330,6 +348,78 @@ def test_split_matches_per_record_reference():
     assert any(repaired)
 
 
+# timestamps over the whole int64 range, drawn often from a few values so
+# records tie within a user and across users
+_INT_STAMPS = st.one_of(st.sampled_from([0, 1, 2 ** 31, 2 ** 62, 2 ** 63 - 2, 2 ** 63 - 1]),
+                    st.integers(0, 2 ** 63 - 1))
+
+
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 6), _INT_STAMPS), max_size=40),
+       st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=150, deadline=None)
+def test_record_order_is_the_three_key_lexsort(triples, seed):
+    # coded columns as they come, repeated triples included, in shuffled order
+    rows = np.array(triples, dtype=np.int64).reshape(-1, 3)
+    rows = rows[np.random.default_rng(seed).permutation(len(rows))]
+    users, items, stamps = rows.T
+    raw = RawInteractions([f"u{u}" for u in range(6)], [f"i{i}" for i in range(7)],
+                          users.copy(), items.copy(), stamps.copy())
+    order = _record_order(raw)
+    want = np.lexsort((items, stamps, users))
+    assert np.array_equal(np.sort(order), np.arange(len(rows)))
+    assert np.array_equal(rows[order], rows[want])
+
+
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 6), _INT_STAMPS),
+                min_size=1, max_size=40, unique_by=lambda r: r[:2]),
+       st.integers(0, 2 ** 31 - 1),
+       st.sampled_from([(0.8, 0.1, 0.1), (0.4, 0.3, 0.3), (0.0, 0.5, 0.5)]),
+       st.sampled_from(["random", "temporal-leave-one-out"]))
+@settings(max_examples=150, deadline=None)
+def test_split_of_full_range_timestamps_matches_reference(triples, seed, ratios, strategy):
+    rng = np.random.default_rng(seed)
+    records = [(f"u{u}", f"i{i}", ts) for u, i, ts in triples]
+    records = [records[n] for n in rng.permutation(len(records))]
+    user_keys, item_keys, train, val, test, _ = split_reference(records, ratios, seed, strategy)
+    ds = split_dataset(RawInteractions.from_records(records), ratios, seed, strategy)
+    assert ds.user_keys == user_keys and ds.item_keys == item_keys
+    for got, want in ((ds.train, train), (ds.val, val), (ds.test, test)):
+        want = np.asarray(want, dtype=np.int64).reshape(-1, 2)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_temporal_tie_at_the_largest_timestamp_holds_out_the_higher_item():
+    top = 2 ** 63 - 1
+    raw = RawInteractions.from_records([("u0", "iB", top), ("u0", "iC", top), ("u0", "iA", 0),
+                                        ("u1", "iC", top), ("u1", "iA", top)])
+    ds = split_dataset(raw, (0.8, 0.1, 0.1), seed=0, strategy="temporal-leave-one-out")
+    assert ds.test.tolist() == [[0, 2], [1, 2]]
+    assert ds.train.tolist() == [[0, 0], [0, 1], [1, 0]]
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4))
+@settings(max_examples=40, deadline=None)
+def test_kcore_codes_are_np_unique_inverse(seed, k):
+    rng = np.random.default_rng(seed)
+    raw = RawInteractions.from_records(_random_raw(rng, 9, 9, 0.4))
+    rows = np.arange(len(raw))
+    while True:
+        users, items = raw.users[rows], raw.items[rows]
+        keep = (np.bincount(users)[users] >= k) & (np.bincount(items)[items] >= k)
+        if keep.all():
+            break
+        rows = rows[keep]
+    if not rows.size:
+        return
+    got = kcore_filter(raw, k)
+    for codes, table, new, new_table in ((users, raw.user_keys, got.users, got.user_keys),
+                                         (items, raw.item_keys, got.items, got.item_keys)):
+        kept, inverse = np.unique(codes, return_inverse=True)
+        assert new.dtype == np.int64 and np.array_equal(new, inverse)
+        assert new_table == [table[c] for c in kept.tolist()]
+    assert np.array_equal(got.timestamps, raw.timestamps[rows])
+
+
 def _hand_built(num_users, num_items, train, val, test):
     as_pairs = lambda rows: np.asarray(rows, dtype=np.int64).reshape(-1, 2)
     return Dataset(num_users=num_users, num_items=num_items, train=as_pairs(train),
@@ -346,6 +436,13 @@ class TestCheckPartition:
         # would name (0,0) first
         ds = _hand_built(2, 3, [[0, 0], [1, 1], [0, 2], [1, 2]], [[1, 1]], [[0, 0]])
         with pytest.raises(DataError, match=r"interaction \(1,1\) appears in two splits"):
+            _check_partition(ds, 6, "random")
+
+    def test_first_repeat_in_scan_order_among_several(self):
+        # (2,0) repeats inside train, then (0,1) and (1,2) across splits; both
+        # later ones sort before or after it, and only the scan order names it
+        ds = _hand_built(3, 3, [[1, 2], [2, 0], [0, 1], [2, 0]], [[0, 1]], [[1, 2]])
+        with pytest.raises(DataError, match=r"^interaction \(2,0\) appears in two splits$"):
             _check_partition(ds, 6, "random")
 
     def test_user_without_train_row(self):

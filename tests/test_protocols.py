@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from alignrec import protocols
 from alignrec.data import Dataset, RawInteractions, split_dataset
 from alignrec.errors import ConfigError, DimensionError
 from alignrec.features import FeatureMatrix
@@ -197,6 +202,28 @@ class TestItemCfScore:
         assert partner[group].tolist() == [511, 510, 510, 510, 510]
         assert partner[[0, 5, 509, 514, 1099]].tolist() == [1, 4, 508, 515, 1098]
         assert partner.tolist() == _reference_partners(ds).tolist()
+
+
+    def test_diagonal_only_row_unused_item_and_ties(self):
+        # item 0's one user has no other item, so its row holds only the
+        # diagonal; item 5 has no train user; items 1, 2 and 3 share users
+        # {1, 2} and tie at 1.0; item 4 ties at 1/2 with each of them and item 6
+        pairs = [(0, 0), (1, 1), (2, 1), (1, 2), (2, 2), (1, 3), (2, 3),
+                 (1, 4), (3, 4), (3, 6), (4, 6)]
+        ds = _train_only(5, 7, pairs)
+        for block in (1, 2, 3, 512):
+            with mock.patch.object(protocols, "_ITEM_BLOCK", block):
+                assert itemcf_score(ds).tolist() == [-1, 2, 1, 1, 1, -1, 4]
+        assert _reference_partners(ds).tolist() == [-1, 2, 1, 1, 1, -1, 4]
+
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 9)), max_size=30, unique=True),
+           st.sampled_from([1, 3, 4, 512]))
+    @settings(max_examples=120, deadline=None)
+    def test_drawn_instances_match_reference(self, pairs, block):
+        # few users, so partners tie often; items 10 and 11 never have a user
+        ds = _train_only(6, 12, pairs)
+        with mock.patch.object(protocols, "_ITEM_BLOCK", block):
+            assert itemcf_score(ds).tolist() == _reference_partners(ds).tolist()
 
 
 class TestItemCfEval:

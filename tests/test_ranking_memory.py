@@ -5,8 +5,9 @@ matrix's bytes (6.1 MB).
 numpy reports its array allocations to tracemalloc, so the peak covers every
 temporary the call makes and returns. The blocks are sized in rows, not in
 bytes: at 3000 items a 128-query block of GEMM scores is half the feature
-matrix, and item-CF's 512-item block of dense cosines is twice the matrix.
-evaluate's peak is a multiple of its own 128-user block of scores.
+matrix. Item-CF's 512-item blocks of the item-item matrix are sparse; it
+keeps no dense cosine block. evaluate's peak is a multiple of its own
+128-user block of scores.
 """
 
 import tracemalloc
@@ -82,8 +83,8 @@ def test_evaluate_holds_one_user_block(made):
 
 
 def test_itemcf_eval_holds_no_item_item_matrix(corpus):
-    # the cosine block (2x) with the user-item matrix, then the unit rows (1x)
-    # with score_top_k's block
+    # a sparse co-occurrence block with the user-item matrix, then the unit
+    # rows (1x) with score_top_k's block
     ds, x = corpus
     feat = FeatureMatrix(x)
     peak = _peak_multiple(lambda: itemcf_eval(feat, ds, ProtocolConfig()), x.nbytes)
