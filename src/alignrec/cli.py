@@ -5,7 +5,7 @@
         [--seed <n>]
 
 Exit codes: 0 success, 2 configuration or validation error, 3 data error,
-4 training divergence.
+operating-system error or unallocatable size, 4 training divergence.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .trainer import fit, format_log_record
 
 def _check_inputs(cfg: RunConfig, args) -> None:
     """Raise ConfigError unless every file the command reads is set, exists and
-    is not a directory, and a writing command's output_dir is absent or a directory."""
+    is not a directory, and a writing command's output_dir is or can be one."""
     files = {"[paths] interactions": cfg.interactions}
     if args.command != "prepare":
         files.update({"[paths] features": cfg.features, "[paths] item_list": cfg.item_list})
@@ -46,8 +46,10 @@ def _check_inputs(cfg: RunConfig, args) -> None:
         if not path:
             raise ConfigError(f"{args.command} requires {name}")
         check_file(path, name)
-    if args.command != "recommend" and cfg.output_dir.exists() and not cfg.output_dir.is_dir():
-        raise ConfigError(f"[paths] output_dir {cfg.output_dir} is not a directory")
+    if args.command != "recommend":
+        found = next(p for p in (cfg.output_dir, *cfg.output_dir.parents) if p.exists())
+        if not found.is_dir():
+            raise ConfigError(f"[paths] output_dir {cfg.output_dir}: {found} is not a directory")
 
 
 def _dataset(cfg: RunConfig, raw, strategy: str | None = None):
@@ -277,6 +279,9 @@ def main(argv=None) -> int:
         return 3
     except AlignRecError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (OSError, MemoryError) as exc:  # an OSError's text names its file
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 3
 
 

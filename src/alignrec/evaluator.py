@@ -111,9 +111,12 @@ def ranked_report(tops, relevant, ks, **fields) -> EvalReport:
     hit = np.flatnonzero(rel_keys[np.searchsorted(rel_keys, keys)] == keys)
     query = keys[hit] // base
     rank = hit - (np.cumsum(top_len) - top_len)[query] + 1
-    disc = np.array([0.0] + [1.0 / math.log2(r + 1.0) for r in range(1, ks[-1] + 1)])
+    # discounts and ideal DCGs past the longest top or relevant list are never read
+    most_rel = min(ks[-1], int(rel_len.max()))
+    depth = max(min(ks[-1], int(top_len.max())), most_rel)
+    disc = np.array([0.0] + [1.0 / math.log2(r + 1.0) for r in range(1, depth + 1)])
     # ideal DCG by min(K, relevant count); 1.0 for none, where the DCG is 0.0
-    ideal = np.array([1.0] + [math.fsum(disc[1:m + 1].tolist()) for m in range(1, len(disc))])
+    ideal = np.array([1.0] + [math.fsum(disc[1:m + 1].tolist()) for m in range(1, most_rel + 1)])
     recall, ndcg = {}, {}
     for k in ks:
         in_k = rank <= k

@@ -16,8 +16,8 @@ respect to any representation back to the parameters through `backward`.
 The bipartite adjacency is symmetric, which lets the backward pass reuse the
 same propagation routine, with the same R / R^T pair, for the embedding
 gradient; the content gradient takes sim^T implicitly (sim.tdot), adding in
-the row order of the explicit transpose. Each propagation layer runs R @ h_i
-on the caller's thread while one persistent helper thread runs R^T @ h_u.
+the row order of the explicit transpose. Each propagation layer runs R @ h_i,
+then R^T @ h_u, on the calling thread; the package starts no thread of its own.
 Given a train batch's sorted distinct users U, `forward` computes the user
 side at U alone from the slice R[U], which `backward` reuses for its
 user-side R^T products; each row keeps the bits of the full pass. Rankings
@@ -26,7 +26,6 @@ take the full pass (users=None).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -37,7 +36,6 @@ from .features import FeatureMatrix
 from .graphs import GraphBundle
 from .sparse import SparseMatrix
 
-_HELPER = ThreadPoolExecutor(1, thread_name_prefix="alignrec-propagate")
 PARAM_NAMES = ("user_emb", "item_emb", "gate_w1", "gate_b1", "gate_w2", "gate_b2")
 
 
@@ -103,7 +101,7 @@ def lightgcn_propagate(inter_norm: SparseMatrix, inter_t: SparseMatrix,
                        user_rows: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Mean of the (users, items) embeddings and their `layers` successive
     propagations over [[0, R], [R^T, 0]]: (h_u, h_i) <- (R @ h_i, R^T @ h_u),
-    the R^T half on the helper thread. With user_rows = (U, R[U]), U sorted
+    on the calling thread. With user_rows = (U, R[U]), U sorted
     distinct users, a full-size `users` gives the user mean at U (last R
     product from R[U]); the rows U of a `users` zero elsewhere give it full
     size (first R^T product from R[U])."""
@@ -117,12 +115,9 @@ def lightgcn_propagate(inter_norm: SparseMatrix, inter_t: SparseMatrix,
     acc_i = items.copy()
     h_u, h_i = users, items
     for layer in range(layers):
-        t_half = _HELPER.submit(r_rows.tdot if scatter and not layer else inter_t.dot, h_u)
         last = rows is not None and not scatter and layer == layers - 1
-        try:
-            h_u = (r_rows if last else inter_norm).dot(h_i)
-        finally:  # the helper's product is always waited for and its error raised
-            h_i = t_half.result()
+        h_u, h_i = ((r_rows if last else inter_norm).dot(h_i),
+                    (r_rows.tdot if scatter and not layer else inter_t.dot)(h_u))
         acc_u += h_u if len(h_u) == len(acc_u) else h_u[rows]
         acc_i += h_i
     return acc_u / (layers + 1), acc_i / (layers + 1)

@@ -492,9 +492,8 @@ def uniform_recall_baseline(k, num_items):
 
 
 # Frozen references for one train step: the kernels as they were before
-# they ran in place, before the propagation ran its R^T halves on a helper
-# thread and before the forward and backward passes sized their user-side
-# products to the batch. The engine must match them bit for bit.
+# they ran in place and before the forward and backward passes sized their
+# user-side products to the batch. The engine must match them bit for bit.
 
 def tdot_reference(m, x):
     """m^T @ x through the explicit CSR transpose, over every row of x."""
@@ -502,8 +501,8 @@ def tdot_reference(m, x):
 
 
 def lightgcn_reference(inter_norm, inter_t, users, items, layers):
-    """lightgcn_propagate on the calling thread alone: per layer R @ h_i,
-    then R^T @ h_u through the explicit transpose, both over all rows."""
+    """lightgcn_propagate over all rows: per layer R @ h_i, then R^T @ h_u
+    through the explicit transpose."""
     acc_u, acc_i = users.copy(), items.copy()
     h_u, h_i = users, items
     for _ in range(layers):

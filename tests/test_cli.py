@@ -1,7 +1,11 @@
 import hashlib
 import math
 import os
+import resource
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -150,7 +154,7 @@ def _no_load(path):
 def _input_cases():
     """(command, input, kind) for every input a command reads under
     BASE_CONFIG, set unset, to a missing path and to a directory; and for
-    every command that writes, an output_dir that names a file."""
+    every command that writes, an output_dir that names a file or lies below one."""
     cases = []
     for command in cli.COMMANDS:
         names = ["--config", "interactions"]
@@ -164,7 +168,7 @@ def _input_cases():
                   for kind in ("unset", "missing", "directory")
                   if (name, kind) != ("--config", "unset")]
         if command != "recommend":
-            cases.append((command, "output_dir", "file"))
+            cases += [(command, "output_dir", "file"), (command, "output_dir", "below_file")]
     return cases
 
 
@@ -691,7 +695,7 @@ class TestInputs:
         (workspace / "a_dir").mkdir()
         (workspace / "model.ackp").write_bytes(b"")
         bad = {"unset": "", "missing": workspace / "nope", "directory": workspace / "a_dir",
-               "file": workspace / "items.txt"}[kind]
+               "file": workspace / "items.txt", "below_file": workspace / "items.txt" / "out"}[kind]
         options = {"--config": workspace / "run.ini", "--checkpoint": workspace / "model.ackp"}
         text = BASE_CONFIG if name in options else _section_config("paths", f"{name} = {bad}")
         # a valid [grid], so that grid gets as far as the input check
@@ -708,6 +712,49 @@ class TestInputs:
         assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
         assert not (workspace / "out").exists()
         assert _snapshot(workspace) == before
+
+    def test_os_error_is_exit_3_naming_the_path(self, workspace, capsys, monkeypatch):
+        path = str(workspace / "interactions.tsv")
+
+        def denied(name):
+            raise PermissionError(13, "Permission denied", str(name))
+
+        # as root no file can be made unreadable, so the loader raises instead
+        monkeypatch.setattr(cli, "load_interactions", denied)
+        for command in ("prepare", "train", "intermediate"):
+            assert _run(workspace, command) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {command}: [Errno 13] Permission denied: {path!r}\n"
+
+    def test_os_error_from_the_system_is_exit_3(self, workspace, capsys):
+        # a file name past NAME_MAX: the system refuses it, whoever runs the test
+        out = workspace / ("x" * 300)
+        (workspace / "run.ini").write_text(_section_config("paths", f"output_dir = {out}"),
+                                           encoding="utf-8")
+        assert _run(workspace, "prepare") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: prepare: [Errno 36] File name too long")
+        assert str(out) in captured.err and captured.err.count("\n") == 1
+
+    def test_size_that_cannot_be_allocated_is_exit_3(self, workspace):
+        # a child process under a 3 GB address-space cap: 30 users x 10**12
+        # floats fail at allocation, never a size the machine could commit
+        (workspace / "run.ini").write_text(_train_config("embed_dim = 1000000000000"),
+                                           encoding="utf-8")
+        cap = 3 << 30
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "alignrec.cli", "train", "--config", str(workspace / "run.ini")],
+            capture_output=True, text=True, timeout=60, env=env, cwd=workspace,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: train: Unable to allocate")
+        assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+        assert not (workspace / "out" / "checkpoint_final.ackp").exists()
 
     def test_dev_fd_input_accepted(self, workspace, capsys):
         log = (workspace / "interactions.tsv").read_bytes()

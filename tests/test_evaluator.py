@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -175,6 +176,21 @@ class TestEvaluate:
         assert (longtail_evaluate(reps, ds, (5, 5), threshold=2)
                 == longtail_evaluate(reps, ds, (5,), threshold=2))
 
+
+    def test_k_past_the_item_count_costs_what_the_item_count_does(self, rng):
+        # the discounts stop at the longest top and the ideal DCG at the
+        # longest relevant list, so a huge K is no slower than K = item count
+        ds, reps = _ranked_instance(rng)
+        for report in (lambda ks: evaluate(reps, ds, "val", ks),
+                       lambda ks: evaluate(reps, ds, "test", ks),
+                       lambda ks: longtail_evaluate(reps, ds, ks, threshold=300)):
+            start = time.perf_counter()
+            huge = report((10**7,))
+            assert time.perf_counter() - start < 1.0
+            full = report((ds.num_items,))
+            assert huge.users_evaluated == full.users_evaluated > 0
+            assert huge.recall[10**7] == full.recall[ds.num_items]
+            assert huge.ndcg[10**7] == full.ndcg[ds.num_items]
 
     @pytest.mark.parametrize("ks", [(-5,), (0,), (5, 0)])
     def test_non_positive_k_rejected(self, rng, ks):

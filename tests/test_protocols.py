@@ -1,3 +1,4 @@
+import time
 from unittest import mock
 
 import numpy as np
@@ -138,6 +139,19 @@ class TestZeroShot:
         data[4] *= 16.0
         r2 = itemcf_eval(FeatureMatrix(data), ds, ProtocolConfig(ks=(3,)))
         assert r1.recall == r2.recall
+
+
+@pytest.mark.parametrize("evaluate", [zero_shot_eval, itemcf_eval])
+def test_k_past_the_item_count_costs_what_the_item_count_does(rng, evaluate):
+    ds = _random_temporal(rng, num_users=40, num_items=30, per_user=6)
+    feat = FeatureMatrix(rng.normal(size=(ds.num_items, 6)))
+    start = time.perf_counter()
+    huge = evaluate(feat, ds, ProtocolConfig(ks=(10**7,)))
+    assert time.perf_counter() - start < 1.0
+    full = evaluate(feat, ds, ProtocolConfig(ks=(ds.num_items,)))
+    assert huge.users_evaluated == full.users_evaluated > 0
+    assert huge.recall[10**7] == full.recall[ds.num_items]
+    assert huge.ndcg[10**7] == full.ndcg[ds.num_items]
 
 
 def _reference_partners(ds):

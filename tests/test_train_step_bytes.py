@@ -1,9 +1,10 @@
-"""The train step's kernels, bit for bit against the frozen serial and
-out-of-place references in oracles.py: the batch-sized R^T product, the
-implicit sim^T product, the two-lane propagation, the forward pass sized to
-a batch's users, the in-place InfoNCE side, similarity regularizer and Adam,
-and a few train_epoch steps whose batches each cover a strict subset of the
-users."""
+"""The train step's kernels, bit for bit against the frozen references in
+oracles.py: the batch-sized R^T product, the implicit sim^T product, the
+propagation at a batch's user rows, the forward pass sized to a batch's
+users, the in-place InfoNCE side, similarity regularizer and Adam, and a
+few train_epoch steps whose batches each cover a strict subset of the
+users. Propagation runs on the calling thread: no forward or train step
+starts a thread."""
 
 import threading
 
@@ -204,19 +205,24 @@ class TestTwoLanePropagation:
         with pytest.raises(DimensionError) as helper:
             lightgcn_propagate(R, Rt, bad, items, 2)
         assert str(helper.value) == str(serial.value)
-        # the helper goes on serving later layers
+        # the error leaves nothing behind: the next propagation keeps its bits
         users = rng.normal(size=(R.rows, 3))
         got = lightgcn_propagate(R, Rt, users, items, 2)
         assert all(_same_bytes(a, b) for a, b in
                    zip(got, lightgcn_reference(R, Rt, users, items, 2)))
 
-    def test_one_helper_thread_after_many_forwards(self, rng):
+    def test_no_thread_started_by_forwards_and_training(self, rng):
         ds, feat, graphs, params, _ = random_instance(rng, num_users=30, num_items=12)
+        before = threading.active_count()
         for n in range(40):
             users = np.unique(rng.integers(ds.num_users, size=5)) if n % 2 else None
             model.forward(params, graphs, feat, 1 + n % 3, users)
-        helpers = [t for t in threading.enumerate() if t.name.startswith("alignrec-propagate")]
-        assert len(helpers) == 1 and helpers[0].is_alive()
+        cfg = TrainConfig(batch_size=16, d_e=params.gate_b2.size, d_h=params.gate_b1.size)
+        state = TrainState(params=params, optimizer=Adam(params, cfg.learning_rate),
+                           rng=np.random.default_rng(4))
+        train_epoch(state, ds, graphs, feat, cfg)
+        assert threading.active_count() == before
+        assert not [t.name for t in threading.enumerate() if t.name.startswith("alignrec")]
 
 
 class TestBatchForward:
