@@ -15,8 +15,11 @@ Prints each run's end-to-end metrics and the workload's other named metrics
 (from the `record` line, say eval-m's `eval_users_per_s` and
 `protocol_queries_per_s`, which show which calls moved), each pair's
 change/parent ratios, per end-to-end metric the medians, the parent's
-interquartile range, the median ratio and the number of pairs the change
-won, and per named metric the median ratio. A failed check is printed under
+interquartile range, the median ratio, the number of pairs the change won,
+whether the series meets the claim rule (at least nine tenths of the pairs
+won and a median better by more than the parent's interquartile range) and
+whether the change stays within BENCHMARK.json's bound for the metric, and
+per named metric the median ratio. A failed check is printed under
 the run that failed it. Exits 1 if any run failed, at once if a run printed
 no result (an unknown workload, a crash). perfbench/ is only read; the
 temporary directory is removed at the end.
@@ -26,8 +29,8 @@ With --out BENCH_<n>.json the series is also appended to that JSON file's
 the workload, the seed, both revisions, every pair's metrics and ratios,
 each run's machine record (nproc, CPU affinity, numpy and scipy versions),
 and the summary printed at the end (medians, the parent's IQR, the median
-ratio and the win count per end-to-end metric; the median ratio per named
-metric).
+ratio, the win count, the claim rule and the bound per end-to-end metric;
+the median ratio per named metric).
 """
 
 from __future__ import annotations
@@ -42,9 +45,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# end-to-end metrics, +1 where higher is better
-METRICS = {"work_per_s": 1, "setup_s": -1, "peak_rss_mb": -1}
-RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+RUN_SECONDS = BENCHMARK["run_seconds"]
+# end-to-end metrics, +1 where higher is better, and the share by which each
+# may worsen before a change counts as a regression
+METRICS = {m["name"]: 1 if m["better"] == "higher" else -1 for m in BENCHMARK["end_to_end"]}
+BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 
 
 def export_revision(rev: str, dest: Path) -> None:
@@ -92,7 +98,11 @@ def iqr(values: list[float]) -> float:
 def summarize(runs: dict) -> dict:
     """The end-of-series summary of {"parent": [run, ...], "change": [run, ...]}
     with runs paired by position: per end-to-end metric the medians, the
-    parent's IQR, the median change/parent ratio and the pairs the change won;
+    parent's IQR, the median change/parent ratio, the pairs the change won,
+    whether the series meets the claim rule (the change won at least nine
+    tenths of the pairs, ties counting for neither, and its median is better
+    by more than the parent's IQR) and whether the change's median is worse
+    than the parent's by no more than the metric's bound in BENCHMARK.json;
     per named metric the median ratio."""
     out = {"end_to_end": {}, "named": {}}
     for m, sign in METRICS.items():
@@ -101,13 +111,19 @@ def summarize(runs: dict) -> dict:
         if not pairs:
             continue
         parents = [p for p, _ in pairs]
+        median_parent = statistics.median(parents)
+        median_change = statistics.median(c for _, c in pairs)
+        wins = sum(1 for p, c in pairs if sign * (c - p) > 0)
+        gain = sign * (median_change - median_parent)
         out["end_to_end"][m] = {
-            "median_parent": statistics.median(parents),
+            "median_parent": median_parent,
             "iqr_parent": iqr(parents),
-            "median_change": statistics.median(c for _, c in pairs),
+            "median_change": median_change,
             "median_ratio": statistics.median(c / p for p, c in pairs),
-            "change_wins": sum(1 for p, c in pairs if sign * (c - p) > 0),
-            "pairs": len(pairs)}
+            "change_wins": wins,
+            "pairs": len(pairs),
+            "claim_met": 10 * wins >= 9 * len(pairs) and gain > iqr(parents),
+            "within_bound": gain >= -BOUNDS[m] * abs(median_parent)}
     for m in sorted({m for run in runs["parent"] for m in run["named"]}):
         ratios = [c["named"][m] / p["named"][m] for p, c in zip(runs["parent"], runs["change"])
                   if m in c["named"] and p["named"].get(m)]
@@ -181,7 +197,9 @@ def main(argv=None) -> int:
         print(f"{m}: median parent {row['median_parent']:.4g} (IQR {row['iqr_parent']:.4g}), "
               f"median change {row['median_change']:.4g}, "
               f"median change/parent {row['median_ratio']:.3f}, "
-              f"change better in {row['change_wins']} of {row['pairs']} pairs")
+              f"change better in {row['change_wins']} of {row['pairs']} pairs; "
+              f"claim rule {'met' if row['claim_met'] else 'not met'}; "
+              f"{'within' if row['within_bound'] else 'OUTSIDE'} the bound {BOUNDS[m]}")
     for m, row in summary["named"].items():
         print(f"{m}: median change/parent {row['median_ratio']:.3f} over {row['pairs']} pairs")
     if args.out:

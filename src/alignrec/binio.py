@@ -9,19 +9,38 @@ last field: bytes after it mean a header that understates the payload.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ParseError
+
+
+def _check_left(fh, size: int, path, what: str) -> None:
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise ParseError(f"{path}: truncated {what}: {size} bytes claimed, {left} left")
 
 
 def read_exact(fh, size: int, path, what: str) -> bytes:
     """Read exactly `size` bytes of `what` from the binary file `fh`."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if size > left:
-        raise ParseError(f"{path}: truncated {what}: {size} bytes claimed, {left} left")
+    _check_left(fh, size, path, what)
     return fh.read(size)
+
+
+def read_array(fh, shape: tuple[int, ...], path, what: str) -> np.ndarray:
+    """Read `what`, little-endian float64 values of `shape`, from the binary
+    file `fh` straight into the float64 array returned; the file is checked
+    to hold them first."""
+    size = 8 * math.prod(shape)
+    _check_left(fh, size, path, what)
+    out = np.empty(shape, "<f8")
+    if fh.readinto(out.reshape(-1).view(np.uint8)) != size:
+        raise ParseError(f"{path}: truncated {what}: file shrank while read")
+    return out.astype(np.float64, copy=False)  # a copy on big-endian hosts only
 
 
 def read_struct(fh, fmt: struct.Struct, path, what: str) -> tuple:

@@ -71,6 +71,8 @@ def _bool(text: str) -> bool:
 
 
 def _path(text: str) -> Path | None:
+    if "\0" in text:  # no system call takes a path with a NUL byte
+        raise ValueError(text)
     return Path(text) if text else None
 
 

@@ -88,6 +88,27 @@ def _sorted_ks(ks) -> tuple[int, ...]:
     return ks
 
 
+def _prefix_fsums(values: list[float]) -> list[float]:
+    """math.fsum of each prefix of `values`, in one pass: Shewchuk's
+    non-overlapping partials hold each prefix's exact sum, and math.fsum
+    rounds them once, as it rounds the prefix itself."""
+    partials, sums = [], []
+    for x in values:
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+        sums.append(math.fsum(partials))
+    return sums
+
+
 def ranked_report(tops, relevant, ks, **fields) -> EvalReport:
     """Per-K mean recall and NDCG over the sequence of ranked tops, int arrays
     of the first max(ks) candidates of each query or all of them, and the
@@ -116,7 +137,7 @@ def ranked_report(tops, relevant, ks, **fields) -> EvalReport:
     depth = max(min(ks[-1], int(top_len.max())), most_rel)
     disc = np.array([0.0] + [1.0 / math.log2(r + 1.0) for r in range(1, depth + 1)])
     # ideal DCG by min(K, relevant count); 1.0 for none, where the DCG is 0.0
-    ideal = np.array([1.0] + [math.fsum(disc[1:m + 1].tolist()) for m in range(1, most_rel + 1)])
+    ideal = np.array([1.0] + _prefix_fsums(disc[1:most_rel + 1].tolist()))
     recall, ndcg = {}, {}
     for k in ks:
         in_k = rank <= k

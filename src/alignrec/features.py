@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import check_end, read_exact, read_struct, read_text
+from .binio import check_end, read_array, read_struct, read_text
 from .data import Dataset
 from .errors import DataError, DimensionError, ParseError
 
@@ -23,6 +23,7 @@ log = logging.getLogger(__name__)
 MAGIC = b"AFEA"
 VERSION = 1
 _HEADER = struct.Struct("<4sIQQ")
+_ROWS = 512  # rows per block of the row-wise passes over a full matrix
 
 
 @dataclass(frozen=True)
@@ -36,9 +37,10 @@ class FeatureMatrix:
             raise DimensionError("feature matrix must be 2-dimensional")
         if self.data.dtype != np.float64:
             raise DataError("feature matrix must be float64")
-        bad = np.flatnonzero(~np.isfinite(self.data).all(axis=1))
-        if bad.size:
-            raise DataError(f"non-finite feature value in row {int(bad[0])}")
+        for start in range(0, self.rows, _ROWS):
+            bad = np.flatnonzero(~np.isfinite(self.data[start:start + _ROWS]).all(axis=1))
+            if bad.size:
+                raise DataError(f"non-finite feature value in row {start + int(bad[0])}")
 
     @property
     def rows(self) -> int:
@@ -49,13 +51,20 @@ class FeatureMatrix:
         return self.data.shape[1]
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """The L2 norm of each row of `x`, taken _ROWS rows at a time, so no
+    temporary the size of `x` is allocated."""
+    norms = np.empty(len(x))
+    for start in range(0, len(x), _ROWS):
+        norms[start:start + _ROWS] = np.linalg.norm(x[start:start + _ROWS], axis=1)
+    return norms
+
+
 def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row of `x` scaled to unit L2 norm, zero rows left zero; also the
-    row norms (taken 512 rows at a time, so the result is the only full-size
-    array allocated) and the mask of nonzero rows."""
-    norms = np.empty(len(x))
-    for start in range(0, len(x), 512):
-        norms[start:start + 512] = np.linalg.norm(x[start:start + 512], axis=1)
+    row norms (so the result is the only full-size array allocated) and the
+    mask of nonzero rows."""
+    norms = row_norms(x)
     nz = norms > 0.0
     unit = np.zeros_like(x)
     np.divide(x, norms[:, None], out=unit, where=nz[:, None])
@@ -80,9 +89,8 @@ def load_features(path, expected_items: int) -> FeatureMatrix:
             raise ParseError(f"{path}: unsupported format version {version}")
         if rows != expected_items:
             raise DimensionError(f"{path}: file holds {rows} rows, expected {expected_items}")
-        payload = read_exact(fh, rows * dim * 8, path, "payload")
+        data = read_array(fh, (rows, dim), path, "payload")
         check_end(fh, path)
-    data = np.frombuffer(payload, dtype="<f8").reshape(rows, dim).astype(np.float64)
     return FeatureMatrix(data)
 
 

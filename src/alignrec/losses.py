@@ -22,6 +22,14 @@ Conventions fixed here:
 * The similarity regularizer averages over all distinct unordered item
   pairs in the batch; the feature-side cosine is input data and receives no
   gradient.
+
+The two in-batch terms over n distinct rows, the InfoNCE sides and the
+regularizer, never hold an n x n matrix: they take _ROWS rows of their
+logits or cosines at a time, so a step's transient memory grows with n, not
+n^2. Up to _ROWS rows they run as one block with the bits of the full-matrix
+computation; past it, row-blocked GEMMs, the InfoNCE y-side gradient summed
+block by block and the regularizer's value summed as one partial per block
+may differ from it in the last bits.
 """
 
 from __future__ import annotations
@@ -36,8 +44,10 @@ from scipy.special import expit
 
 from .data import sorted_distinct
 from .errors import ConfigError, DataError
-from .features import FeatureMatrix, unit_rows
+from .features import FeatureMatrix, row_norms, unit_rows
 from .model import ForwardPass, Representations
+
+_ROWS = 256  # rows of an in-batch loss's n x n matrices held at a time
 
 
 @dataclass(frozen=True)
@@ -117,23 +127,35 @@ def _infonce_side(x: np.ndarray, y: np.ndarray, tau: float, x_rows=None):
     normalization) inputs. x_rows, if given, is unit_rows(x).
     """
     n = x.shape[0]
-    diag = np.arange(n)
     x_unit, x_norms, x_nz = unit_rows(x) if x_rows is None else x_rows
     y_unit, y_norms, y_nz = unit_rows(y)
-    # every n x n pass runs in place on the one GEMM output
-    logits = x_unit @ y_unit.T
-    logits /= tau
-    logits -= logits.max(axis=1, keepdims=True)
-    target = logits[diag, diag]
-    d_logits = np.exp(logits, out=logits)
-    row_sum = d_logits.sum(axis=1)
-    value = float(-np.mean(target - np.log(row_sum)))
-    # d loss / d logits = (softmax - one-hot target) / n
-    d_logits /= row_sum[:, None]
-    d_logits[diag, diag] -= 1.0
-    d_logits /= n
-    d_x_unit = (d_logits @ y_unit) / tau
-    d_y_unit = (d_logits.T @ x_unit) / tau
+    terms = np.empty(n)
+    d_x_unit = np.empty_like(x_unit)
+    # _ROWS rows of logits at a time, every pass in place on the block
+    for start in range(0, n, _ROWS):
+        b = slice(start, start + _ROWS)
+        blk = x_unit[b] @ y_unit.T
+        rows = np.arange(len(blk))
+        blk /= tau
+        blk -= blk.max(axis=1, keepdims=True)
+        target = blk[rows, start + rows]
+        np.exp(blk, out=blk)
+        row_sum = blk.sum(axis=1)
+        terms[b] = target - np.log(row_sum)
+        # d loss / d logits = (softmax - one-hot target) / n
+        blk /= row_sum[:, None]
+        blk[rows, start + rows] -= 1.0
+        blk /= n
+        d_x_unit[b] = blk @ y_unit
+        part = blk.T @ x_unit[b]
+        del blk  # freed before the next block is made
+        if start:
+            d_y_unit += part
+        else:
+            d_y_unit = part
+    value = float(-np.mean(terms))
+    d_x_unit /= tau
+    d_y_unit /= tau
     return value, _normalize_backward(d_x_unit, x_unit, x_norms, x_nz), \
         _normalize_backward(d_y_unit, y_unit, y_norms, y_nz)
 
@@ -163,25 +185,39 @@ def _reg_rep(fp: ForwardPass, feat: FeatureMatrix, batch: BatchSample,
         return 0.0
     x = reps.h_mm_items[items]
     x_unit, x_norms, x_nz = unit_rows(x) if mm_rows is None else mm_rows
-    f_unit, _, f_nz = unit_rows(feat.data[items])
-    if not np.all(f_nz):
+    # the gather is a copy, so its rows are scaled to unit norm in place
+    f_unit = feat.data[items]
+    f_norms = row_norms(f_unit)
+    if not np.all(f_norms > 0.0):
         raise DataError("zero-norm feature row among batch items")
-    cos_x = x_unit @ x_unit.T
+    f_unit /= f_norms[:, None]
     m = n * (n - 1) // 2
-    # diff = cos_x - cos_f, over cos_f; the mask picks triu_indices' cells in order
-    diff = f_unit @ f_unit.T
-    np.subtract(cos_x, diff, out=diff)
-    value = float(np.sum(np.abs(diff[np.triu(np.ones((n, n), dtype=bool), 1)])) / m)
+    total = 0.0
+    row_mix = np.empty_like(x_unit)
+    diag_coef = np.empty((n, 1))
+    # _ROWS rows of the n x n cosines at a time, every pass in place on the blocks
+    for start in range(0, n, _ROWS):
+        b = slice(start, start + _ROWS)
+        cos_x = x_unit[b] @ x_unit.T
+        rows = np.arange(len(cos_x))
+        # diff = cos_x - cos_f, over cos_f; the mask picks the block's
+        # cells of triu_indices in order
+        diff = f_unit[b] @ f_unit.T
+        np.subtract(cos_x, diff, out=diff)
+        cells = diff[np.triu(np.ones(diff.shape, dtype=bool), start + 1)]
+        total += np.sum(np.abs(cells, out=cells))
 
-    w = np.sign(diff, out=diff)
-    w /= m
-    np.fill_diagonal(w, 0.0)
-    w[~x_nz, :] = 0.0
-    w[:, ~x_nz] = 0.0
-    # d/dx_c of sum_{a<b} w_ab cos(x_a, x_b):
-    #   ( [w @ x_unit]_c  -  sum_b w_cb cos_cb * x_unit_c ) / |x_c|
-    row_mix = w @ x_unit
-    diag_coef = np.sum(np.multiply(w, cos_x, out=cos_x), axis=1, keepdims=True)
+        w = np.sign(diff, out=diff)
+        w /= m
+        w[rows, start + rows] = 0.0
+        w[~x_nz[b], :] = 0.0
+        w[:, ~x_nz] = 0.0
+        # d/dx_c of sum_{a<b} w_ab cos(x_a, x_b):
+        #   ( [w @ x_unit]_c  -  sum_b w_cb cos_cb * x_unit_c ) / |x_c|
+        row_mix[b] = w @ x_unit
+        diag_coef[b] = np.sum(np.multiply(w, cos_x, out=cos_x), axis=1, keepdims=True)
+        del cos_x, diff, w, cells  # freed before the next blocks are made
+    value = float(total / m)
     d_x = np.zeros_like(x)
     d_x[x_nz] = (row_mix[x_nz] - diag_coef[x_nz] * x_unit[x_nz]) / x_norms[x_nz, None]
     g.h_mm_items[items] += weight * d_x

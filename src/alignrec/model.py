@@ -101,7 +101,8 @@ def lightgcn_propagate(inter_norm: SparseMatrix, inter_t: SparseMatrix,
                        user_rows: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Mean of the (users, items) embeddings and their `layers` successive
     propagations over [[0, R], [R^T, 0]]: (h_u, h_i) <- (R @ h_i, R^T @ h_u),
-    on the calling thread. With user_rows = (U, R[U]), U sorted
+    on the calling thread; each layer takes R^T @ h_u first and drops h_u
+    before R @ h_i makes its successor. With user_rows = (U, R[U]), U sorted
     distinct users, a full-size `users` gives the user mean at U (last R
     product from R[U]); the rows U of a `users` zero elsewhere give it full
     size (first R^T product from R[U])."""
@@ -116,11 +117,14 @@ def lightgcn_propagate(inter_norm: SparseMatrix, inter_t: SparseMatrix,
     h_u, h_i = users, items
     for layer in range(layers):
         last = rows is not None and not scatter and layer == layers - 1
-        h_u, h_i = ((r_rows if last else inter_norm).dot(h_i),
-                    (r_rows.tdot if scatter and not layer else inter_t.dot)(h_u))
+        h_t = (r_rows.tdot if scatter and not layer else inter_t.dot)(h_u)
+        del h_u  # one user-side array at a time besides the mean
+        h_u, h_i = (r_rows if last else inter_norm).dot(h_i), h_t
         acc_u += h_u if len(h_u) == len(acc_u) else h_u[rows]
         acc_i += h_i
-    return acc_u / (layers + 1), acc_i / (layers + 1)
+    acc_u /= layers + 1
+    acc_i /= layers + 1
+    return acc_u, acc_i
 
 
 def content_gate(params: ModelParams, feat: FeatureMatrix) -> np.ndarray:
@@ -185,8 +189,6 @@ class ForwardPass:
     def backward(self, g: Representations) -> dict[str, np.ndarray]:
         """Chain representation-space gradients back to parameter space."""
         p = self.params
-        grads = zero_grads(p)
-
         d_mm_users = g.h_mm_users + g.h_users
         d_id_users = g.h_id_users + g.h_users
         rows = self._user_rows
@@ -197,6 +199,13 @@ class ForwardPass:
         d_mm_items = g.h_mm_items + g.h_items + rows[1].tdot(d_mm_users)
         d_id_items = g.h_id_items + g.h_items
         d_con = self.graphs.sim.tdot(d_mm_items)
+        # propagation path; [[0, R], [R^T, 0]] is symmetric, so the
+        # transposed chain is the same propagation applied to the output
+        # gradient. It runs before the gradients are allocated, so the
+        # full-size user arrays it makes are not held beside them.
+        d_users, d_items = lightgcn_propagate(self.graphs.inter_norm, self.graphs.inter_t,
+                                              d_id_users, d_id_items, self.layers, rows)
+        grads = zero_grads(p)
 
         # gate path
         grads["item_emb"] += self._gate * d_con
@@ -208,11 +217,6 @@ class ForwardPass:
         grads["gate_w1"] += self.feat.data.T @ d_z1
         grads["gate_b1"] += d_z1.sum(axis=0)
 
-        # propagation path; [[0, R], [R^T, 0]] is symmetric, so the
-        # transposed chain is the same propagation applied to the output
-        # gradient
-        d_users, d_items = lightgcn_propagate(self.graphs.inter_norm, self.graphs.inter_t,
-                                              d_id_users, d_id_items, self.layers, rows)
         grads["user_emb"] += d_users
         grads["item_emb"] += d_items
         return grads

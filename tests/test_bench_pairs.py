@@ -9,7 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
-from bench_pairs import summarize, write_series  # noqa: E402
+from bench_pairs import BOUNDS, summarize, write_series  # noqa: E402
 
 MACHINE = {"nproc": 2, "affinity": [0, 1], "numpy": "2.4.6", "scipy": "1.17.1"}
 
@@ -44,9 +44,49 @@ def test_summary_medians_iqr_and_wins(runs):
     # lower is better for these two
     assert summary["end_to_end"]["setup_s"]["change_wins"] == 3
     assert summary["end_to_end"]["peak_rss_mb"]["change_wins"] == 4
+    # 3 of 4 pairs is below nine tenths; 4 of 4 with a fall of 91.5 MB
+    # against the parent's IQR of a few MB meets the claim rule
+    assert [summary["end_to_end"][m]["claim_met"]
+            for m in ("work_per_s", "setup_s", "peak_rss_mb")] == [False, False, True]
+    assert all(row["within_bound"] for row in summary["end_to_end"].values())
     # a pair whose parent value is 0 or whose change lacks the metric is left out
     assert summary["named"]["eval_users_per_s"] == {
         "median_ratio": statistics.median([1.2, 1.2, 1.2]), "pairs": 3}
+
+
+def _series(parent, change, metric="work_per_s"):
+    """Runs whose `metric` takes the given values and whose other end-to-end
+    metrics are equal in every pair."""
+    def runs(values):
+        return [{"values": {"work_per_s": 100.0, "setup_s": 1.0, "peak_rss_mb": 100.0,
+                            metric: v}, "named": {}, "record": MACHINE, "failures": []}
+                for v in values]
+    return {"parent": runs(parent), "change": runs(change)}
+
+
+@pytest.mark.parametrize("change, met", [
+    ([110.0] * 9 + [90.0], True),                   # 9 of 10, a gain past the IQR
+    ([110.0] * 8 + [90.0] * 2, False),              # 8 of 10
+    ([102.0] * 9 + [90.0], False),                  # 9 of 10, a gain inside the IQR
+    ([110.0] * 5 + [100.0] * 5, False)])            # ties count for neither side
+def test_claim_rule(change, met):
+    parent = [96.0, 98.0, 99.0, 100.0, 100.0, 100.0, 101.0, 102.0, 103.0, 100.0]
+    row = summarize(_series(parent, change))["end_to_end"]["work_per_s"]
+    assert row["iqr_parent"] > 2.0
+    assert row["claim_met"] is met
+
+
+@pytest.mark.parametrize("metric, share, within", [
+    ("work_per_s", -0.24, True), ("work_per_s", -0.26, False), ("work_per_s", 0.5, True),
+    ("setup_s", 0.24, True), ("setup_s", 0.26, False),
+    ("peak_rss_mb", 0.14, True), ("peak_rss_mb", 0.16, False), ("peak_rss_mb", -0.3, True)])
+def test_bound_from_benchmark_json(metric, share, within):
+    # the change's median moved by `share` of the parent's; BENCHMARK.json
+    # bounds work_per_s and setup_s at 0.25 and peak_rss_mb at 0.15
+    assert BOUNDS == {"work_per_s": 0.25, "setup_s": 0.25, "peak_rss_mb": 0.15}
+    base = {"work_per_s": 100.0, "setup_s": 1.0, "peak_rss_mb": 100.0}[metric]
+    runs = _series([base] * 10, [base * (1 + share)] * 10, metric)
+    assert summarize(runs)["end_to_end"][metric]["within_bound"] is within
 
 
 def test_written_series_holds_pairs_records_and_summary(runs, tmp_path):

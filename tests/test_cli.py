@@ -127,7 +127,7 @@ SECTION_NON_DEFAULT = {
 
 # one invalid value per range check outside [train]
 INVALID_LINES = [
-    ("paths", "output_dir ="),
+    ("paths", "output_dir ="), ("paths", "output_dir = out\x00x"),
     ("split", "k_core = 0"), ("split", "ratios = 0.5,0.5,0.5"),
     ("split", "ratios = nan,0.5,0.5"), ("split", "ratios = 0.8,nan,0.1"),
     ("split", "ratios = 0.9,0.1"), ("split", "strategy = bogus"), ("split", "seed = -1"),

@@ -485,3 +485,28 @@ def test_ranked_report_queries_without_relevant_items():
     assert report.users_evaluated == 3
     assert report.recall == {1: 0.5 / 3, 3: 1.0 / 3}
     assert report.ndcg == {1: 1.0 / 3, 3: 1.0 / 3}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(min_value=-1e300, max_value=1e300),
+                max_size=60))
+def test_prefix_fsums_equal_fsum_of_each_prefix(values):
+    got = evaluator._prefix_fsums(values)
+    want = [math.fsum(values[:m]) for m in range(1, len(values) + 1)]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_ideal_dcg_of_a_long_relevant_list_is_linear():
+    # 10,000 relevant items, every other one of a 20,000-item top: the ideal
+    # DCG runs to 10,000 prefixes, which one fsum per prefix makes quadratic
+    tops, relevant = [np.arange(20000)], [np.arange(0, 20000, 2)]
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        report = ranked_report(tops, relevant, (10**7,))
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.2
+    disc = [1.0 / math.log2(r + 1.0) for r in range(1, 20001)]
+    dcg, ideal = math.fsum(disc[0::2]), math.fsum(disc[:10000])
+    assert report.recall == {10**7: 1.0}
+    assert report.ndcg == {10**7: dcg / ideal}

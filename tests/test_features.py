@@ -71,6 +71,14 @@ def test_truncated_at_every_offset(tmp_path):
             load_features(path, expected_items=2)
 
 
+def test_truncated_payload_names_claimed_and_left_bytes(tmp_path):
+    path = tmp_path / "f.afea"
+    save_features(path, np.ones((2, 3)))
+    path.write_bytes(path.read_bytes()[:-5])
+    with pytest.raises(ParseError, match=r"f\.afea: truncated payload: 48 bytes claimed, 43 left$"):
+        load_features(path, expected_items=2)
+
+
 def test_trailing_bytes_rejected(tmp_path):
     # a header that understates dim would otherwise load every row shifted
     path = tmp_path / "f.afea"

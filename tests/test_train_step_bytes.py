@@ -3,8 +3,10 @@ oracles.py: the batch-sized R^T product, the implicit sim^T product, the
 propagation at a batch's user rows, the forward pass sized to a batch's
 users, the in-place InfoNCE side, similarity regularizer and Adam, and a
 few train_epoch steps whose batches each cover a strict subset of the
-users. Propagation runs on the calling thread: no forward or train step
-starts a thread."""
+users. Past one block of losses._ROWS rows the InfoNCE side and the
+regularizer are checked within 1e-13 of the references and against finite
+differences. Propagation runs on the calling thread: no forward or train
+step starts a thread."""
 
 import threading
 
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from alignrec import losses, model, trainer
-from alignrec.errors import DimensionError, InternalInvariantError
+from alignrec.errors import DataError, DimensionError, InternalInvariantError
 from alignrec.evaluator import evaluate, longtail_evaluate
 from alignrec.features import FeatureMatrix
 from alignrec.graphs import build_knn_similarity
@@ -89,6 +91,30 @@ class TestTdot:
             assert _same_bytes(sim.tdot(x), tdot_reference(sim, x))
 
 
+def _close(got, want, rel=1e-13):
+    """Equal within `rel` of the largest magnitude in `want`."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and \
+        np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+def _central_difference(value_of, arr, idx, step=1e-5):
+    """Criterion 1's central difference of value_of() in the coordinate idx of arr."""
+    orig = arr[idx]
+    arr[idx] = orig + step
+    plus = value_of()
+    arr[idx] = orig - step
+    minus = value_of()
+    arr[idx] = orig
+    return (plus - minus) / (2 * step)
+
+
+# 600 rows: three blocks of losses._ROWS rows, the last one ragged; the
+# sampled coordinates fall in every block
+_BLOCKED_N = 600
+_SAMPLED_ROWS = [0, 131, 255, 256, 400, 511, 512, 599]
+
+
 class TestInfonceSide:
     @pytest.mark.parametrize("n", [1, 2, 3, 40])
     @pytest.mark.parametrize("tau", [0.2, 0.01])
@@ -128,6 +154,31 @@ class TestInfonceSide:
         assert np.isfinite(got[0])
         for a, b in zip(got, want):
             assert _same_bytes(a, b)
+
+
+    @pytest.mark.parametrize("tau", [0.2, 0.01])
+    def test_blocks_match_full_matrix_reference(self, rng, tau):
+        # past one block the row sums, products and the y-side accumulation
+        # are blocked, so the bits may differ from the full GEMMs
+        assert losses._ROWS < _BLOCKED_N < 3 * losses._ROWS
+        x = rng.normal(size=(_BLOCKED_N, 16))
+        y = rng.normal(size=(_BLOCKED_N, 16))
+        x[300] = 0.0
+        y[590] = 0.0
+        got, want = _infonce_side(x, y, tau), infonce_side_reference(x, y, tau)
+        assert _close(got[0], want[0])
+        assert _close(got[1], want[1]) and _close(got[2], want[2])
+        assert not got[1][300].any() and not got[2][590].any()
+
+    def test_blocks_match_finite_differences(self, rng):
+        x = rng.normal(size=(_BLOCKED_N, 8))
+        y = rng.normal(size=(_BLOCKED_N, 8))
+        _, d_x, d_y = _infonce_side(x, y, 0.2)
+        for arr, grad in ((x, d_x), (y, d_y)):
+            for row in _SAMPLED_ROWS:
+                col = int(rng.integers(arr.shape[1]))
+                fd = _central_difference(lambda: _infonce_side(x, y, 0.2)[0], arr, (row, col))
+                assert abs(grad[row, col] - fd) <= 1e-5 * max(abs(grad[row, col]), abs(fd))
 
 
 @pytest.mark.parametrize("layers", [0, 1, 2, 3])
@@ -310,6 +361,40 @@ class TestRegRep:
         x = rng.normal(size=(5, 4))
         x[[1, 3]] = f[[1, 3]]  # the (1, 3) difference alone is exactly zero
         assert _reg_both(*_reg_case(x, f))
+
+
+    def test_blocks_match_full_matrix_reference(self, rng):
+        x = rng.normal(size=(_BLOCKED_N, 4))
+        x[[10, 300, 599]] = 0.0
+        fp, feat, batch = _reg_case(x, rng.normal(size=(_BLOCKED_N, 6)))
+        g_got = SimpleNamespace(h_mm_items=np.zeros_like(x))
+        g_want = SimpleNamespace(h_mm_items=np.zeros_like(x))
+        got = _reg_rep(fp, feat, batch, g_got, 0.1)
+        want = reg_rep_reference(fp, feat, batch, g_want, 0.1)
+        assert _close(got, want) and _close(g_got.h_mm_items, g_want.h_mm_items)
+        assert not g_got.h_mm_items[[10, 300, 599]].any()
+
+    def test_blocks_match_finite_differences(self, rng):
+        fp, feat, batch = _reg_case(rng.normal(size=(_BLOCKED_N, 4)),
+                                    rng.normal(size=(_BLOCKED_N, 6)))
+        x = fp.reps.h_mm_items
+        g = SimpleNamespace(h_mm_items=np.zeros_like(x))
+        _reg_rep(fp, feat, batch, g, 1.0)
+
+        def value_of():
+            return _reg_rep(fp, feat, batch, SimpleNamespace(h_mm_items=np.zeros_like(x)), 1.0)
+
+        for row in _SAMPLED_ROWS:
+            col = int(rng.integers(x.shape[1]))
+            grad, fd = g.h_mm_items[row, col], _central_difference(value_of, x, (row, col))
+            assert abs(grad - fd) <= 1e-5 * max(abs(grad), abs(fd))
+
+    def test_zero_norm_feature_row_is_data_error(self, rng):
+        f = rng.normal(size=(5, 6))
+        f[2] = 0.0
+        with pytest.raises(DataError, match="zero-norm feature row"):
+            _reg_rep(*_reg_case(rng.normal(size=(5, 4)), f),
+                     SimpleNamespace(h_mm_items=np.zeros((5, 4))), 0.1)
 
 
 class TestAdamInPlace:
