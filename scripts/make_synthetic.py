@@ -49,7 +49,7 @@ def main():
     paths = write_corpus(corpus, out)
     (out / "run.ini").write_text(CONFIG_TEMPLATE.format(seed=args.seed),
                                  encoding="utf-8")
-    print(f"wrote {len(corpus.raw)} interactions for {args.users} users / "
+    print(f"wrote {len(corpus.records)} interactions for {args.users} users / "
           f"{args.items} items to {out}")
     for name, path in paths.items():
         print(f"  {name}: {path}")

@@ -8,15 +8,17 @@ scripts/bench_pairs.py does) and builds one seeded workspace: a
 planted-cluster corpus of 120 users whose feature rows come in equal
 pairs (so the kNN graph and the feature protocols meet tied scores), a
 seeded masked-feature file and a config with a random split, the long-tail slice, all three feature protocols
-and a [grid] over two k_prime values. Then runs `prepare`, `train`, `eval`,
+and a [grid] over two k_prime values. Each tree writes the workspace with its
+own `alignrec.synthetic`, in a child process, and its three corpus files are
+compared as `corpus/<file>`. Then runs `prepare`, `train`, `eval`,
 `intermediate`, `recommend` and `grid` on the parent tree and on this working
-tree, in the same workspace directory, each command into a fresh output
-directory.
+tree, both in this tree's workspace directory, each command into a fresh
+output directory.
 
 Every file a command writes and every line it prints is compared byte for
 byte; the only exception is the `wall_time=` field of train's epoch lines.
-One verdict line per artifact, named `<command>/<file>` or
-`<command>/stdout`. A change that a PR means to make is declared by that name
+One verdict line per artifact, named `<command>/<file>`, `<command>/stdout`
+or `corpus/<file>`. A change that a PR means to make is declared by that name
 with --expect-diff; the declared artifact must then differ, and nothing else
 is loosened. Exits 1 if a command fails on either side, an undeclared
 artifact differs or a declared one does not; 0 otherwise.
@@ -34,13 +36,6 @@ import tempfile
 from pathlib import Path
 
 from bench_pairs import ROOT, export_revision
-
-sys.path.insert(0, str(ROOT / "src"))
-
-import numpy as np  # noqa: E402
-
-from alignrec.features import save_features  # noqa: E402
-from alignrec.synthetic import make_corpus, write_corpus  # noqa: E402
 
 SEED = 7
 CLUSTERS = 4
@@ -85,9 +80,17 @@ COMMANDS = (("prepare", ()), ("train", ()), ("eval", ("--checkpoint", "{ckpt}"))
             ("intermediate", ()), ("recommend", ("--checkpoint", "{ckpt}", "--user", USER)),
             ("grid", ()))
 WALL_TIME = re.compile(rb" wall_time=\S*")
+CORPUS_FILES = ("interactions.tsv", "features.afea", "items.txt")
 
 
-def build_workspace(work: Path) -> None:
+def build_workspace(work) -> None:
+    """The workspace, written by the alignrec package that imports first."""
+    import numpy as np
+
+    from alignrec.features import save_features
+    from alignrec.synthetic import make_corpus, write_corpus
+
+    work = Path(work)
     corpus = make_corpus(num_users=120, num_items=60, clusters=CLUSTERS, feat_dim=16,
                          per_user=12, seed=SEED)
     # item n + CLUSTERS is in item n's cluster; every other block of
@@ -99,6 +102,17 @@ def build_workspace(work: Path) -> None:
     masked = np.random.default_rng(SEED + 1).normal(size=corpus.features.shape)
     save_features(work / "masked.afea", masked)
     (work / "run.ini").write_text(CONFIG, encoding="utf-8")
+
+
+def write_workspace(tree: Path, work: Path, results: Path) -> None:
+    """build_workspace in a child process that imports `tree`'s package; its
+    corpus files are copied to results/corpus/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(ROOT / "scripts")]))
+    subprocess.run([sys.executable, "-c", "import sys, same_bytes; "
+                    "same_bytes.build_workspace(sys.argv[1])", str(work)], env=env, check=True)
+    (results / "corpus").mkdir(parents=True)
+    for name in CORPUS_FILES:
+        shutil.copy(work / name, results / "corpus" / name)
 
 
 def run_tree(tree: Path, work: Path, results: Path) -> list[str]:
@@ -137,17 +151,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--expect-diff", action="append", default=[], metavar="NAME",
-                        help="an artifact, <command>/<file> or <command>/stdout, "
-                             "that must differ")
+                        help="an artifact, <command>/<file>, <command>/stdout or "
+                             "corpus/<file>, that must differ")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="same-bytes-") as tmp:
         tmp = Path(tmp)
         parent_tree, work, runs = tmp / "parent_tree", tmp / "work", tmp / "runs"
-        for directory in (parent_tree, work):
+        parent_work = tmp / "parent_work"
+        for directory in (parent_tree, work, parent_work):
             directory.mkdir()
         export_revision(args.parent, parent_tree)
-        build_workspace(work)
+        write_workspace(parent_tree, parent_work, runs / "parent")
+        write_workspace(ROOT, work, runs / "change")
         failures = []
         for side, tree in (("parent", parent_tree), ("change", ROOT)):
             failures += [f"{side}: {f}" for f in run_tree(tree, work, runs / side)]

@@ -72,25 +72,6 @@ class RawInteractions:
     def __len__(self) -> int:
         return len(self.users)
 
-    @classmethod
-    def from_records(cls, records) -> "RawInteractions":
-        """Build from (user_key, item_key, timestamp) tuples."""
-        users, items, stamps = zip(*records) if records else ((), (), ())
-        return _collapse(*_code(users), *_code(items), stamps)
-
-    def records(self) -> list[tuple[str, str, int]]:
-        """The (user_key, item_key, timestamp) tuples in record order."""
-        return list(zip(map(self.user_keys.__getitem__, self.users.tolist()),
-                        map(self.item_keys.__getitem__, self.items.tolist()),
-                        self.timestamps.tolist()))
-
-
-def _code(keys) -> tuple[list[str], np.ndarray]:
-    """The sorted table of distinct keys and each key's index in it."""
-    table = sorted(set(keys))
-    index = dict(zip(table, range(len(table))))
-    return table, np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys))
-
 
 def _collapse(user_keys, user_codes, item_keys, item_codes, stamps,
               sha256=None) -> RawInteractions:

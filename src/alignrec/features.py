@@ -28,7 +28,8 @@ _ROWS = 512  # rows per block of the row-wise passes over a full matrix
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Dense float64 matrix, row i holding item i's multimodal vector."""
+    """Dense float64 matrix, row i holding item i's multimodal vector; each
+    row's L2 norm is finite (no NaN or infinite value, no overflowing sum)."""
 
     data: np.ndarray
 
@@ -38,9 +39,14 @@ class FeatureMatrix:
         if self.data.dtype != np.float64:
             raise DataError("feature matrix must be float64")
         for start in range(0, self.rows, _ROWS):
-            bad = np.flatnonzero(~np.isfinite(self.data[start:start + _ROWS]).all(axis=1))
+            block = self.data[start:start + _ROWS]
+            with np.errstate(over="ignore"):  # an overflowing sum is rejected below
+                bad = np.flatnonzero(~np.isfinite(np.einsum("ij,ij->i", block, block)))
             if bad.size:
-                raise DataError(f"non-finite feature value in row {start + int(bad[0])}")
+                row = start + int(bad[0])
+                if np.isfinite(self.data[row]).all():
+                    raise DataError(f"overflowing L2 norm of the feature row for item {row}")
+                raise DataError(f"non-finite feature value in row {row}")
 
     @property
     def rows(self) -> int:

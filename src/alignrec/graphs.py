@@ -68,12 +68,9 @@ def build_knn_similarity(feat: FeatureMatrix, k_prime: int) -> SparseMatrix:
         raise ConfigError(f"k_prime must be >= 1, got {k_prime}")
     if k_prime >= n:
         raise ConfigError(f"k_prime {k_prime} must be smaller than the item count {n}")
-    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
-        unit, norms, _ = unit_rows(feat.data)
-    bad = np.flatnonzero((norms == 0.0) | np.isinf(norms))
-    if bad.size:
-        what = "zero" if norms[bad[0]] == 0.0 else "overflowing"
-        raise DataError(f"{what} L2 norm of the feature row for item {int(bad[0])}")
+    unit, norms, _ = unit_rows(feat.data)
+    if not norms.all():
+        raise DataError(f"zero L2 norm of the feature row for item {int(np.argmin(norms))}")
 
     cols = np.array(score_top_k(unit, unit, np.arange(n)[:, None], k_prime))
     vals_t = np.empty((k_prime, n))  # rank-major: the products broadcast over the leading axis

@@ -18,10 +18,10 @@ same propagation routine, with the same R / R^T pair, for the embedding
 gradient; the content gradient takes sim^T implicitly (sim.tdot), adding in
 the row order of the explicit transpose. Each propagation layer runs R @ h_i,
 then R^T @ h_u, on the calling thread; the package starts no thread of its own.
-Given a train batch's sorted distinct users U, `forward` computes the user
-side at U alone from the slice R[U], which `backward` reuses for its
-user-side R^T products; each row keeps the bits of the full pass. Rankings
-take the full pass (users=None).
+`forward` computes the user side at sorted distinct users U from the slice
+R[U], which `backward` reuses for its user-side R^T products: a train batch's
+users, keeping each row's bits, or for the full pass that rankings take
+(users=None) all users, with R itself as the slice.
 """
 
 from __future__ import annotations
@@ -103,20 +103,20 @@ def lightgcn_propagate(inter_norm: SparseMatrix, inter_t: SparseMatrix,
     propagations over [[0, R], [R^T, 0]]: (h_u, h_i) <- (R @ h_i, R^T @ h_u),
     on the calling thread; each layer takes R^T @ h_u first and drops h_u
     before R @ h_i makes its successor. With user_rows = (U, R[U]), U sorted
-    distinct users, a full-size `users` gives the user mean at U (last R
-    product from R[U]); the rows U of a `users` zero elsewhere give it full
-    size (first R^T product from R[U])."""
-    rows, r_rows = user_rows or (None, None)
-    scatter = rows is not None and users.shape[0] != inter_norm.rows
+    distinct users (all users, with R, by default), a full-size `users`
+    gives the user mean at U (last R product from R[U]); the rows U of a
+    `users` zero elsewhere give it full size (first R^T product from R[U])."""
+    scatter = user_rows is not None and users.shape[0] != inter_norm.rows
+    rows, r_rows = user_rows or (np.arange(len(users)), inter_norm)
     if scatter:
         acc_u = np.zeros((inter_norm.rows, users.shape[1]))
         acc_u[rows] = users
     else:
-        acc_u = users.copy() if rows is None else users[rows]
+        acc_u = users[rows]
     acc_i = items.copy()
     h_u, h_i = users, items
     for layer in range(layers):
-        last = rows is not None and not scatter and layer == layers - 1
+        last = not scatter and layer == layers - 1
         h_t = (r_rows.tdot if scatter and not layer else inter_t.dot)(h_u)
         del h_u  # one user-side array at a time besides the mean
         h_u, h_i = (r_rows if last else inter_norm).dot(h_i), h_t
@@ -174,9 +174,9 @@ class ForwardPass:
     graphs: GraphBundle
     feat: FeatureMatrix
     layers: int
-    _user_rows: tuple = field(repr=False, default=None)  # (U, R[U]): the user side at U
-    _a1: np.ndarray = field(repr=False, default=None)
-    _gate: np.ndarray = field(repr=False, default=None)
+    _user_rows: tuple = field(repr=False)  # (U, R[U]): the user side at U
+    _a1: np.ndarray = field(repr=False)
+    _gate: np.ndarray = field(repr=False)
 
     def zero_rep_grads(self) -> Representations:
         return Representations(**{f.name: np.zeros(getattr(self.reps, f.name).shape)
@@ -184,19 +184,14 @@ class ForwardPass:
 
     def user_rows(self, users: np.ndarray) -> np.ndarray:
         """The rows of the user-side representations that hold `users`."""
-        return users if self._user_rows is None else np.searchsorted(self._user_rows[0], users)
+        return np.searchsorted(self._user_rows[0], users)
 
     def backward(self, g: Representations) -> dict[str, np.ndarray]:
         """Chain representation-space gradients back to parameter space."""
         p = self.params
         d_mm_users = g.h_mm_users + g.h_users
         d_id_users = g.h_id_users + g.h_users
-        rows = self._user_rows
-        if rows is None:  # a full pass: the users the losses touched, zero elsewhere
-            users = np.flatnonzero(d_mm_users.any(axis=1) | d_id_users.any(axis=1))
-            rows = (users, self.graphs.inter_norm.take_rows(users))
-            d_mm_users, d_id_users = d_mm_users[users], d_id_users[users]
-        d_mm_items = g.h_mm_items + g.h_items + rows[1].tdot(d_mm_users)
+        d_mm_items = g.h_mm_items + g.h_items + self._user_rows[1].tdot(d_mm_users)
         d_id_items = g.h_id_items + g.h_items
         d_con = self.graphs.sim.tdot(d_mm_items)
         # propagation path; [[0, R], [R^T, 0]] is symmetric, so the
@@ -204,7 +199,7 @@ class ForwardPass:
         # gradient. It runs before the gradients are allocated, so the
         # full-size user arrays it makes are not held beside them.
         d_users, d_items = lightgcn_propagate(self.graphs.inter_norm, self.graphs.inter_t,
-                                              d_id_users, d_id_items, self.layers, rows)
+                                              d_id_users, d_id_items, self.layers, self._user_rows)
         grads = zero_grads(p)
 
         # gate path
@@ -224,17 +219,19 @@ class ForwardPass:
 
 def forward(params: ModelParams, graphs: GraphBundle, feat: FeatureMatrix,
             layers: int, users: np.ndarray | None = None) -> ForwardPass:
-    """The representation pipeline and its intermediates, the user side at `users` alone."""
+    """The representation pipeline and its intermediates, the user side at
+    `users` (all users if None)."""
     if layers < 0:
         raise DimensionError(f"layer count must be >= 0, got {layers}")
     _check_shapes(params, graphs, feat)
-    rows = None if users is None else (users, graphs.inter_norm.take_rows(users))
-    h_id_users, h_id_items = lightgcn_propagate(graphs.inter_norm, graphs.inter_t,
-                                                params.user_emb, params.item_emb, layers, rows)
+    R = graphs.inter_norm
+    rows = (np.arange(R.rows), R) if users is None else (users, R.take_rows(users))
+    h_id_users, h_id_items = lightgcn_propagate(R, graphs.inter_t, params.user_emb,
+                                                params.item_emb, layers, rows)
 
     h_con, a1, gate = _gate_forward(params, feat.data)
     h_mm_items = item_multimodal(graphs.sim, h_con)
-    h_mm_users = user_multimodal(graphs.inter_norm if rows is None else rows[1], h_mm_items)
+    h_mm_users = user_multimodal(rows[1], h_mm_items)
 
     reps = Representations(
         h_id_users=h_id_users, h_id_items=h_id_items,

@@ -3,8 +3,10 @@
 Users and items are assigned round-robin to latent clusters. Item features
 are the cluster centroid plus Gaussian noise; each user interacts with a
 random subset of the items in their own cluster, timestamps recording draw
-order. A model that learns anything useful must rank in-cluster items above
-out-of-cluster ones.
+order. The corpus keeps these as (user_key, item_key, timestamp) records of
+distinct pairs, which `write_corpus` writes as the interaction log. A model
+that learns anything useful must rank in-cluster items above out-of-cluster
+ones.
 """
 
 from __future__ import annotations
@@ -14,13 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import RawInteractions
 from .features import write_item_list, save_features
 
 
 @dataclass(frozen=True)
 class SyntheticCorpus:
-    raw: RawInteractions
+    records: list[tuple[str, str, int]]  # (user_key, item_key, timestamp)
     features: np.ndarray      # item-key order, keys sorted
     item_keys: list[str]
     user_cluster: np.ndarray
@@ -50,7 +51,7 @@ def make_corpus(num_users: int = 200, num_items: int = 100, clusters: int = 4,
         ukey = f"u{u:0{uwidth}d}"
         for ts, item in enumerate(chosen):
             records.append((ukey, item_keys[int(item)], ts))
-    return SyntheticCorpus(raw=RawInteractions.from_records(records), features=features,
+    return SyntheticCorpus(records=records, features=features,
                            item_keys=item_keys, user_cluster=user_cluster,
                            item_cluster=item_cluster)
 
@@ -66,7 +67,7 @@ def write_corpus(corpus: SyntheticCorpus, out_dir) -> dict[str, Path]:
     }
     with open(paths["interactions"], "w", encoding="utf-8") as fh:
         fh.write("# synthetic planted-cluster corpus\n")
-        for u, i, ts in corpus.raw.records():
+        for u, i, ts in corpus.records:
             fh.write(f"{u}\t{i}\t{ts}\n")
     save_features(paths["features"], corpus.features)
     write_item_list(paths["item_list"], corpus.item_keys)

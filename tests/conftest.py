@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from alignrec.data import RawInteractions, split_dataset
+from alignrec.data import split_dataset
 from alignrec.features import FeatureMatrix
 from alignrec.graphs import build_graphs
 from alignrec.losses import BatchSample
 from alignrec.model import init_params
 from alignrec.trainer import sample_batch
+
+from oracles import raw_from_records
 
 
 def random_instance(rng, num_users=6, num_items=7, d_e=4, d_f=5, d_h=3,
@@ -17,7 +19,7 @@ def random_instance(rng, num_users=6, num_items=7, d_e=4, d_f=5, d_h=3,
         chosen = rng.choice(num_items, size=min(per_user, num_items), replace=False)
         for ts, i in enumerate(chosen):
             records.append((f"u{u:03d}", f"i{i:03d}", int(ts)))
-    raw = RawInteractions.from_records(records)
+    raw = raw_from_records(records)
     ds = split_dataset(raw, (0.8, 0.1, 0.1), seed=int(rng.integers(1 << 30)),
                        strategy="random")
     feat = FeatureMatrix(rng.normal(size=(ds.num_items, d_f)))

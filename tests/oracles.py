@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from alignrec.data import RawInteractions, items_by_user
+from alignrec.data import _collapse, items_by_user
 from alignrec.errors import DataError, EmptyInputError, ParseError
 
 
@@ -38,6 +38,28 @@ def read_manifest(path):
             if sep:
                 out[key] = value
     return out
+
+
+def _code(keys):
+    """The sorted table of distinct keys and each key's index in it."""
+    table = sorted(set(keys))
+    index = dict(zip(table, range(len(table))))
+    return table, np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys))
+
+
+def raw_from_records(records):
+    """A RawInteractions from (user_key, item_key, timestamp) tuples: repeated
+    pairs collapsed to their earliest timestamp at their first appearance."""
+    users, items, stamps = zip(*records) if records else ((), (), ())
+    return _collapse(*_code(users), *_code(items), stamps)
+
+
+def records_of(raw):
+    """The (user_key, item_key, timestamp) tuples of a RawInteractions in
+    record order."""
+    return list(zip(map(raw.user_keys.__getitem__, raw.users.tolist()),
+                    map(raw.item_keys.__getitem__, raw.items.tolist()),
+                    raw.timestamps.tolist()))
 
 
 def load_interactions_reference(path):
@@ -74,7 +96,7 @@ def load_interactions_reference(path):
         records.append((user, item, ts))
     if not records:
         raise EmptyInputError(f"{path}: no interaction records")
-    return RawInteractions.from_records(records)
+    return raw_from_records(records)
 
 
 def kcore_reference(records, k):
@@ -530,6 +552,7 @@ def forward_reference(params, graphs, feat, layers, users=None):
                            h_mm_items=h_mm_items, h_mm_users=h_mm_users,
                            h_users=h_mm_users + h_id_users, h_items=h_mm_items + h_id_items)
     return ForwardPass(reps=reps, params=params, graphs=graphs, feat=feat, layers=layers,
+                       _user_rows=(np.arange(graphs.inter_norm.rows), graphs.inter_norm),
                        _a1=a1, _gate=gate)
 
 

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from alignrec.cli import main as cli_main
-from alignrec.data import (RawInteractions, kcore_filter, load_interactions,
-                           split_dataset)
+from alignrec.data import kcore_filter, load_interactions, split_dataset
 from alignrec.errors import EmptyAfterFilterError
 from alignrec.evaluator import evaluate
 from alignrec.features import FeatureMatrix
@@ -28,7 +27,8 @@ from alignrec.trainer import TrainConfig, TrainState, sample_batch, train_epoch
 
 from oracles import (bruteforce_evaluate, dense_forward_reference,
                      dense_norm_adjacency, finite_diff_grads, itemcf_reference, kcore_reference,
-                     max_relative_error, to_dense, uniform_recall_baseline)
+                     max_relative_error, raw_from_records, records_of, to_dense,
+                     uniform_recall_baseline)
 
 
 def _report(criterion, detail):
@@ -41,7 +41,7 @@ def _random_dataset(rng, num_users, num_items, per_user):
         chosen = rng.choice(num_items, size=min(per_user, num_items), replace=False)
         for ts, i in enumerate(chosen):
             records.append((f"u{u:03d}", f"i{i:03d}", int(ts)))
-    return split_dataset(RawInteractions.from_records(records), (0.8, 0.1, 0.1),
+    return split_dataset(raw_from_records(records), (0.8, 0.1, 0.1),
                          seed=int(rng.integers(1 << 30)), strategy="random")
 
 
@@ -201,7 +201,7 @@ def test_criterion_4_kcore_correctness():
         k = int(rng.integers(1, 5))
         expected = kcore_reference(records, k)
         try:
-            got = kcore_filter(RawInteractions.from_records(records), k).records()
+            got = records_of(kcore_filter(raw_from_records(records), k))
         except EmptyAfterFilterError:
             got = []
         assert got == expected
@@ -220,7 +220,7 @@ def _train_synthetic(seed, alpha=0.01, beta=0.1):
     full epoch budget; returns the final-epoch test Recall@20."""
     corpus = make_corpus(num_users=200, num_items=100, clusters=4,
                          feat_dim=32, per_user=16, noise=0.05, seed=seed)
-    raw = kcore_filter(corpus.raw, 5)
+    raw = kcore_filter(raw_from_records(corpus.records), 5)
     ds = split_dataset(raw, (0.8, 0.1, 0.1), seed=seed, strategy="random")
     feat = FeatureMatrix(corpus.features)
     cfg = TrainConfig(max_epochs=SYNTH_EPOCHS, patience=SYNTH_EPOCHS, seed=seed,
@@ -279,7 +279,7 @@ def test_criterion_7_protocol_sanity():
     for seed in SYNTH_SEEDS:
         corpus = make_corpus(num_users=200, num_items=100, clusters=4,
                              feat_dim=32, per_user=16, noise=0.05, seed=seed)
-        raw = kcore_filter(corpus.raw, 5)
+        raw = kcore_filter(raw_from_records(corpus.records), 5)
         ds = split_dataset(raw, (0.8, 0.1, 0.1), seed=seed,
                            strategy="temporal-leave-one-out")
         cfg = ProtocolConfig(ks=(20,))

@@ -396,6 +396,18 @@ class TestIntermediate:
         assert captured.err == f"data error: {path}: 8 bytes after the payload\n"
         assert not (workspace / "out").exists()
 
+    def test_overflowing_feature_row_is_data_error(self, workspace, capsys):
+        # finite values whose squares overflow: the row's norm is inf, and
+        # normalizing it would zero the row without a word
+        data = load_features(workspace / "features.afea", 20).data.copy()
+        data[3] = 1e200
+        save_features(workspace / "features.afea", data)
+        assert _run(workspace, "intermediate") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "data error: overflowing L2 norm of the feature row for item 3\n"
+        assert not (workspace / "out").exists()
+
 
 class TestRecommend:
     def test_prints_k_items(self, workspace, capsys):

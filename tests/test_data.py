@@ -12,8 +12,8 @@ from alignrec.data import (Dataset, RawInteractions, _check_partition, _record_o
 from alignrec.errors import (AlignRecError, ConfigError, DataError,
                              EmptyAfterFilterError, EmptyInputError, ParseError)
 
-from oracles import (kcore_reference, load_interactions_reference, read_manifest,
-                     split_reference)
+from oracles import (kcore_reference, load_interactions_reference, raw_from_records,
+                     read_manifest, records_of, split_reference)
 
 
 def _write(tmp_path, text, name="inter.tsv"):
@@ -27,8 +27,8 @@ class TestLoadInteractions:
         path = _write(tmp_path, "u1\ti1\t5\nu1\ti1\t3\nu2\ti1\t7\n")
         raw = load_interactions(path)
         assert len(raw) == 2
-        assert raw.records()[0] == ("u1", "i1", 3)
-        assert raw.records()[1] == ("u2", "i1", 7)
+        assert records_of(raw)[0] == ("u1", "i1", 3)
+        assert records_of(raw)[1] == ("u2", "i1", 7)
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         path = _write(tmp_path, "# header\nu1\ti1\t0\n\nu2\ti2\t1\n")
@@ -169,7 +169,7 @@ def test_collapse_keeps_first_appearance_and_earliest_timestamp(seed):
     want = {}
     for user, item, ts in records:
         want[user, item] = min(want.get((user, item), ts), ts)
-    assert RawInteractions.from_records(records).records() == [(u, i, ts) for (u, i), ts in want.items()]
+    assert records_of(raw_from_records(records)) == [(u, i, ts) for (u, i), ts in want.items()]
 
 
 def _random_raw(rng, num_users, num_items, density):
@@ -185,7 +185,7 @@ def _random_raw(rng, num_users, num_items, density):
 
 class TestKcore:
     def test_star_graph_below_threshold(self):
-        raw = RawInteractions.from_records([("u0", f"i{k}", k) for k in range(3)])
+        raw = raw_from_records([("u0", f"i{k}", k) for k in range(3)])
         with pytest.raises(EmptyAfterFilterError):
             kcore_filter(raw, 5)
 
@@ -196,32 +196,32 @@ class TestKcore:
             ("u1", "i0", 3), ("u1", "i1", 4),
             ("u2", "i2", 5), ("u2", "i3", 6),
         ]
-        got = kcore_filter(RawInteractions.from_records(records), 2).records()
+        got = records_of(kcore_filter(raw_from_records(records), 2))
         assert got == kcore_reference(records, 2)
         users = {u for u, _, _ in got}
         assert "u2" not in users
 
     def test_invalid_k(self):
         with pytest.raises(ConfigError):
-            kcore_filter(RawInteractions.from_records([("u", "i", 0)]), 0)
+            kcore_filter(raw_from_records([("u", "i", 0)]), 0)
 
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
     def test_matches_reference_and_idempotent(self, seed, k):
         rng = np.random.default_rng(seed)
         records = _random_raw(rng, 8, 8, 0.35)
-        raw = RawInteractions.from_records(records)
+        raw = raw_from_records(records)
         expected = kcore_reference(records, k)
         try:
             got = kcore_filter(raw, k)
         except EmptyAfterFilterError:
             assert expected == []
             return
-        assert got.records() == expected
-        assert kcore_filter(got, k).records() == got.records()
+        assert records_of(got) == expected
+        assert records_of(kcore_filter(got, k)) == records_of(got)
         user_count = {}
         item_count = {}
-        for u, i, _ in got.records():
+        for u, i, _ in records_of(got):
             user_count[u] = user_count.get(u, 0) + 1
             item_count[i] = item_count.get(i, 0) + 1
         assert min(user_count.values()) >= k
@@ -230,7 +230,7 @@ class TestKcore:
 
 class TestSplit:
     def _user_raw(self, n, user="u0"):
-        return RawInteractions.from_records([(user, f"i{k:02d}", k) for k in range(n)])
+        return raw_from_records([(user, f"i{k:02d}", k) for k in range(n)])
 
     def test_exact_ratio_divisibility(self):
         # one user cannot satisfy the item-coverage invariant alone; use 3
@@ -239,7 +239,7 @@ class TestSplit:
         for u in range(3):
             for k in range(10):
                 records.append((f"u{u}", f"i{k:02d}", k))
-        ds = split_dataset(RawInteractions.from_records(records), (0.8, 0.1, 0.1), seed=7)
+        ds = split_dataset(raw_from_records(records), (0.8, 0.1, 0.1), seed=7)
         per_user_train = np.bincount(ds.train[:, 0], minlength=3)
         per_user_val = np.bincount(ds.val[:, 0], minlength=3) if len(ds.val) else np.zeros(3)
         per_user_test = np.bincount(ds.test[:, 0], minlength=3) if len(ds.test) else np.zeros(3)
@@ -250,12 +250,12 @@ class TestSplit:
     def test_two_interactions_forced_to_train(self):
         records = [("u0", "iA", 0), ("u0", "iB", 1),
                    ("u1", "iA", 2), ("u1", "iB", 3)]
-        ds = split_dataset(RawInteractions.from_records(records), (0.8, 0.1, 0.1), seed=3)
+        ds = split_dataset(raw_from_records(records), (0.8, 0.1, 0.1), seed=3)
         assert len(ds.train) == 4
         assert len(ds.val) == 0 and len(ds.test) == 0
 
     def test_temporal_holds_out_max_timestamp(self):
-        raw = RawInteractions.from_records([("u0", "iA", 5), ("u0", "iB", 9), ("u0", "iC", 2)])
+        raw = raw_from_records([("u0", "iA", 5), ("u0", "iB", 9), ("u0", "iC", 2)])
         ds = split_dataset(raw, (0.8, 0.1, 0.1), seed=0,
                            strategy="temporal-leave-one-out")
         assert len(ds.test) == 1
@@ -264,7 +264,7 @@ class TestSplit:
         assert len(ds.train) == 2 and len(ds.val) == 0
 
     def test_temporal_single_interaction_stays_in_train(self):
-        raw = RawInteractions.from_records([("u0", "iA", 0), ("u1", "iA", 1), ("u1", "iB", 2)])
+        raw = raw_from_records([("u0", "iA", 0), ("u1", "iA", 1), ("u1", "iB", 2)])
         ds = split_dataset(raw, (0.8, 0.1, 0.1), seed=0,
                            strategy="temporal-leave-one-out")
         u0 = ds.user_index["u0"]
@@ -272,8 +272,8 @@ class TestSplit:
 
     def test_determinism(self, rng):
         records = _random_raw(rng, 10, 12, 0.5)
-        a = split_dataset(RawInteractions.from_records(records), (0.8, 0.1, 0.1), seed=11)
-        b = split_dataset(RawInteractions.from_records(records), (0.8, 0.1, 0.1), seed=11)
+        a = split_dataset(raw_from_records(records), (0.8, 0.1, 0.1), seed=11)
+        b = split_dataset(raw_from_records(records), (0.8, 0.1, 0.1), seed=11)
         assert np.array_equal(a.train, b.train)
         assert np.array_equal(a.val, b.val)
         assert np.array_equal(a.test, b.test)
@@ -281,8 +281,8 @@ class TestSplit:
 
     def test_different_seed_changes_split(self, rng):
         records = _random_raw(rng, 10, 12, 0.5)
-        a = split_dataset(RawInteractions.from_records(records), (0.8, 0.1, 0.1), seed=11)
-        b = split_dataset(RawInteractions.from_records(records), (0.8, 0.1, 0.1), seed=12)
+        a = split_dataset(raw_from_records(records), (0.8, 0.1, 0.1), seed=11)
+        b = split_dataset(raw_from_records(records), (0.8, 0.1, 0.1), seed=12)
         assert not (np.array_equal(a.train, b.train) and np.array_equal(a.val, b.val))
 
     def test_bad_ratios(self):
@@ -302,7 +302,7 @@ class TestSplit:
     def test_partition_property(self, seed):
         rng = np.random.default_rng(seed)
         records = _random_raw(rng, 9, 11, 0.45)
-        raw = RawInteractions.from_records(records)
+        raw = raw_from_records(records)
         try:
             filtered = kcore_filter(raw, 2)
         except EmptyAfterFilterError:
@@ -336,7 +336,7 @@ def test_split_matches_per_record_reference():
         records = [records[n] for n in rng.permutation(len(records))]
         user_keys, item_keys, train, val, test, moved = split_reference(
             records, ratios, seed, strategy)
-        ds = split_dataset(RawInteractions.from_records(records), ratios, seed, strategy)
+        ds = split_dataset(raw_from_records(records), ratios, seed, strategy)
         assert ds.user_keys == user_keys and ds.item_keys == item_keys
         for got, want in ((ds.train, train), (ds.val, val), (ds.test, test)):
             want = np.asarray(want, dtype=np.int64).reshape(-1, 2)
@@ -381,7 +381,7 @@ def test_split_of_full_range_timestamps_matches_reference(triples, seed, ratios,
     records = [(f"u{u}", f"i{i}", ts) for u, i, ts in triples]
     records = [records[n] for n in rng.permutation(len(records))]
     user_keys, item_keys, train, val, test, _ = split_reference(records, ratios, seed, strategy)
-    ds = split_dataset(RawInteractions.from_records(records), ratios, seed, strategy)
+    ds = split_dataset(raw_from_records(records), ratios, seed, strategy)
     assert ds.user_keys == user_keys and ds.item_keys == item_keys
     for got, want in ((ds.train, train), (ds.val, val), (ds.test, test)):
         want = np.asarray(want, dtype=np.int64).reshape(-1, 2)
@@ -390,8 +390,8 @@ def test_split_of_full_range_timestamps_matches_reference(triples, seed, ratios,
 
 def test_temporal_tie_at_the_largest_timestamp_holds_out_the_higher_item():
     top = 2 ** 63 - 1
-    raw = RawInteractions.from_records([("u0", "iB", top), ("u0", "iC", top), ("u0", "iA", 0),
-                                        ("u1", "iC", top), ("u1", "iA", top)])
+    raw = raw_from_records([("u0", "iB", top), ("u0", "iC", top), ("u0", "iA", 0),
+                            ("u1", "iC", top), ("u1", "iA", top)])
     ds = split_dataset(raw, (0.8, 0.1, 0.1), seed=0, strategy="temporal-leave-one-out")
     assert ds.test.tolist() == [[0, 2], [1, 2]]
     assert ds.train.tolist() == [[0, 0], [0, 1], [1, 0]]
@@ -401,7 +401,7 @@ def test_temporal_tie_at_the_largest_timestamp_holds_out_the_higher_item():
 @settings(max_examples=40, deadline=None)
 def test_kcore_codes_are_np_unique_inverse(seed, k):
     rng = np.random.default_rng(seed)
-    raw = RawInteractions.from_records(_random_raw(rng, 9, 9, 0.4))
+    raw = raw_from_records(_random_raw(rng, 9, 9, 0.4))
     rows = np.arange(len(raw))
     while True:
         users, items = raw.users[rows], raw.items[rows]

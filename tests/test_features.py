@@ -3,11 +3,13 @@ import struct
 import numpy as np
 import pytest
 
-from alignrec.data import RawInteractions, split_dataset
+from alignrec.data import split_dataset
 from alignrec.errors import DataError, DimensionError, ParseError
 from alignrec.features import (FeatureMatrix, align_features, load_features,
                                read_item_list, save_features, unit_rows,
                                write_item_list)
+
+from oracles import raw_from_records
 
 
 def test_small_roundtrip(tmp_path):
@@ -44,6 +46,21 @@ def test_nonfinite_entry_names_row(tmp_path):
     save_features(path, matrix)
     with pytest.raises(DataError, match="row 2"):
         load_features(path, expected_items=4)
+
+
+@pytest.mark.parametrize("value, message", [
+    (np.inf, "non-finite feature value in row 70"),
+    (1e200, "overflowing L2 norm of the feature row for item 70"),
+    (1e154, "overflowing L2 norm of the feature row for item 70"),  # only the sum overflows
+])
+def test_row_with_infinite_norm_rejected(value, message):
+    matrix = np.ones((100, 3))
+    matrix[70, 1:] = value
+    with np.errstate(all="raise"):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            FeatureMatrix(matrix)
+    matrix[70, 1:] = 1e153  # large squares with a finite sum pass
+    FeatureMatrix(matrix)
 
 
 def test_bad_magic(tmp_path):
@@ -95,8 +112,8 @@ def test_trailing_bytes_rejected(tmp_path):
 
 
 def _tiny_ds():
-    raw = RawInteractions.from_records([("u0", "iA", 0), ("u0", "iB", 1),
-                           ("u1", "iA", 2), ("u1", "iB", 3)])
+    raw = raw_from_records([("u0", "iA", 0), ("u0", "iB", 1),
+                            ("u1", "iA", 2), ("u1", "iB", 3)])
     return split_dataset(raw, (1.0, 0.0, 0.0), seed=0)
 
 

@@ -4,13 +4,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from alignrec.data import RawInteractions, split_dataset
+from alignrec.data import split_dataset
 from alignrec.errors import ConfigError, DataError
 from alignrec.features import FeatureMatrix
 from alignrec.graphs import build_graphs, build_knn_similarity, build_norm_interaction
 
 from oracles import (dense_knn_reference, dense_norm_adjacency, knn_full_sort_reference,
-                     to_dense)
+                     raw_from_records, to_dense)
 
 
 def _ds_from_pairs(pairs, num_users, num_items):
@@ -19,7 +19,7 @@ def _ds_from_pairs(pairs, num_users, num_items):
     users_seen = {u for u, _ in pairs}
     items_seen = {i for _, i in pairs}
     assert users_seen == set(range(num_users)) and items_seen == set(range(num_items))
-    return split_dataset(RawInteractions.from_records(records), (1.0, 0.0, 0.0), seed=0)
+    return split_dataset(raw_from_records(records), (1.0, 0.0, 0.0), seed=0)
 
 
 class TestAdjacency:
@@ -178,12 +178,12 @@ class TestKnnSimilarity:
             build_knn_similarity(feat, 1)
 
     def test_overflowing_norm_row_rejected(self):
-        # the squares overflow, so the norm is inf and the unit row would be zero
-        feat = FeatureMatrix(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1e200, 1e200, 0.0]]))
+        # the squares overflow, so the norm is inf and the unit row would be
+        # zero: the feature matrix itself rejects the row
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="overflowing L2 norm .* item 2"):
-                build_knn_similarity(feat, 1)
+                FeatureMatrix(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1e200, 1e200, 0.0]]))
 
     def test_k_prime_too_large(self, rng):
         feat = FeatureMatrix(rng.normal(size=(4, 3)))

@@ -7,19 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alignrec import protocols
-from alignrec.data import Dataset, RawInteractions, split_dataset
+from alignrec.data import Dataset, split_dataset
 from alignrec.errors import ConfigError, DimensionError
 from alignrec.features import FeatureMatrix
 from alignrec.protocols import (ProtocolConfig, compose_masked, itemcf_eval,
                                 itemcf_score, mask_modality_eval,
                                 zero_shot_eval)
 
-from oracles import (itemcf_protocol_reference, itemcf_reference,
+from oracles import (itemcf_protocol_reference, itemcf_reference, raw_from_records,
                      zero_shot_protocol_reference)
 
 
 def _temporal_ds(records):
-    return split_dataset(RawInteractions.from_records(records), (0.8, 0.1, 0.1), seed=0,
+    return split_dataset(raw_from_records(records), (0.8, 0.1, 0.1), seed=0,
                          strategy="temporal-leave-one-out")
 
 
@@ -122,7 +122,7 @@ class TestZeroShot:
     def test_random_split_rejected(self, rng):
         # ten items per user: the random split holds out two of them for test
         records = [(f"u{u}", f"i{(u + j) % 12:02d}", j) for u in range(6) for j in range(10)]
-        ds = split_dataset(RawInteractions.from_records(records), (0.6, 0.2, 0.2), seed=0)
+        ds = split_dataset(raw_from_records(records), (0.6, 0.2, 0.2), seed=0)
         feat = FeatureMatrix(rng.normal(size=(ds.num_items, 4)))
         cfg = ProtocolConfig(ks=(3,), mask_ratio=0.5)
         message = (r"zero-shot needs one test item per user \(a temporal-leave-one-out "
@@ -175,7 +175,7 @@ class TestItemCfScore:
     def test_identical_user_sets(self):
         records = [("u0", "iA", 0), ("u0", "iB", 1),
                    ("u1", "iA", 2), ("u1", "iB", 3)]
-        ds = split_dataset(RawInteractions.from_records(records), (1.0, 0.0, 0.0), seed=0)
+        ds = split_dataset(raw_from_records(records), (1.0, 0.0, 0.0), seed=0)
         a, b = ds.item_index["iA"], ds.item_index["iB"]
         partner = itemcf_score(ds)
         assert partner[a] == b and partner[b] == a
@@ -185,7 +185,7 @@ class TestItemCfScore:
         records = [("u0", "iA", 0), ("u0", "iB", 1),
                    ("u1", "iC", 2), ("u1", "iD", 3),
                    ("u2", "iE", 4)]
-        ds = split_dataset(RawInteractions.from_records(records), (1.0, 0.0, 0.0), seed=0)
+        ds = split_dataset(raw_from_records(records), (1.0, 0.0, 0.0), seed=0)
         partner = itemcf_score(ds)
         index = ds.item_index
         assert partner[index["iA"]] == index["iB"] and partner[index["iC"]] == index["iD"]
@@ -250,7 +250,7 @@ class TestItemCfEval:
         for u in (2, 3):
             for i in (3, 4, 5):
                 records.append((f"u{u}", f"i{i}", i))
-        ds = split_dataset(RawInteractions.from_records(records), (1.0, 0.0, 0.0), seed=0)
+        ds = split_dataset(raw_from_records(records), (1.0, 0.0, 0.0), seed=0)
         features = itemcf_reference(ds)
         report = itemcf_eval(FeatureMatrix(features), ds, ProtocolConfig(ks=(1,)))
         assert report.recall[1] == 1.0

@@ -24,6 +24,8 @@ from alignrec.protocols import ProtocolConfig, itemcf_eval
 from alignrec.sparse import score_top_k
 from alignrec.synthetic import make_corpus
 
+from oracles import raw_from_records
+
 
 @pytest.fixture(scope="module")
 def made():
@@ -33,7 +35,7 @@ def made():
 
 @pytest.fixture(scope="module")
 def corpus(made):
-    ds = split_dataset(made.raw, (1.0, 0.0, 0.0), seed=0)
+    ds = split_dataset(raw_from_records(made.records), (1.0, 0.0, 0.0), seed=0)
     assert ds.num_items == made.features.shape[0] == 3000
     return ds, made.features
 
@@ -72,7 +74,7 @@ def test_knn_build_holds_one_query_block(corpus):
 def test_evaluate_holds_one_user_block(made):
     # one 128-user block of GEMM scores (1x) with its 16-row partitions, the
     # CSR item lists and the tops: never the users-by-items score matrix
-    ds = split_dataset(made.raw, (0.8, 0.1, 0.1), seed=0)
+    ds = split_dataset(raw_from_records(made.records), (0.8, 0.1, 0.1), seed=0)
     rng = np.random.default_rng(0)
     h_users, h_items = rng.normal(size=(ds.num_users, 64)), rng.normal(size=(ds.num_items, 64))
     zu, zi = np.zeros_like(h_users), np.zeros_like(h_items)
