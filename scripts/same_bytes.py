@@ -5,10 +5,13 @@
 
 Exports the committed files of <rev> into a temporary directory (as
 scripts/bench_pairs.py does) and builds one seeded workspace: a
-planted-cluster corpus of 120 users whose feature rows come in equal
-pairs (so the kNN graph and the feature protocols meet tied scores), a
-seeded masked-feature file and a config with a random split, the long-tail slice, all three feature protocols
-and a [grid] over two k_prime values. Each tree writes the workspace with its
+planted-cluster corpus of 600 users and 600 items whose feature rows come
+in equal pairs (so the kNN graph and the feature protocols meet tied
+scores), a seeded masked-feature file, both feature files and the item
+list in one seeded shuffled order (so every command aligns more than one
+512-row block of rows that are not in dataset order), and a config with a
+random split, the long-tail slice, all three feature protocols and a
+[grid] over two k_prime values. Each tree writes the workspace with its
 own `alignrec.synthetic`, in a child process, and its three corpus files are
 compared as `corpus/<file>`. Then runs `prepare`, `train`, `eval`,
 `intermediate`, `recommend` and `grid` on the parent tree and on this working
@@ -74,7 +77,7 @@ mask_base = item_cf
 [grid]
 k_prime = 3,6
 """
-USER = "u000"
+USER = "u000"  # the first of 600 users, keyed u000 to u599
 # (command, extra arguments); eval and recommend read train's best checkpoint
 COMMANDS = (("prepare", ()), ("train", ()), ("eval", ("--checkpoint", "{ckpt}")),
             ("intermediate", ()), ("recommend", ("--checkpoint", "{ckpt}", "--user", USER)),
@@ -87,11 +90,11 @@ def build_workspace(work) -> None:
     """The workspace, written by the alignrec package that imports first."""
     import numpy as np
 
-    from alignrec.features import save_features
+    from alignrec.features import save_features, write_item_list
     from alignrec.synthetic import make_corpus, write_corpus
 
     work = Path(work)
-    corpus = make_corpus(num_users=120, num_items=60, clusters=CLUSTERS, feat_dim=16,
+    corpus = make_corpus(num_users=600, num_items=600, clusters=CLUSTERS, feat_dim=16,
                          per_user=12, seed=SEED)
     # item n + CLUSTERS is in item n's cluster; every other block of
     # CLUSTERS items copies the rows of the block before it, so the kNN
@@ -100,7 +103,12 @@ def build_workspace(work) -> None:
     corpus.features[:] = corpus.features[items - CLUSTERS * ((items // CLUSTERS) % 2)]
     write_corpus(corpus, work)
     masked = np.random.default_rng(SEED + 1).normal(size=corpus.features.shape)
-    save_features(work / "masked.afea", masked)
+    # both feature files and the item list in one seeded shuffled order, so
+    # every command aligns rows that are not in dataset order
+    order = np.random.default_rng(SEED + 2).permutation(len(items))
+    save_features(work / "features.afea", corpus.features[order])
+    save_features(work / "masked.afea", masked[order])
+    write_item_list(work / "items.txt", [corpus.item_keys[i] for i in order])
     (work / "run.ini").write_text(CONFIG, encoding="utf-8")
 
 

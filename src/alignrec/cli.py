@@ -221,17 +221,19 @@ def cmd_grid(cfg: RunConfig, args) -> int:
     if not cfg.grid:
         raise ConfigError("grid command needs a [grid] section")
     keys = sorted(cfg.grid)
-    # every point is parsed and validated before anything is trained
-    points = [(values, parse_train(cfg.train, dict(zip(keys, values)), "grid"))
-              for values in itertools.product(*(cfg.grid[k] for k in keys))]
+    # every [train] check is per field: checking each key's values once
+    # checks every point before anything is trained
+    checked = {key: [parse_train(cfg.train, {key: value}, "grid") for value in cfg.grid[key]]
+               for key in keys}
     ds, feat, _ = _load(cfg)
     # fit only reads the graphs, so points that share k_prime share them
     graphs_by_k = {k: build_graphs(ds, feat, k)
-                   for k in sorted({train_cfg.k_prime for _, train_cfg in points})}
+                   for k in sorted({c.k_prime for c in checked.get("k_prime", [cfg.train])})}
     out = _output_dir(cfg)
     lines = ["\t".join(keys + ["val_recall@20"] + [f"test_recall@{k}" for k in cfg.eval_ks]
                        + [f"test_ndcg@{k}" for k in cfg.eval_ks])]
-    for values, train_cfg in points:
+    for values in itertools.product(*(cfg.grid[k] for k in keys)):
+        train_cfg = parse_train(cfg.train, dict(zip(keys, values)), "grid")
         graphs = graphs_by_k[train_cfg.k_prime]
         params, log = fit(ds, graphs, feat, train_cfg)
         best_val = max(rec["val_recall@20"] for rec in log)

@@ -3,6 +3,10 @@
 File layout (little-endian): magic `AFEA`, u32 format version (=1), u64 rows,
 u64 dim, then rows*dim float64 values row-major. Row order follows a sidecar
 text file listing item keys one per line.
+
+The matrix is held once: load_features reads the payload into its result,
+align_features moves the rows into dataset order within it, and the
+rankings take the raw rows with their row_norms.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import numpy as np
 from .binio import check_end, read_array, read_struct, read_text
 from .data import Dataset
 from .errors import DataError, DimensionError, ParseError
+from .sparse import divide_rows
 
 log = logging.getLogger(__name__)
 
@@ -69,12 +74,10 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row of `x` scaled to unit L2 norm, zero rows left zero; also the
     row norms (so the result is the only full-size array allocated) and the
-    mask of nonzero rows."""
+    mask of nonzero rows. For the loss batch's rows: the rankings take the
+    raw rows and their row_norms (sparse.score_top_k)."""
     norms = row_norms(x)
-    nz = norms > 0.0
-    unit = np.zeros_like(x)
-    np.divide(x, norms[:, None], out=unit, where=nz[:, None])
-    return unit, norms, nz
+    return divide_rows(x, norms), norms, norms > 0.0
 
 
 def save_features(path, matrix: np.ndarray) -> None:
@@ -113,11 +116,16 @@ def write_item_list(path, keys: list[str]) -> None:
 
 
 def align_features(feat: FeatureMatrix, file_keys: list[str], ds: Dataset) -> FeatureMatrix:
-    """Reorder feature rows into dataset item-index order.
+    """Reorder feature rows into dataset item-index order, in place.
 
     Feature rows for items that did not survive filtering are dropped with a
     warning; a surviving item without a feature row is a hard error because
     silently zero-filling it would corrupt the similarity graph.
+
+    Consumes `feat`: the result is a view of the first num_items rows of
+    feat.data, whose rows are moved there, so the matrix is held once. The
+    caller must not read `feat` afterwards (pass a copy to keep it). A
+    read-only array is a DataError before any row moves.
     """
     if len(file_keys) != feat.rows:
         raise DimensionError(
@@ -129,8 +137,34 @@ def align_features(feat: FeatureMatrix, file_keys: list[str], ds: Dataset) -> Fe
     if missing:
         raise DataError(f"no feature row for surviving item '{missing[0]}' "
                         f"({len(missing)} missing in total)")
+    if not feat.data.flags.writeable:
+        raise DataError("feature matrix is read-only; align_features moves its rows in place")
     extra = len(file_keys) - ds.num_items
     if extra > 0:
         log.warning("dropping %d feature rows for items absent from the filtered dataset", extra)
     rows = np.array([position[key] for key in ds.item_keys], dtype=np.int64)
-    return FeatureMatrix(np.ascontiguousarray(feat.data[rows]))
+    return FeatureMatrix(_move_rows(feat.data, rows))
+
+
+def _move_rows(data: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """data[:len(rows)] = data[rows] in place, for distinct `rows`, returned as
+    that view. One pass over _ROWS-row destination blocks: before a block is
+    overwritten, its old rows that a later block reads are set aside, grouped
+    by that block, and dropped once read. Rows in file order (rows increasing)
+    only ever move down, so nothing is set aside."""
+    n = len(rows)
+    dest = np.full(len(data), -1)
+    dest[rows] = np.arange(n)
+    aside = {}  # destination block -> [(destination rows, their old rows)]
+    for start in range(0, n, _ROWS):
+        stop = min(start + _ROWS, n)
+        later = start + np.flatnonzero(dest[start:stop] >= stop)
+        for block in np.unique(dest[later] // _ROWS):
+            moved = later[dest[later] // _ROWS == block]
+            aside.setdefault(block, []).append((dest[moved], data[moved]))
+        src = rows[start:stop]
+        fresh = np.flatnonzero(src >= start)  # rows no block has overwritten yet
+        data[start + fresh] = data[src[fresh]]
+        for to, old in aside.pop(start // _ROWS, ()):
+            data[to] = old
+    return data[:n]

@@ -11,8 +11,10 @@ Two matrices are derived from a dataset and its feature matrix:
   the k' largest off-diagonal entries (ties to the lower index), negatives
   clamped to zero, then symmetrically normalized by row-sum degrees. Pruning
   is per row, so sim is not symmetric in general. The cosines are the
-  canonical row sums np.sum(unit[j] * unit[i]) of the unit feature rows, and
-  `sparse.score_top_k` selects them, as it does for the feature protocols.
+  canonical row sums np.sum(unit[j] * unit[i]) of the unit feature rows
+  unit[i] = x[i] / |x[i]|, and `sparse.score_top_k` selects them from the raw
+  rows and their norms, as it does for the feature protocols; no unit copy
+  of the feature matrix is made.
 
 All three are built once from frozen inputs and never updated during
 training.
@@ -26,7 +28,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DataError, InternalInvariantError
-from .features import FeatureMatrix, unit_rows
+from .features import FeatureMatrix, row_norms
 from .sparse import SparseMatrix, score_top_k
 
 # rows per product block of the kept weights (8 x k' x d floats)
@@ -68,16 +70,18 @@ def build_knn_similarity(feat: FeatureMatrix, k_prime: int) -> SparseMatrix:
         raise ConfigError(f"k_prime must be >= 1, got {k_prime}")
     if k_prime >= n:
         raise ConfigError(f"k_prime {k_prime} must be smaller than the item count {n}")
-    unit, norms, _ = unit_rows(feat.data)
+    x, norms = feat.data, row_norms(feat.data)
     if not norms.all():
         raise DataError(f"zero L2 norm of the feature row for item {int(np.argmin(norms))}")
 
-    cols = np.array(score_top_k(unit, unit, np.arange(n)[:, None], k_prime))
+    cols = np.array(score_top_k(x, norms, x, norms, np.arange(n)[:, None], k_prime))
     vals_t = np.empty((k_prime, n))  # rank-major: the products broadcast over the leading axis
     for start in range(0, n, _WEIGHT_ROWS):
         stop = start + _WEIGHT_ROWS
-        terms = unit[cols[start:stop].T]
-        terms *= unit[start:stop]  # in place: the bits of unit[j] * unit[i]
+        near = cols[start:stop].T
+        terms = x[near]
+        terms /= norms[near][..., None]  # in place: the bits of unit[j] = x[j] / |x[j]|
+        terms *= x[start:stop] / norms[start:stop, None]  # the bits of unit[j] * unit[i]
         vals_t[:, start:stop] = terms.sum(axis=2)
     vals = vals_t.T
     pos = vals > 0.0

@@ -17,12 +17,13 @@ mask-modality
     single-modality rows, then reruns one of the base protocols on the
     composite matrix.
 
-Zero-shot (a block of users at a time) and item-CF build unit-norm query rows
-and rank them against the unit item rows with sparse.score_top_k. The cosine of
-an item is its canonical score np.sum(unit[i] * query): it does not depend on
-the BLAS kernel or its thread count, and the GEMM that screens the candidates
-runs on the BLAS threads. The Recall@K / NDCG@K report comes from the
-evaluator's ranked_report.
+Zero-shot (a block of users at a time, unit-norm query rows) and item-CF
+(the item rows as queries) rank against the raw item rows and their norms
+with sparse.score_top_k, so no unit copy of the feature matrix is made. The
+cosine of an item is its canonical score np.sum(unit[i] * query), unit[i] =
+x[i] / |x[i]|: it does not depend on the BLAS kernel or its thread count, and
+the GEMM that screens the candidates runs on the BLAS threads. The Recall@K /
+NDCG@K report comes from the evaluator's ranked_report.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import scipy.sparse as sp
 from .data import Dataset, items_by_user
 from .errors import ConfigError, DimensionError
 from .evaluator import EvalReport, check_ks, ranked_report
-from .features import FeatureMatrix, unit_rows
+from .features import FeatureMatrix, row_norms
 from .sparse import score_top_k
 
 
@@ -68,7 +69,7 @@ def zero_shot_eval(feat: FeatureMatrix, ds: Dataset, cfg: ProtocolConfig) -> Eva
     ranked = target >= 0
     indptr, items = items_by_user(ds.train[ranked[ds.train[:, 0]]], ds.num_users)
     users = np.flatnonzero(ranked & (np.diff(indptr) > 0))
-    unit, tops = unit_rows(feat.data)[0], []
+    norms, tops = row_norms(feat.data), []
     for start in range(0, len(users), 2048):  # query rows: 12 MB at a time at 768-d
         # ascending items: the mean must not depend on interaction order
         history = [items[indptr[u]:indptr[u + 1]] for u in users[start:start + 2048]]
@@ -77,7 +78,9 @@ def zero_shot_eval(feat: FeatureMatrix, ds: Dataset, cfg: ProtocolConfig) -> Eva
             user_feat = feat.data[seen].mean(axis=0)
             norm = np.linalg.norm(user_feat)
             row[:] = user_feat / norm if norm > 0.0 else user_feat
-        tops += score_top_k(queries, unit, history, max(cfg.ks))
+        # the queries are unit rows already: x / 1.0 is x
+        tops += score_top_k(queries, np.ones(len(queries)), feat.data, norms, history,
+                            max(cfg.ks))
     report = ranked_report(tops, target[users, None], cfg.ks,
                            skipped=ds.num_users - len(users))
     report.extras["protocol"] = "zero_shot"
@@ -119,8 +122,8 @@ def itemcf_eval(feat: FeatureMatrix, ds: Dataset, cfg: ProtocolConfig) -> EvalRe
     if feat.rows != ds.num_items:
         raise DimensionError(f"feature rows {feat.rows} != items {ds.num_items}")
     partner = itemcf_score(ds)
-    unit = unit_rows(feat.data)[0]
-    tops = score_top_k(unit, unit, np.arange(ds.num_items)[:, None], max(cfg.ks))
+    x, norms = feat.data, row_norms(feat.data)
+    tops = score_top_k(x, norms, x, norms, np.arange(ds.num_items)[:, None], max(cfg.ks))
     js = np.flatnonzero(partner >= 0)
     report = ranked_report([tops[j] for j in js], partner[js, None], cfg.ks,
                            skipped=ds.num_items - len(js))

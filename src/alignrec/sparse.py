@@ -1,7 +1,9 @@
 """Compressed-sparse-row matrices used by the graph operators, and the exact
 top-K selections: top_k for one score vector, and the rankings screened by
-one GEMM per block of queries, score_top_k of canonical scores (the feature
-protocols and the kNN graph build) and gemv_top_k of GEMVs (evaluate).
+one GEMM per block of queries, score_top_k of canonical scores of unit rows
+given as raw rows and their norms (the feature protocols and the kNN graph
+build, with no unit copy of the feature matrix) and gemv_top_k of GEMVs
+(evaluate).
 
 Thin immutable wrapper around canonical CSR arrays. scipy does the heavy
 lifting for products; the wrapper pins down the invariants the rest of the
@@ -137,33 +139,68 @@ def _largest(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 _QUERY_BLOCK, _ORDER_ROWS = 128, 16
 
 
+def divide_rows(x: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """x / norms row by row (norms has x's shape without the last axis), a
+    +0.0 row where the norm is 0: with the rows' L2 norms, their unit rows."""
+    out = np.zeros_like(x)
+    np.divide(x, norms[..., None], out=out, where=(norms > 0.0)[..., None])
+    return out
+
+
 def _abs_max(U: np.ndarray) -> float:
     """max|U|, NaN if U holds one, +0.0 for an empty or all-zero U, without
     the full-size |U|."""
     return max(abs(float(U.max())), abs(float(U.min()))) if U.size else 0.0
 
 
-def _screen_top_k(Q: np.ndarray, U: np.ndarray, exclude, k: int, settle) -> list[np.ndarray]:
-    """The top k (k >= 1) of a reference score of the items U for each query
-    row q = Q[r], without the int array exclude[r]: the GEMM order where the
-    gap test proves it, else settle(r, row, width) on the row's masked GEMM
-    scores and band width. A GEMM value and a reference score summed from
-    the same d products in any order lie within E = gamma_d * ||q||_1 * max|U|
-    of the exact product, gamma_d = d*u/(1 - d*u), u = eps/2 (plus an
-    absolute term for underflow; no overflow); the width is about 8E. If a
-    row's k+1 largest GEMM values (k < n) are finite and each more than the
-    width apart, their reference scores, within 4E of their differences,
+def _scaled_abs_max(U: np.ndarray, norms: np.ndarray) -> float:
+    """M = max |U_ij| / norms[i] over the rows with a nonzero norm: the bits of
+    max|divide_rows(U, norms)|, NaN if such a row holds one, +0.0 if there is
+    none, without a full-size |U| (division rounds monotonically)."""
+    nz = norms > 0.0
+    if not U.size or not nz.any():
+        return 0.0
+    peaks = np.maximum(U.max(axis=1), -U.min(axis=1))[nz] / norms[nz]
+    return abs(float(peaks.max()))
+
+
+def _screen_top_k(count: int, screen, U: np.ndarray, u_norms: np.ndarray, exclude, k: int,
+                  settle) -> list[np.ndarray]:
+    """The top k (k >= 1) of a reference score of the rows U_i for each of the
+    `count` query rows q, without the int array exclude[r]: the GEMM order
+    where the gap test proves it, else settle(r, q, row, width) on the row's
+    masked GEMM scores and band width. screen(start, stop) returns the block
+    of query rows q and its GEMM scores g_i, each q . U_i divided by u_norms[i]
+    and +0.0 where that norm is 0; u_norms None takes the rows as they are
+    (norms of ones, no divide).
+
+    With n_i = u_norms[i] > 0 and s_i = sum_j q_j U_ij / n_i exact, g_i and a
+    reference score summed from the d products q_j * fl(U_ij / n_i) in any
+    order (or from q_j * U_ij with n_i = 1) each lie within
+    E = gamma_{d+3} * ||q||_1 * M of s_i, gamma_m = m*u/(1 - m*u), u = eps/2,
+    M = max_i max_j |U_ij| / n_i: the d-term sum is within gamma_d of the
+    absolute terms, and the divide of U_ij or of the GEMM sum adds a relative
+    u to each. An underflowing product or quotient adds at most eps * tiny / 2
+    in absolute terms, the GEMM's scaled by 1/n_i; the floor 4(d+3) * tiny
+    over min(1, smallest nonzero n_i) covers them (no overflow for norms of
+    the rows). A zero-norm row scores +-0 both ways. The width is about 8E.
+    If a row's k+1 largest GEMM values (k < n) are finite and each more than
+    the width apart, their reference scores, within 4E of their differences,
     keep that order strictly, and no item below them reaches the top k.
-    Ties, duplicate item rows, fewer than k+1 candidates and a NaN or +-inf
-    in q or U (a NaN or infinite width) fail the test."""
+    Ties, duplicate unit rows, fewer than k+1 candidates and a NaN or +-inf in
+    q or U (a NaN or infinite width) fail the test."""
     n, d = U.shape
-    # ||q||_1 * max|U| bounds sum|q_i u_i| with no squaring to underflow
-    slack = 4.0 * d * np.finfo(np.float64).eps * _abs_max(U)
-    floor = 4.0 * d * np.finfo(np.float64).tiny
+    if u_norms is None:
+        big, smallest = _abs_max(U), 1.0
+    else:
+        big, smallest = _scaled_abs_max(U, u_norms), u_norms[u_norms > 0.0].min(initial=1.0)
+    # ||q||_1 * M bounds sum|q_j U_ij| / n_i with no squaring to underflow
+    slack = 4.0 * (d + 3) * np.finfo(np.float64).eps * big
+    floor = 4.0 * (d + 3) * np.finfo(np.float64).tiny / smallest
     tops = []
-    for start in range(0, Q.shape[0], _QUERY_BLOCK):
-        block, banned = Q[start:start + _QUERY_BLOCK], exclude[start:start + _QUERY_BLOCK]
-        gemm = block @ U.T
+    for start in range(0, count, _QUERY_BLOCK):
+        block, gemm = screen(start, start + _QUERY_BLOCK)
+        banned = exclude[start:start + _QUERY_BLOCK]
         counts = [len(ex) for ex in banned]
         gemm[np.repeat(np.arange(len(counts)), counts), np.concatenate(banned)] = -np.inf
         widths = slack * np.abs(block).sum(axis=1) + floor
@@ -175,37 +212,60 @@ def _screen_top_k(Q: np.ndarray, U: np.ndarray, exclude, k: int, settle) -> list
                     ordered = np.isfinite(vals).all(axis=1) & (
                         vals[:, :-1] - vals[:, 1:] > widths[s:s + _ORDER_ROWS, None]).all(axis=1)
             for r, row in enumerate(rows):
-                top = cols[r, :k] if ordered[r] else settle(start + s + r, row, widths[s + r])
+                top = cols[r, :k] if ordered[r] else settle(start + s + r, block[s + r], row,
+                                                           widths[s + r])
                 tops.append(top)
         del gemm, rows, row  # so the next GEMM is not allocated beside this one
     return tops
 
 
-def score_top_k(Q: np.ndarray, U: np.ndarray, exclude, k: int) -> list[np.ndarray]:
-    """For each query row q of Q, the top_k (k >= 1) of the canonical scores
-    np.sum(U * q, axis=1) without the int array exclude[r]: the prefix of the
-    full canonical sort, ties to the lower index, for finite float64 Q and U.
-    A canonical score depends neither on the other rows summed with it nor
-    on the BLAS kernel. In a row _screen_top_k leaves open, the canonical top
-    K and its tie group at the cut lie at most 4E below the K-th largest GEMM
-    value: only the items within the width of it are summed canonically."""
+def score_top_k(Q: np.ndarray, q_norms: np.ndarray, U: np.ndarray, u_norms: np.ndarray,
+                exclude, k: int) -> list[np.ndarray]:
+    """For each query row r, the top_k (k >= 1) of the canonical scores
+    np.sum(unit(U) * unit(Q)[r], axis=1) without the int array exclude[r],
+    unit(X) = divide_rows(X, norms) (the unit rows for the rows' L2 norms;
+    ones take X as it is): the prefix of the full canonical sort, ties to the
+    lower index, for finite float64 Q and U. A canonical score depends
+    neither on the other rows summed with it nor on the BLAS kernel.
+
+    No full-size unit copy is made: the GEMM of one 128-row block of unit(Q)
+    with U is divided column by column by u_norms (a divide, not a multiply
+    by 1/n, which overflows for a subnormal n), and only the rescored
+    candidates' unit rows are formed. In a row _screen_top_k leaves open, the
+    canonical top K and its tie group at the cut lie at most 4E below the
+    K-th largest GEMM value: only the items within the width of it are summed
+    canonically."""
     n = U.shape[0]
+    zero = np.flatnonzero(u_norms == 0.0)
     lowest = np.finfo(np.float64).min  # above -inf: an excluded item is never in the band
 
-    def rescore(r, row, width):
+    def screen(start, stop):
+        block = divide_rows(Q[start:stop], q_norms[start:stop])
+        gemm = block @ U.T
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            gemm /= u_norms  # zero norms: set below; overflow fails the gap test
+        gemm[:, zero] = 0.0
+        return block, gemm
+
+    def rescore(r, q, row, width):
         # the K-th value row by row: no partitioned copy of the block
         kth = np.partition(row, n - k)[n - k] if k <= n else -np.inf
         cand = np.flatnonzero(row >= max(kth - width, lowest))
-        terms = U[cand]
-        terms *= Q[r]  # in place: the bits of U[cand] * q, one allocation fewer
+        terms = divide_rows(U[cand], u_norms[cand])
+        terms *= q  # in place: the bits of unit(U)[cand] * q, one allocation fewer
         return cand[top_k(terms.sum(axis=1), (), k)]
 
-    return _screen_top_k(Q, U, exclude, k, rescore)
+    return _screen_top_k(len(Q), screen, U, u_norms, exclude, k, rescore)
 
 
 def gemv_top_k(Q: np.ndarray, U: np.ndarray, exclude, k: int) -> list[np.ndarray]:
     """top_k(U @ q, exclude[r], k) for each query row q = Q[r], with the bits of
     that GEMV, ties and NaN included; Q and U need not be finite. The GEMV is
-    a reference score within E of the exact product, so _screen_top_k's GEMM
-    order is exact for it, and a row it leaves open is ranked by the GEMV."""
-    return _screen_top_k(Q, U, exclude, k, lambda r, row, width: top_k(U @ Q[r], exclude[r], k))
+    a reference score within E (norms of ones) of the exact product, so
+    _screen_top_k's GEMM order is exact for it, and a row it leaves open is
+    ranked by the GEMV."""
+    def screen(start, stop):
+        return Q[start:stop], Q[start:stop] @ U.T
+
+    return _screen_top_k(len(Q), screen, U, None, exclude, k,
+                         lambda r, q, row, width: top_k(U @ q, exclude[r], k))

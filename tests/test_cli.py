@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
@@ -525,6 +526,24 @@ class TestGrid:
         assert _run(workspace, "grid") == 2
         assert capsys.readouterr().out == ""
         assert not (workspace / "out" / "grid_results.txt").exists()
+
+    def test_huge_grid_checks_each_value_once(self, workspace, capsys, monkeypatch):
+        # 10**8 points; the only bad value is alpha's last, and itertools.product
+        # varies alpha, the first key in sorted order, slowest
+        monkeypatch.setattr(cli, "load_interactions", _no_load)
+        tens = ",".join(str(n) for n in range(1, 11))
+        grid = "".join(f"{key} = {tens}\n" for key in (
+            "batch_size", "beta", "embed_dim", "lambda", "learning_rate", "max_epochs",
+            "mlp_hidden"))
+        (workspace / "run.ini").write_text(
+            BASE_CONFIG + f"\n[grid]\nalpha = {tens[:-3]},-1\n{grid}", encoding="utf-8")
+        start = time.perf_counter()
+        assert _run(workspace, "grid") == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: loss weight alpha must be finite and >= 0, got -1.0\n"
+        assert not (workspace / "out").exists()
 
 
 class TestConfigValidation:

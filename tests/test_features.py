@@ -1,8 +1,10 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from alignrec import features
 from alignrec.data import split_dataset
 from alignrec.errors import DataError, DimensionError, ParseError
 from alignrec.features import (FeatureMatrix, align_features, load_features,
@@ -159,3 +161,75 @@ def test_unit_rows_bytes_match_whole_matrix_expression(rng, rows):
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+def _kept_ds(keys, kept):
+    """A dataset whose items are `keys[kept]`, two users on each."""
+    records = [(f"u{u}", keys[i], u) for i in kept for u in (0, 1)]
+    return split_dataset(raw_from_records(records), (1.0, 0.0, 0.0), seed=0)
+
+
+@pytest.mark.parametrize("order", ["sorted", "shuffled", "reversed"])
+@pytest.mark.parametrize("rows, dropped", [(5, 2), (1300, 150), (1537, 1)])
+def test_align_in_place_equals_gather(rng, order, rows, dropped):
+    # dropped rows interleaved among the kept ones; 512-row blocks crossed
+    keys = [f"i{n:05d}" for n in range(rows)]
+    kept = np.sort(rng.choice(rows, size=rows - dropped, replace=False))
+    ds = _kept_ds(keys, kept)
+    file_order = {"sorted": np.arange(rows), "shuffled": rng.permutation(rows),
+                  "reversed": np.arange(rows)[::-1]}[order]
+    file_keys = [keys[i] for i in file_order]
+    x = rng.normal(size=(rows, 6))
+    position = {key: n for n, key in enumerate(file_keys)}
+    want = x[[position[key] for key in ds.item_keys]]
+    data = x.copy()
+    aligned = align_features(FeatureMatrix(data), file_keys, ds)
+    assert aligned.data.tobytes() == want.tobytes()
+    assert np.shares_memory(aligned.data, data)  # consumed, not copied
+
+
+def test_move_rows_matches_gather_for_any_permutation(rng, monkeypatch):
+    # 4-row blocks: many blocks, each with rows set aside for several later ones
+    monkeypatch.setattr(features, "_ROWS", 4)
+    for _ in range(200):
+        total = int(rng.integers(1, 40))
+        rows = rng.permutation(total)[:rng.integers(1, total + 1)]
+        data = rng.normal(size=(total, 3))
+        want = data[rows]
+        got = features._move_rows(data, rows)
+        assert got.tobytes() == want.tobytes() and np.shares_memory(got, data)
+
+
+def test_bad_row_of_dropped_item_rejected_at_load(tmp_path):
+    keys = ["iA", "iB", "iZ"]
+    matrix = np.ones((3, 2))
+    matrix[2, 0] = np.nan  # iZ is in no interaction
+    save_features(tmp_path / "f.afea", matrix)
+    with pytest.raises(DataError, match="^non-finite feature value in row 2$"):
+        align_features(load_features(tmp_path / "f.afea", 3), keys, _tiny_ds())
+
+
+def test_align_read_only_input_is_error_and_untouched():
+    x = np.array([[1.0], [2.0], [3.0]])
+    x.flags.writeable = False
+    with pytest.raises(DataError, match="read-only"):
+        align_features(FeatureMatrix(x), ["iB", "iZ", "iA"], _tiny_ds())
+    assert x[:, 0].tolist() == [1.0, 2.0, 3.0]
+
+
+def test_load_and_align_in_dataset_order_hold_the_payload_once(tmp_path, rng):
+    # the loaded matrix (12.3 MB), aligned in place: one 512-row block of
+    # moved rows (0.13x) beside it, never a second copy
+    keys = [f"i{n:05d}" for n in range(4000)]
+    kept = np.sort(rng.choice(4000, size=3900, replace=False))
+    ds = _kept_ds(keys, kept)
+    payload = rng.normal(size=(4000, 384))
+    save_features(tmp_path / "f.afea", payload)
+    tracemalloc.start()
+    try:
+        aligned = align_features(load_features(tmp_path / "f.afea", 4000), keys, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert aligned.data.tobytes() == payload[kept].tobytes()
+    assert peak <= 1.2 * payload.nbytes

@@ -1,6 +1,7 @@
 """Peak traced allocations of the ranking paths, the kNN graph build among them,
 on a synthetic of 3000 items with 256-d features, as multiples of the feature
-matrix's bytes (6.1 MB).
+matrix's bytes (6.1 MB). The rankings take the raw rows and their norms, so
+none of them holds a unit copy of the matrix (1x).
 
 numpy reports its array allocations to tracemalloc, so the peak covers every
 temporary the call makes and returns. The blocks are sized in rows, not in
@@ -17,10 +18,10 @@ import pytest
 
 from alignrec.data import split_dataset
 from alignrec.evaluator import evaluate
-from alignrec.features import FeatureMatrix, unit_rows
+from alignrec.features import FeatureMatrix, row_norms, unit_rows
 from alignrec.graphs import build_knn_similarity
 from alignrec.model import Representations
-from alignrec.protocols import ProtocolConfig, itemcf_eval
+from alignrec.protocols import ProtocolConfig, itemcf_eval, zero_shot_eval
 from alignrec.sparse import score_top_k
 from alignrec.synthetic import make_corpus
 
@@ -58,17 +59,19 @@ def test_unit_rows_allocates_only_its_result(corpus):
 def test_score_top_k_holds_one_query_block(corpus):
     # one block of GEMM scores (0.5x) and the tops: no |U| and no partitioned copy
     _, x = corpus
-    unit = unit_rows(x)[0]
-    exclude = np.arange(len(unit))[:, None]
-    assert _peak_multiple(lambda: score_top_k(unit, unit, exclude, 50), x.nbytes) <= 1.0
+    norms = row_norms(x)
+    exclude = np.arange(len(x))[:, None]
+    assert _peak_multiple(lambda: score_top_k(x, norms, x, norms, exclude, 50),
+                          x.nbytes) <= 1.0
 
 
 def test_knn_build_holds_one_query_block(corpus):
-    # the unit rows (1x), score_top_k's block of GEMM scores (0.5x), the kept
-    # columns and the graph's COO arrays: never a 512-row block of cosines
+    # score_top_k's block of GEMM scores (0.5x), the kept columns and the
+    # graph's COO arrays: no unit rows, never a 512-row block of cosines
+    # (0.72x measured)
     _, x = corpus
     feat = FeatureMatrix(x)
-    assert _peak_multiple(lambda: build_knn_similarity(feat, 10), x.nbytes) <= 2.0
+    assert _peak_multiple(lambda: build_knn_similarity(feat, 10), x.nbytes) <= 0.95
 
 
 def test_evaluate_holds_one_user_block(made):
@@ -85,9 +88,20 @@ def test_evaluate_holds_one_user_block(made):
 
 
 def test_itemcf_eval_holds_no_item_item_matrix(corpus):
-    # a sparse co-occurrence block with the user-item matrix, then the unit
-    # rows (1x) with score_top_k's block
+    # a sparse co-occurrence block with the user-item matrix, then
+    # score_top_k's block: no unit rows (1.28x measured)
     ds, x = corpus
     feat = FeatureMatrix(x)
     peak = _peak_multiple(lambda: itemcf_eval(feat, ds, ProtocolConfig()), x.nbytes)
-    assert peak <= 4.0
+    assert peak <= 1.5
+
+
+def test_zero_shot_eval_holds_one_block_of_queries(made):
+    # one 2048-user block of unit query rows (0.67x) with their histories,
+    # and score_top_k's block: no unit item rows (1.97x measured)
+    ds = split_dataset(raw_from_records(made.records), (0.8, 0.1, 0.1), 0,
+                       "temporal-leave-one-out")
+    x = made.features
+    feat = FeatureMatrix(x)
+    peak = _peak_multiple(lambda: zero_shot_eval(feat, ds, ProtocolConfig()), x.nbytes)
+    assert peak <= 2.2

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from alignrec import sparse
 from alignrec.errors import DataError, DimensionError
-from alignrec.sparse import SparseMatrix, _abs_max, score_top_k, top_k
+from alignrec.features import row_norms, unit_rows
+from alignrec.sparse import SparseMatrix, _abs_max, _scaled_abs_max, score_top_k, top_k
 
 from oracles import canonical_scores, canonical_top_k_reference, to_dense, to_scipy
 
@@ -166,7 +167,9 @@ def test_score_top_k_rescores_duplicate_and_one_ulp_rows(rng, monkeypatch):
 
 def _assert_canonical_tops(queries, items, exclude, k):
     # the engine takes each exclusion as an int array, the reference as a set
-    got = score_top_k(queries, items, [np.array(sorted(ex), dtype=np.int64) for ex in exclude], k)
+    # norms of ones: score_top_k ranks the rows as they are
+    got = score_top_k(queries, np.ones(len(queries)), items, np.ones(len(items)),
+                      [np.array(sorted(ex), dtype=np.int64) for ex in exclude], k)
     want = canonical_top_k_reference(queries, items, exclude, k)
     assert len(got) == len(want)
     for top, ranking in zip(got, want):
@@ -231,7 +234,8 @@ def test_score_top_k_fewer_candidates_than_k(rng):
 
 def test_score_top_k_every_item_excluded(rng):
     items = rng.normal(size=(5, 3))
-    tops = score_top_k(rng.normal(size=(2, 3)), items, [np.arange(5), [4, 3, 2, 1, 0]], 3)
+    tops = score_top_k(rng.normal(size=(2, 3)), np.ones(2), items, np.ones(5),
+                       [np.arange(5), [4, 3, 2, 1, 0]], 3)
     assert [top.tolist() for top in tops] == [[], []]
 
 
@@ -272,9 +276,18 @@ def test_abs_max_has_the_bits_of_abs_then_max(values):
     U = np.array(values)
     assert np.float64(_abs_max(U)).tobytes() == np.abs(U).max().tobytes()
     assert _abs_max(np.empty((0, 3))) == 0.0
-    # so score_top_k's slack is the one np.abs(U).max() gave
+    # so gemv_top_k's M is the one np.abs(U).max() gives
     d, eps = U.shape[1], np.finfo(np.float64).eps
     assert (4.0 * d * eps * _abs_max(U)).tobytes() == (4.0 * d * eps * np.abs(U).max()).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150, 1e-170])
+def test_scaled_abs_max_has_the_bits_of_the_unit_rows(rng, scale):
+    U = rng.normal(size=(30, 7)) * scale
+    U[[4, 9]] = 0.0
+    U[11] = -0.0
+    got = _scaled_abs_max(U, row_norms(U))
+    assert np.float64(got).tobytes() == np.abs(unit_rows(U)[0]).max().tobytes()
 
 
 def test_score_top_k_negative_and_signed_zero_items(rng):
@@ -315,6 +328,101 @@ def test_score_top_k_unsorted_and_repeated_exclusions(rng):
     items = rng.normal(size=(20, 4))
     queries = rng.normal(size=(3, 4))
     exclude = [np.array([7, 2, 7, 19]), np.array([], dtype=np.int64), np.array([0, 0])]
-    got = score_top_k(queries, items, exclude, 20)
+    got = score_top_k(queries, np.ones(3), items, np.ones(20), exclude, 20)
     want = canonical_top_k_reference(queries, items, [set(ex.tolist()) for ex in exclude], 20)
     assert [top.tolist() for top in got] == want
+
+
+def _assert_unit_tops(queries, items, exclude, k, u_norms=None):
+    """score_top_k on raw rows and their norms (row_norms unless u_norms is
+    given) gives the canonical tops of the unit rows, bit for bit: the unit
+    rows made by unit_rows, or by dividing by u_norms (zero rows for 0)."""
+    q_unit, q_norms = unit_rows(queries)[0], row_norms(queries)
+    if u_norms is None:
+        u_unit, u_norms = unit_rows(items)[0], row_norms(items)
+    else:
+        u_unit = np.where(u_norms[:, None] > 0.0,
+                          items / np.where(u_norms > 0.0, u_norms, 1.0)[:, None], 0.0)
+    got = score_top_k(queries, q_norms, items, u_norms,
+                      [np.array(sorted(ex), dtype=np.int64) for ex in exclude], k)
+    want = canonical_top_k_reference(q_unit, u_unit, exclude, k)
+    assert [top.tolist() for top in got] == want
+    assert all(top.dtype == np.int64 for top in got)
+
+
+def test_unit_tops_of_rows_whose_norm_underflows(rng):
+    # squares of 1e-170 underflow: the norm is 0 and the unit row is zero,
+    # though the GEMM of the raw row is not
+    items = rng.normal(size=(20, 6))
+    items[[3, 8]] *= 1e-170
+    queries = np.vstack([rng.normal(size=(3, 6)), rng.normal(size=6) * 1e-170])
+    assert (row_norms(items)[[3, 8]] == 0.0).all()
+    for k in (1, 5, 20):
+        _assert_unit_tops(queries, items, [set(), {3}, {0, 8}, set()], k)
+
+
+def test_unit_tops_with_subnormal_norms(rng):
+    # one entry of about 1e-320 per row with that entry as its norm: a
+    # reciprocal 1/n overflows, the divide gives the unit row exactly
+    items = np.zeros((12, 5))
+    items[np.arange(12), np.arange(12) % 5] = rng.choice([-1.0, 1.0], size=12) * 1e-320
+    items[7] = rng.normal(size=5)
+    norms = np.abs(items).max(axis=1)
+    norms[7] = np.linalg.norm(items[7])
+    queries = rng.normal(size=(4, 5))
+    for k in (1, 4, 12):
+        _assert_unit_tops(queries, items, [set(), {0}, set(), {7}], k, u_norms=norms)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_unit_tops_of_rows_scaled_by_extremes(rng, scale):
+    items = rng.normal(size=(40, 9)) * scale ** rng.integers(0, 2, size=(40, 1))
+    queries = rng.normal(size=(5, 9)) * scale
+    exclude = [set(rng.choice(40, size=3).tolist()) for _ in range(5)]
+    for k in (1, 10, 39, 40):
+        _assert_unit_tops(queries, items, exclude, k)
+
+
+def test_unit_tops_of_rows_that_duplicate_after_scaling(rng):
+    items = rng.normal(size=(30, 8))
+    items[10] = items[2] * 2.0  # a power of two: the unit rows are equal bit for bit
+    items[11] = items[2] * 3.0  # equal up to the rounding of the divide
+    items[12] = items[5] * 1e100
+    queries = np.vstack([items[[2, 5]], rng.normal(size=(3, 8))])
+    assert (unit_rows(items)[0][10] == unit_rows(items)[0][2]).all()
+    for k in (1, 3, 12, 30):
+        _assert_unit_tops(queries, items, [set(), {5}, set(), {2}, {10, 11}], k)
+
+
+def test_unit_tops_of_negative_zero_rows(rng):
+    items = rng.normal(size=(15, 4))
+    items[[1, 6]] = -0.0
+    items[9, ::2] = -0.0
+    queries = np.vstack([np.full(4, -0.0), -items[0], rng.normal(size=4)])
+    for k in (1, 6, 15):
+        _assert_unit_tops(queries, items, [set(), {1}, {6}], k)
+
+
+def test_unit_tops_with_k_at_least_n(rng):
+    items = rng.normal(size=(7, 3)) * np.array([[1e-3], [1.0], [1e3], [1.0], [2.0], [0.5], [9.0]])
+    queries = rng.normal(size=(3, 3))
+    for k in (7, 8, 50):
+        _assert_unit_tops(queries, items, [set(), {2, 4}, set(range(7))], k)
+
+
+_SCALES = [1.0, 2.0, 1e-150, 1e150, 1e-170, 3.0]
+
+
+@given(st.integers(1, 10), st.integers(1, 4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_unit_tops_are_prefix_of_canonical_sort(n, d, data):
+    # tied entries times row scales: rows that duplicate after normalising,
+    # zero rows and rows whose norm underflows
+    entries = st.lists(st.sampled_from(_ENTRY_POOL), min_size=d, max_size=d)
+    scaled = st.tuples(entries, st.sampled_from(_SCALES))
+    rows = data.draw(st.lists(scaled, min_size=n, max_size=n))
+    items = np.array([np.array(row) * scale for row, scale in rows])
+    queries = np.array(data.draw(st.lists(entries, min_size=0, max_size=4))).reshape(-1, d)
+    exclude = [data.draw(st.sets(st.integers(0, n - 1))) for _ in range(len(queries))]
+    for k in range(1, n + 2):
+        _assert_unit_tops(queries, items, exclude, k)
