@@ -5,9 +5,10 @@
 
 Exports the committed files of <rev> into a temporary directory (as
 scripts/bench_pairs.py does) and builds one seeded workspace: a
-planted-cluster corpus of 600 users and 600 items whose feature rows come
-in equal pairs (so the kNN graph and the feature protocols meet tied
-scores), a seeded masked-feature file, both feature files and the item
+planted-cluster corpus of 600 users and 600 items in which two items share
+one feature row (so a few rows of the kNN graph and of each feature
+protocol meet tied scores and are rescored, and the others keep their
+screened order), a seeded masked-feature file, both feature files and the item
 list in one seeded shuffled order (so every command aligns more than one
 512-row block of rows that are not in dataset order), and a config with a
 random split, the long-tail slice, all three feature protocols and a
@@ -78,6 +79,7 @@ mask_base = item_cf
 k_prime = 3,6
 """
 USER = "u000"  # the first of 600 users, keyed u000 to u599
+TWIN = 2 * CLUSTERS  # the item whose feature row copies that of item TWIN - CLUSTERS
 # (command, extra arguments); eval and recommend read train's best checkpoint
 COMMANDS = (("prepare", ()), ("train", ()), ("eval", ("--checkpoint", "{ckpt}")),
             ("intermediate", ()), ("recommend", ("--checkpoint", "{ckpt}", "--user", USER)),
@@ -96,16 +98,15 @@ def build_workspace(work) -> None:
     work = Path(work)
     corpus = make_corpus(num_users=600, num_items=600, clusters=CLUSTERS, feat_dim=16,
                          per_user=12, seed=SEED)
-    # item n + CLUSTERS is in item n's cluster; every other block of
-    # CLUSTERS items copies the rows of the block before it, so the kNN
-    # graph and every feature ranking meet tied scores
-    items = np.arange(corpus.features.shape[0])
-    corpus.features[:] = corpus.features[items - CLUSTERS * ((items // CLUSTERS) % 2)]
+    # two items of one cluster (item n + CLUSTERS is in item n's cluster)
+    # share one feature row: the rankings that meet their tied scores are
+    # rescored, and the others keep their screened order
+    corpus.features[TWIN] = corpus.features[TWIN - CLUSTERS]
     write_corpus(corpus, work)
     masked = np.random.default_rng(SEED + 1).normal(size=corpus.features.shape)
     # both feature files and the item list in one seeded shuffled order, so
     # every command aligns rows that are not in dataset order
-    order = np.random.default_rng(SEED + 2).permutation(len(items))
+    order = np.random.default_rng(SEED + 2).permutation(len(corpus.item_keys))
     save_features(work / "features.afea", corpus.features[order])
     save_features(work / "masked.afea", masked[order])
     write_item_list(work / "items.txt", [corpus.item_keys[i] for i in order])

@@ -12,9 +12,12 @@ Two matrices are derived from a dataset and its feature matrix:
   clamped to zero, then symmetrically normalized by row-sum degrees. Pruning
   is per row, so sim is not symmetric in general. The cosines are the
   canonical row sums np.sum(unit[j] * unit[i]) of the unit feature rows
-  unit[i] = x[i] / |x[i]|, and `sparse.score_top_k` selects them from the raw
-  rows and their norms, as it does for the feature protocols; no unit copy
-  of the feature matrix is made.
+  unit[i] = x[i] / |x[i]|, and `sparse.self_top_k` selects them from the raw
+  rows and their norms with no unit copy of the feature matrix. It screens
+  the upper triangle of the Gram matrix alone, strips of 128 items against
+  the items from the strip on; an item's values for the earlier items come
+  from their strips, within its own band of its canonical cosines, and a
+  row whose order the band does not prove is rescored canonically.
 
 All three are built once from frozen inputs and never updated during
 training.
@@ -29,7 +32,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError, DataError, InternalInvariantError
 from .features import FeatureMatrix, row_norms
-from .sparse import SparseMatrix, score_top_k
+from .sparse import SparseMatrix, self_top_k
 
 # rows per product block of the kept weights (8 x k' x d floats)
 _WEIGHT_ROWS = 8
@@ -74,7 +77,7 @@ def build_knn_similarity(feat: FeatureMatrix, k_prime: int) -> SparseMatrix:
     if not norms.all():
         raise DataError(f"zero L2 norm of the feature row for item {int(np.argmin(norms))}")
 
-    cols = np.array(score_top_k(x, norms, x, norms, np.arange(n)[:, None], k_prime))
+    cols = np.array(self_top_k(x, norms, k_prime))
     vals_t = np.empty((k_prime, n))  # rank-major: the products broadcast over the leading axis
     for start in range(0, n, _WEIGHT_ROWS):
         stop = start + _WEIGHT_ROWS

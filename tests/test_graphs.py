@@ -4,10 +4,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from alignrec import graphs
 from alignrec.data import split_dataset
 from alignrec.errors import ConfigError, DataError
 from alignrec.features import FeatureMatrix
 from alignrec.graphs import build_graphs, build_knn_similarity, build_norm_interaction
+from alignrec.sparse import score_top_k
+from alignrec.synthetic import make_corpus
 
 from oracles import (dense_knn_reference, dense_norm_adjacency, knn_full_sort_reference,
                      raw_from_records, to_dense)
@@ -171,6 +174,22 @@ class TestKnnSimilarity:
         assert got.data.tobytes() == want.data.tobytes()
         assert got.indices[got.indptr[511]:got.indptr[512]].tolist() == [505, 509, 512]
         assert got.indices[got.indptr[512]:got.indptr[513]].tolist() == [505, 509, 511]
+
+    @pytest.mark.parametrize("k_prime", [1, 10])
+    def test_same_arrays_as_a_build_from_score_top_k(self, monkeypatch, k_prime):
+        # planted clusters with copied rows across the 128-row strips: both
+        # the merged screen and the rescoring path
+        feat = make_corpus(num_items=600, clusters=6, feat_dim=20, seed=4).features
+        feat[[10, 130, 300, 599]] = feat[70]
+        got = build_knn_similarity(FeatureMatrix(feat), k_prime)
+
+        def full_rows(x, norms, k):
+            return score_top_k(x, norms, x, norms, np.arange(len(x))[:, None], k)
+        monkeypatch.setattr(graphs, "self_top_k", full_rows)
+        want = build_knn_similarity(FeatureMatrix(feat), k_prime)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_zero_norm_row_rejected(self):
         feat = FeatureMatrix(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))

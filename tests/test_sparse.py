@@ -1,12 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alignrec import sparse
 from alignrec.errors import DataError, DimensionError
 from alignrec.features import row_norms, unit_rows
-from alignrec.sparse import SparseMatrix, _abs_max, _scaled_abs_max, score_top_k, top_k
+from alignrec.sparse import (SparseMatrix, _abs_max, _scaled_abs_max, divide_rows, score_top_k,
+                             self_top_k, top_k)
 
 from oracles import canonical_scores, canonical_top_k_reference, to_dense, to_scipy
 
@@ -426,3 +430,139 @@ def test_unit_tops_are_prefix_of_canonical_sort(n, d, data):
     exclude = [data.draw(st.sets(st.integers(0, n - 1))) for _ in range(len(queries))]
     for k in range(1, n + 2):
         _assert_unit_tops(queries, items, exclude, k)
+
+
+def test_sparse_matrix_holds_scipy_index_arrays(rng):
+    dense = rng.normal(size=(30, 20)) * (rng.random(size=(30, 20)) < 0.3)
+    dense[7] = 0.0
+    m = SparseMatrix.from_scipy(dense)
+    for name in ("indptr", "indices", "data"):
+        assert np.shares_memory(getattr(m, name), getattr(m._scipy, name))
+    # the products and row slices of a matrix over int64 copies of the arrays
+    wide = sp.csr_matrix((m.data.copy(), m.indices.astype(np.int64), m.indptr.astype(np.int64)),
+                         shape=(30, 20))
+    x, y = rng.normal(size=(20, 5)), rng.normal(size=(30, 5))
+    assert m.dot(x).tobytes() == (wide @ x).tobytes()
+    assert m.tdot(y).tobytes() == (wide.T @ y).tobytes()
+    rows = np.array([0, 3, 7, 29])
+    got, want = m.take_rows(rows), wide[rows]
+    assert np.shares_memory(got.indices, got._scipy.indices)
+    assert got.indptr.tolist() == want.indptr.tolist()
+    assert got.indices.tolist() == want.indices.tolist()
+    assert got.data.tobytes() == want.data.tobytes()
+    assert got.dot(x).tobytes() == (want @ x).tobytes()
+
+
+def test_from_scipy_does_not_alias_a_csr_input(rng):
+    source = sp.csr_matrix(rng.normal(size=(4, 3)))
+    m = SparseMatrix.from_scipy(source)
+    source.data[:] = 1.0
+    assert not np.shares_memory(m.data, source.data)
+    assert (m.data != 1.0).all()
+
+
+def test_divide_rows_zero_norm_rows_are_positive_zero_without_warning(rng):
+    x = rng.normal(size=(6, 5))
+    x[1] = 0.0
+    x[3] = -0.0
+    x[4] = [1e-170, -1e-170, 0.0, -0.0, 2e-170]  # its squares underflow: norm 0
+    norms = row_norms(x)
+    assert (norms[[1, 3, 4]] == 0.0).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = divide_rows(x, norms)
+    assert out[[1, 3, 4]].tobytes() == np.zeros((3, 5)).tobytes()  # +0.0, not -0.0
+    keep = [0, 2, 5]
+    assert out[keep].tobytes() == (x[keep] / norms[keep, None]).tobytes()
+    # norms of any shape but the last axis: a block of row blocks
+    blocks = divide_rows(x.reshape(2, 3, 5), norms.reshape(2, 3))
+    assert blocks.reshape(6, 5).tobytes() == out.tobytes()
+
+
+def _assert_self_tops(x, k, norms=None):
+    """self_top_k equals score_top_k of the rows against themselves, each row
+    excluded, and the canonical sort of the unit rows (made here, zero rows for
+    a zero norm)."""
+    n = len(x)
+    norms = row_norms(x) if norms is None else norms
+    got = self_top_k(x, norms, k)
+    want = score_top_k(x, norms, x, norms, np.arange(n)[:, None], k)
+    assert len(got) == len(want) == n
+    for top, ref in zip(got, want):
+        assert top.dtype == np.int64 and top.tobytes() == ref.tobytes()
+    unit = np.where(norms[:, None] > 0.0, x / np.where(norms > 0.0, norms, 1.0)[:, None], 0.0)
+    assert [top.tolist() for top in got] == canonical_top_k_reference(
+        unit, unit, [{r} for r in range(n)], k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 257, 600])
+@pytest.mark.parametrize("k", [1, 10, None], ids=["k1", "k10", "n-1"])
+def test_self_top_k_equals_score_top_k(rng, monkeypatch, n, k):
+    rescored = _spy_rescoring(monkeypatch)
+    k = n - 1 if k is None else k
+    x = rng.normal(size=(n, 24))
+    _assert_self_tops(x, k)
+    if k < n - 1:  # separated Gaussian rows: every top comes from the merged screen
+        assert rescored == []
+
+
+@pytest.mark.parametrize("k", [150, 297])
+def test_self_top_k_lists_longer_than_a_strip(rng, k):
+    # k + 1 > 128: an item's list is still filling after the first strip
+    x = rng.normal(size=(300, 8))
+    x[[20, 140, 260]] = x[7]
+    _assert_self_tops(x, k)
+
+
+@pytest.mark.parametrize("k", [1, 4, 10])
+def test_self_top_k_rescores_duplicate_rows(rng, monkeypatch, k):
+    # copies on both sides of the 128-row strips tie exactly: rescored rows
+    rescored = _spy_rescoring(monkeypatch)
+    x = rng.normal(size=(300, 12))
+    x[[5, 127, 128, 200, 299]] = x[40]
+    x[[129, 256, 257]] = x[130] * 2.0  # a power of two: the unit rows are equal
+    _assert_self_tops(x, k)
+    assert 0 < len(rescored) < 300
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_self_top_k_rows_scaled_by_extremes(rng, scale):
+    x = rng.normal(size=(260, 9)) * scale ** rng.integers(0, 2, size=(260, 1))
+    for k in (1, 10):
+        _assert_self_tops(x, k)
+
+
+def test_self_top_k_with_subnormal_norms(rng):
+    # one entry of about 1e-320 per row and that entry as its norm: the lower
+    # values of a row are divided by a subnormal norm in other rows' strips
+    x = np.zeros((200, 5))
+    x[np.arange(200), np.arange(200) % 5] = rng.choice([-1.0, 1.0], size=200) * (
+        1e-320 * rng.integers(1, 4, size=200))
+    x[[7, 150]] = rng.normal(size=(2, 5))
+    norms = np.abs(x).max(axis=1)
+    norms[[7, 150]] = np.linalg.norm(x[[7, 150]], axis=1)
+    for k in (1, 10):
+        _assert_self_tops(x, k, norms)
+
+
+def test_self_top_k_single_entry_rows_beside_dense_rows(rng, monkeypatch):
+    # a one-hot row has ||unit||_1 = 1 against about sqrt(d) for a dense row:
+    # its band is the narrow one, and in a later strip its lower values come
+    # from the dense rows' strips (the band in the other orientation)
+    rescored = _spy_rescoring(monkeypatch)
+    x = rng.normal(size=(400, 64))
+    x[[3, 140, 300]] = np.eye(64)[[0, 1, 2]] * [[3.0], [0.5], [7.0]]
+    for k in (1, 10):
+        _assert_self_tops(x, k)
+    assert rescored == []
+
+
+@given(st.integers(129, 280), st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.sampled_from([1, 3, 10]))
+@settings(max_examples=25, deadline=None)
+def test_self_top_k_matches_canonical_sort_under_ties(n, d, seed, k):
+    # entries from the tied pool times row scales, past one 128-row strip:
+    # exact ties, duplicate unit rows, zero rows and norms that underflow
+    rng = np.random.default_rng(seed)
+    x = rng.choice(_ENTRY_POOL, size=(n, d)) * rng.choice(_SCALES, size=(n, 1))
+    _assert_self_tops(x, k)
