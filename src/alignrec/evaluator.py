@@ -7,11 +7,12 @@ ties to the lower item index. evaluate and longtail_evaluate rank the inner
 products h_items @ h_users[u] with rank_all, sparse.gemv_top_k, a block of
 128 users a call: one GEMM screens the block, and a row whose order the gap
 test cannot prove is ranked by its own GEMV and sparse.top_k, so each top
-has the bits of the per-user GEMV ranking. The feature protocols rank their
-queries against the raw feature rows and their norms with
-sparse.score_top_k, as the kNN graph build selects its neighbours. Every
-ranking ends in ranked_report, which turns all tops at once into per-K
-recall and NDCG values. Seen positives are masked: the train
+has the bits of the per-user GEMV ranking. Zero-shot ranks its queries
+against the raw feature rows and their norms with sparse.score_top_k;
+item-CF counts each item's partner's place with sparse.self_rank. Every
+ranking ends in hit_report, which turns the (query, rank) hits of all
+queries at once into per-K recall and NDCG values; ranked_report finds the
+hits of a list of tops. Seen positives are masked: the train
 split is always excluded from the candidate set, and the validation split is
 additionally excluded when scoring the test split.
 
@@ -111,17 +112,13 @@ def _prefix_fsums(values: list[float]) -> list[float]:
 
 
 def ranked_report(tops, relevant, ks, **fields) -> EvalReport:
-    """Per-K mean recall and NDCG over the sequence of ranked tops, int arrays
-    of the first max(ks) candidates of each query or all of them, and the
-    queries' relevant items, ascending int arrays without repeats; zeros when
-    no query was ranked. NDCG has binary gain, 1/log2(rank+1) discount with
-    ranks from 1, ideal normalization truncated at K. Each per-query value
-    has the bits of math.fsum over its terms: one or two hit discounts add
-    with +, which rounds once as fsum does; more go through math.fsum."""
-    ks = _sorted_ks(ks)
+    """hit_report over the sequence of ranked tops, int arrays of the first
+    max(ks) candidates of each query or all of them, and the queries'
+    relevant items, ascending int arrays without repeats."""
     count = len(tops)
     if not count:
-        return EvalReport({k: 0.0 for k in ks}, {k: 0.0 for k in ks}, 0, **fields)
+        none = np.zeros(0, dtype=np.int64)
+        return hit_report(none, none, none, ks, **fields)
     top_len = np.fromiter(map(len, tops), np.int64, count)
     rel_len = np.fromiter(map(len, relevant), np.int64, count)
     # (query, item) keys: ascending over the relevant items, in rank order over
@@ -132,10 +129,25 @@ def ranked_report(tops, relevant, ks, **fields) -> EvalReport:
     rel_keys = np.append(rel + np.repeat(np.arange(count) * base, rel_len), count * base)
     hit = np.flatnonzero(rel_keys[np.searchsorted(rel_keys, keys)] == keys)
     query = keys[hit] // base
-    rank = hit - (np.cumsum(top_len) - top_len)[query] + 1
-    # discounts and ideal DCGs past the longest top or relevant list are never read
+    return hit_report(query, hit - (np.cumsum(top_len) - top_len)[query] + 1, rel_len, ks,
+                      **fields)
+
+
+def hit_report(query, rank, rel_len, ks, **fields) -> EvalReport:
+    """Per-K mean recall and NDCG over len(rel_len) queries from their hits:
+    the query of each hit, ascending, and its rank from 1, ascending within
+    a query, with rel_len the queries' relevant counts; zeros when no query
+    was ranked. NDCG has binary gain, 1/log2(rank+1) discount, ideal
+    normalization truncated at K. Each per-query value has the bits of
+    math.fsum over its terms: one or two hit discounts add with +, which
+    rounds once as fsum does; more go through math.fsum."""
+    ks = _sorted_ks(ks)
+    count = len(rel_len)
+    if not count:
+        return EvalReport({k: 0.0 for k in ks}, {k: 0.0 for k in ks}, 0, **fields)
+    # discounts and ideal DCGs past the deepest hit or relevant list are never read
     most_rel = min(ks[-1], int(rel_len.max()))
-    depth = max(min(ks[-1], int(top_len.max())), most_rel)
+    depth = max(min(ks[-1], int(rank.max(initial=0))), most_rel)
     disc = np.array([0.0] + [1.0 / math.log2(r + 1.0) for r in range(1, depth + 1)])
     # ideal DCG by min(K, relevant count); 1.0 for none, where the DCG is 0.0
     ideal = np.array([1.0] + _prefix_fsums(disc[1:most_rel + 1].tolist()))

@@ -17,13 +17,14 @@ mask-modality
     single-modality rows, then reruns one of the base protocols on the
     composite matrix.
 
-Zero-shot (a block of users at a time, unit-norm query rows) and item-CF
-(the item rows as queries) rank against the raw item rows and their norms
-with sparse.score_top_k, so no unit copy of the feature matrix is made. The
-cosine of an item is its canonical score np.sum(unit[i] * query), unit[i] =
-x[i] / |x[i]|: it does not depend on the BLAS kernel or its thread count, and
-the GEMM that screens the candidates runs on the BLAS threads. The Recall@K /
-NDCG@K report comes from the evaluator's ranked_report.
+Zero-shot (a block of users at a time, unit-norm query rows) ranks against
+the raw item rows and their norms with sparse.score_top_k, and item-CF (the
+item rows as queries) counts each partner's place with sparse.self_rank, so
+no unit copy of the feature matrix is made. The cosine of an item is its
+canonical score np.sum(unit[i] * query), unit[i] = x[i] / |x[i]|: it does
+not depend on the BLAS kernel or its thread count, and the GEMM that screens
+the candidates runs on the BLAS threads. The Recall@K / NDCG@K report comes
+from the evaluator's hit_report, through ranked_report for zero-shot's tops.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ import scipy.sparse as sp
 
 from .data import Dataset, items_by_user
 from .errors import ConfigError, DimensionError
-from .evaluator import EvalReport, check_ks, ranked_report
+from .evaluator import EvalReport, check_ks, hit_report, ranked_report
 from .features import FeatureMatrix, row_norms
-from .sparse import score_top_k
+from .sparse import score_top_k, self_rank
 
 
 @dataclass(frozen=True)
@@ -122,12 +123,12 @@ def itemcf_eval(feat: FeatureMatrix, ds: Dataset, cfg: ProtocolConfig) -> EvalRe
     if feat.rows != ds.num_items:
         raise DimensionError(f"feature rows {feat.rows} != items {ds.num_items}")
     partner = itemcf_score(ds)
-    x, norms = feat.data, row_norms(feat.data)
-    # not sparse.self_top_k: at K = 50 its merges cost more than its halved GEMM saves
-    tops = score_top_k(x, norms, x, norms, np.arange(ds.num_items)[:, None], max(cfg.ks))
+    # one relevant item per query: its place in the query's ranking is all
+    # the report reads, counted over half the Gram with no top list
+    rank = self_rank(feat.data, row_norms(feat.data), partner)
     js = np.flatnonzero(partner >= 0)
-    report = ranked_report([tops[j] for j in js], partner[js, None], cfg.ks,
-                           skipped=ds.num_items - len(js))
+    report = hit_report(np.arange(len(js)), rank[js] + 1, np.ones(len(js), dtype=np.int64),
+                        cfg.ks, skipped=ds.num_items - len(js))
     report.extras["protocol"] = "item_cf"
     return report
 

@@ -1,16 +1,18 @@
 """Compressed-sparse-row matrices used by the graph operators, and the exact
 top-K selections: top_k for one score vector, and the rankings screened by
 one GEMM per block of queries: score_top_k of canonical scores of unit rows
-given as raw rows and their norms (the feature protocols), self_top_k of
-those scores of each row against the other rows (the kNN graph build), with
-no unit copy of the feature matrix, and gemv_top_k of GEMVs (evaluate).
+given as raw rows and their norms (zero-shot), self_top_k of those scores of
+each row against the other rows (the kNN graph build) and self_rank of one
+target's place in such a row (item-CF), with no unit copy of the feature
+matrix, and gemv_top_k of GEMVs (evaluate).
 
-self_top_k screens the upper triangle of the Gram matrix alone: the strip of
-128 rows from s against the items from s on, half the GEMM flops. A row's
-values for the items before its strip come from those items' strips, kept
-as a running list of each item's k+1 largest. Such a value lies within the
-row's own band width of the row's canonical score, so the band, the gap test
-and the rescoring are score_top_k's.
+self_top_k and self_rank screen the upper triangle of the Gram matrix
+alone: the strip of 128 rows from s against the items from s on, half the
+GEMM flops. A row's values for the items before its strip come from those
+items' strips. Such a value lies within the row's own band width of the
+row's canonical score, so the band, the gap test and the rescoring are
+score_top_k's. self_top_k keeps each item's k+1 largest such values in a
+running list; self_rank only counts them against the target's score.
 
 Thin immutable wrapper around canonical CSR arrays. scipy does the heavy
 lifting for products; the wrapper pins down the invariants the rest of the
@@ -260,9 +262,15 @@ def _rescore(U: np.ndarray, u_norms: np.ndarray, q: np.ndarray, row: np.ndarray,
     kth = np.partition(row, n - k)[n - k] if k <= n else -np.inf
     lowest = np.finfo(np.float64).min  # above -inf: an excluded item is never in the band
     cand = np.flatnonzero(row >= max(kth - width, lowest))
+    return cand[top_k(_canonical(U, u_norms, cand, q), (), k)]
+
+
+def _canonical(U: np.ndarray, u_norms: np.ndarray, cand: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The canonical scores np.sum(unit(U)[cand] * q, axis=1) (q one row or
+    one per candidate), from the candidates' unit rows alone."""
     terms = divide_rows(U[cand], u_norms[cand])
     terms *= q  # in place: the bits of unit(U)[cand] * q, one allocation fewer
-    return cand[top_k(terms.sum(axis=1), (), k)]
+    return terms.sum(axis=1)
 
 
 def score_top_k(Q: np.ndarray, q_norms: np.ndarray, U: np.ndarray, u_norms: np.ndarray,
@@ -405,25 +413,13 @@ def self_top_k(x: np.ndarray, norms: np.ndarray, k: int) -> list[np.ndarray]:
     if k >= n - 1:
         return score_top_k(x, norms, x, norms, np.arange(n)[:, None], k)
     slack, floor = _band(x, norms)
-    zero = np.flatnonzero(norms == 0.0)
     # each item's k+1 largest values from the strips above it, with their
     # rows; -inf pads (row 0) keep a list's smallest at -inf until it is full
     low_vals, low_rows = np.full((n, k + 1), -np.inf), np.zeros((n, k + 1), dtype=np.int64)
     floors = np.full(n, -np.inf)
-
-    def settle(r, q, width):
-        row = x @ q
-        _divide_columns(row, norms, zero)
-        row[r] = -np.inf
-        return _rescore(x, norms, q, row, width, k)
-
     tops = []
-    for s in range(0, n, _QUERY_BLOCK):
-        e, w = min(s + _QUERY_BLOCK, n), n - s
-        block = divide_rows(x[s:e], norms[s:e])
-        gemm = block @ x[s:].T
-        _divide_columns(gemm, norms[s:], zero[zero >= s] - s)
-        gemm[np.arange(e - s), np.arange(e - s)] = -np.inf  # each row's own item
+    for s, block, gemm in _strips(x, norms):
+        e, w = s + len(block), n - s
         _feed(gemm[:, e - s:], s, low_vals[e:], low_rows[e:], floors[e:])
         widths = slack * np.abs(block).sum(axis=1) + floor
         # each row's k+1 largest upper values (all if fewer), partitioned 16
@@ -441,6 +437,83 @@ def self_top_k(x: np.ndarray, norms: np.ndarray, k: int) -> list[np.ndarray]:
         order = np.lexsort((cols, -vals), axis=1)[:, :k + 1]
         cols, vals = cols[r, order], vals[r, order]
         ordered = _separated(vals, widths)
-        tops += [cols[i, :k] if ordered[i] else settle(s + i, block[i], widths[i])
+        tops += [cols[i, :k] if ordered[i] else
+                 _rescore(x, norms, block[i], _full_row(x, norms, s + i, block[i]), widths[i], k)
                  for i in range(e - s)]
     return tops
+
+
+def _strips(x: np.ndarray, norms: np.ndarray):
+    """The upper triangle of the screen a strip at a time: for the 128 rows
+    from s, (s, their unit rows, G[s:e, s:]), the GEMM of those rows with the
+    items from s on, each column divided by its norm and each row's own item
+    at -inf."""
+    zero = norms == 0.0
+    for s in range(0, len(x), _QUERY_BLOCK):
+        block = divide_rows(x[s:s + _QUERY_BLOCK], norms[s:s + _QUERY_BLOCK])
+        gemm = block @ x[s:].T
+        _divide_columns(gemm, norms[s:], zero[s:])
+        gemm[np.arange(len(block)), np.arange(len(block))] = -np.inf
+        yield s, block, gemm
+        del gemm  # with the caller's reference gone, before the next GEMM
+
+
+def _full_row(x: np.ndarray, norms: np.ndarray, r: int, q: np.ndarray) -> np.ndarray:
+    """Row r's screen values for every item, recomputed from its unit row q
+    (a GEMV, within the same E_r), its own item at -inf."""
+    row = x @ q
+    _divide_columns(row, norms, norms == 0.0)
+    row[r] = -np.inf
+    return row
+
+
+def self_rank(x: np.ndarray, norms: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """For each row r with target[r] >= 0, the number of other rows before
+    target[r] in row r's canonical order, descending np.sum(unit[j] *
+    unit[r]) with ties to the lower index, for finite x: its 0-based place in
+    self_top_k's ranking of row r. -1 for a row with no target.
+
+    It counts over the upper triangle of self_top_k's screen with no list
+    kept. With t = row r's canonical score of its target and w its band width,
+    each value of row r, upper or lower, is within 2 E_r < w of its canonical
+    score (self_top_k's derivation): a value above t + w is ahead of the
+    target, one below t - w is behind it. A strip counts its rows' values
+    against their own t +- w, and the later items' columns against theirs. A
+    row whose band holds anything besides its target recomputes its full row
+    (_full_row) and compares the band's canonical scores with t, ties to the
+    lower index."""
+    n = len(x)
+    slack, floor = _band(x, norms)
+    has = target >= 0
+    # each row's band [lo, hi] around its target's canonical score; a row
+    # with no target counts nothing (no finite value reaches +inf)
+    score, lo, hi = np.zeros(n), np.full(n, np.inf), np.full(n, np.inf)
+    for s in range(0, n, _QUERY_BLOCK):
+        block = divide_rows(x[s:s + _QUERY_BLOCK], norms[s:s + _QUERY_BLOCK])
+        on, at = has[s:s + _QUERY_BLOCK], slice(s, s + _QUERY_BLOCK)
+        t = _canonical(x, norms, target[at][on], block[on])
+        w = slack * np.abs(block[on]).sum(axis=1) + floor
+        score[at][on], lo[at][on], hi[at][on] = t, t - w, t + w
+
+    def settle(r, q):
+        row = _full_row(x, norms, r, q)
+        cand = np.flatnonzero((row >= lo[r]) & (row <= hi[r]))
+        c = _canonical(x, norms, cand, q)
+        return np.count_nonzero(row > hi[r]) + np.count_nonzero(
+            (c > score[r]) | ((c == score[r]) & (cand < target[r])))
+
+    ahead, band = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    ranks = np.full(n, -1, dtype=np.int64)
+    for s, block, gemm in _strips(x, norms):
+        e = s + len(block)
+        # the strip's rows against their bands, the later items' columns against theirs
+        for vals, at in ((gemm, slice(s, e)), (gemm[:, e - s:].T, slice(e, n))):
+            above = np.count_nonzero(vals > hi[at, None], axis=1)
+            ahead[at] += above
+            band[at] += np.count_nonzero(vals >= lo[at, None], axis=1) - above
+        del gemm, vals  # so the next GEMM is not allocated beside this one
+        done = has[s:e] & (band[s:e] == 1)  # the target alone in the band
+        ranks[s:e][done] = ahead[s:e][done]
+        for i in np.flatnonzero(has[s:e] & ~done):
+            ranks[s + i] = settle(s + i, block[i])
+    return ranks

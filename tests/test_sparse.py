@@ -10,7 +10,7 @@ from alignrec import sparse
 from alignrec.errors import DataError, DimensionError
 from alignrec.features import row_norms, unit_rows
 from alignrec.sparse import (SparseMatrix, _abs_max, _scaled_abs_max, divide_rows, score_top_k,
-                             self_top_k, top_k)
+                             self_rank, self_top_k, top_k)
 
 from oracles import canonical_scores, canonical_top_k_reference, to_dense, to_scipy
 
@@ -490,9 +490,14 @@ def _assert_self_tops(x, k, norms=None):
     assert len(got) == len(want) == n
     for top, ref in zip(got, want):
         assert top.dtype == np.int64 and top.tobytes() == ref.tobytes()
-    unit = np.where(norms[:, None] > 0.0, x / np.where(norms > 0.0, norms, 1.0)[:, None], 0.0)
+    unit = _unit(x, norms)
     assert [top.tolist() for top in got] == canonical_top_k_reference(
         unit, unit, [{r} for r in range(n)], k)
+
+
+def _unit(x, norms):
+    """The unit rows made here: zero rows for a zero norm."""
+    return np.where(norms[:, None] > 0.0, x / np.where(norms > 0.0, norms, 1.0)[:, None], 0.0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 257, 600])
@@ -566,3 +571,112 @@ def test_self_top_k_matches_canonical_sort_under_ties(n, d, seed, k):
     rng = np.random.default_rng(seed)
     x = rng.choice(_ENTRY_POOL, size=(n, d)) * rng.choice(_SCALES, size=(n, 1))
     _assert_self_tops(x, k)
+
+
+def _spy_opened(monkeypatch):
+    """The rows self_rank opens: only its settle divides one row's columns."""
+    opened = []
+    divide = sparse._divide_columns
+
+    def spy(gemm, u_norms, zero):
+        if gemm.ndim == 1:
+            opened.append(gemm)
+        divide(gemm, u_norms, zero)
+    monkeypatch.setattr(sparse, "_divide_columns", spy)
+    return opened
+
+
+def _assert_self_ranks(x, target, norms=None):
+    """self_rank equals each target's place in the canonical sort of the
+    other unit rows (-1 for no target)."""
+    n = len(x)
+    norms = row_norms(x) if norms is None else norms
+    got = self_rank(x, norms, np.asarray(target))
+    unit = _unit(x, norms)
+    ranked = canonical_top_k_reference(unit, unit, [{r} for r in range(n)], n)
+    assert got.dtype == np.int64
+    assert got.tolist() == [ranked[r].index(t) if t >= 0 else -1
+                            for r, t in enumerate(target)]
+
+
+def _spread_targets(n, seed=0):
+    """Seeded targets, never the row itself, every fifth row without one; rows
+    0, 1 and n - 1 take targets in a later, the same and an earlier strip
+    (as far as n allows)."""
+    target = np.random.default_rng(seed).integers(0, n - 1, size=n)
+    target += target >= np.arange(n)
+    target[4::5] = -1
+    target[[0, n - 1]], target[1:2] = [n - 1, 0], 2 % n
+    return target.tolist()
+
+
+@pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 257, 600])
+def test_self_rank_is_the_place_in_the_canonical_sort(rng, monkeypatch, n):
+    opened = _spy_opened(monkeypatch)
+    x = rng.normal(size=(n, 24))
+    target = _spread_targets(n)
+    if n > 128:
+        strips = [(r // 128, t // 128) for r, t in enumerate(target) if t >= 0]
+        assert {np.sign(ts - rs) for rs, ts in strips} == {-1, 0, 1}
+    _assert_self_ranks(x, target)
+    assert opened == []  # separated Gaussian rows: every rank from the screen
+
+
+def test_self_rank_opens_rows_whose_target_ties(rng, monkeypatch):
+    # copies of a target before and after it, in its strip and in others: a
+    # tie from a lower index is ahead of it, one from a higher index behind it
+    opened = _spy_opened(monkeypatch)
+    x = rng.normal(size=(300, 12))
+    x[[5, 127, 128, 200, 299]] = x[140]
+    x[[129, 256, 257]] = x[130] * 2.0  # a power of two: the unit rows are equal
+    target = _spread_targets(300)
+    target[:4] = [140, 140, 256, 257]
+    target[290:293] = [129, 130, 256]
+    _assert_self_ranks(x, target)
+    assert 0 < len(opened) < 300 - target.count(-1)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_self_rank_rows_scaled_by_extremes(rng, scale):
+    x = rng.normal(size=(260, 9)) * scale ** rng.integers(0, 2, size=(260, 1))
+    _assert_self_ranks(x, _spread_targets(260))
+
+
+def test_self_rank_with_subnormal_norms(rng):
+    x = np.zeros((200, 5))
+    x[np.arange(200), np.arange(200) % 5] = rng.choice([-1.0, 1.0], size=200) * (
+        1e-320 * rng.integers(1, 4, size=200))
+    x[[7, 150]] = rng.normal(size=(2, 5))
+    # rows of several subnormal entries: their products with the unit rows
+    # round in the subnormal range, errors the width's floor covers
+    x[100:140] = rng.integers(-60, 61, size=(40, 5)) * 1e-322
+    norms = np.abs(x).max(axis=1)
+    norms[[7, 150]] = np.linalg.norm(x[[7, 150]], axis=1)
+    norms[100:140] = np.linalg.norm(x[100:140] * 1e300, axis=1) / 1e300
+    target = _spread_targets(200)
+    target[7], target[150] = 150, 7
+    _assert_self_ranks(x, target, norms)
+
+
+def test_self_rank_zero_norm_rows_and_targets(rng, monkeypatch):
+    # a zero row ties every item at 0; a zero target scores 0 in every row
+    opened = _spy_opened(monkeypatch)
+    x = rng.normal(size=(140, 8))
+    x[[3, 130]] = 0.0
+    x[60] *= 1e-170  # its squares underflow: a zero norm, a nonzero raw row
+    target = _spread_targets(140)
+    target[3], target[130], target[60] = 77, 3, 139
+    target[10], target[135], target[20] = 3, 60, 130
+    _assert_self_ranks(x, target)
+    assert len(opened) >= 3
+    assert (self_rank(x, row_norms(x), np.full(140, -1)) == -1).all()
+
+
+@given(st.integers(129, 280), st.integers(1, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_self_rank_matches_canonical_sort_under_ties(n, d, seed):
+    # tied entries times row scales: exact ties, duplicate unit rows, zero
+    # rows and norms that underflow
+    rng = np.random.default_rng(seed)
+    x = rng.choice(_ENTRY_POOL, size=(n, d)) * rng.choice(_SCALES, size=(n, 1))
+    _assert_self_ranks(x, _spread_targets(n, seed))
