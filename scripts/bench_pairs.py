@@ -13,7 +13,9 @@ series (perfbench/BASELINE.md).
 
 Prints each run's end-to-end metrics and the workload's other named metrics
 (from the `record` line, say eval-m's `eval_users_per_s` and
-`protocol_queries_per_s`, which show which calls moved), each pair's
+`protocol_queries_per_s`, which show which calls moved, and `minor_faults`,
+the run's minor page faults: the change in ru_minflt of
+getrusage(RUSAGE_CHILDREN) across it), each pair's
 change/parent ratios, per end-to-end metric the medians, the parent's
 interquartile range, the median ratio, the number of pairs the change won,
 whether the series meets the claim rule (at least nine tenths of the pairs
@@ -31,6 +33,13 @@ each run's machine record (nproc, CPU affinity, numpy and scipy versions),
 and the summary printed at the end (medians, the parent's IQR, the median
 ratio, the win count, the claim rule and the bound per end-to-end metric;
 the median ratio per named metric).
+
+    python3 scripts/bench_pairs.py --parent <rev> --workload train-m --traced
+
+With --traced, one `--trace 1` run on each tree instead: it prints each
+run's `absent_spans` and `absent_metrics` and exits 1 unless each run's last
+line is JSON (NaN and Infinity rejected) whose `correct` is true and whose
+`metrics` hold every per-layer metric that BENCHMARK.json lists.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -51,6 +61,7 @@ RUN_SECONDS = BENCHMARK["run_seconds"]
 # may worsen before a change counts as a regression
 METRICS = {m["name"]: 1 if m["better"] == "higher" else -1 for m in BENCHMARK["end_to_end"]}
 BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
+PER_LAYER = [m["name"] for m in BENCHMARK["per_layer"]]
 
 
 def export_revision(rev: str, dest: Path) -> None:
@@ -60,13 +71,21 @@ def export_revision(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=blob, check=True)
 
 
+def run_bench(checkout: Path, args, trace: int = 0) -> tuple[subprocess.CompletedProcess, int]:
+    """One perfbench/run.py run in `checkout` and the minor page faults of
+    the process tree it waited for."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", args.workload,
+         "--seed", str(args.seed), "--seconds", str(RUN_SECONDS), "--trace", str(trace)],
+        cwd=checkout, capture_output=True, text=True)
+    return proc, resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+
 def run_once(checkout: Path, args) -> dict:
     """One benchmark run: its metric values, its failed checks and its
     machine record."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", args.workload,
-         "--seed", str(args.seed), "--seconds", str(RUN_SECONDS)],
-        cwd=checkout, capture_output=True, text=True)
+    proc, minor_faults = run_bench(checkout, args)
     lines = proc.stdout.splitlines()
     try:
         result = json.loads(lines[-1])
@@ -76,6 +95,7 @@ def run_once(checkout: Path, args) -> dict:
                 "failures": [f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"]}
     named = {m: v["value"] for m, v in record.get("named_metrics", {}).items()
              if m not in METRICS}
+    named["minor_faults"] = minor_faults
     failures = [str(e) for e in record.get("errors", [])]
     if "error" in record:
         failures.append(record["error"])
@@ -86,6 +106,45 @@ def run_once(checkout: Path, args) -> dict:
     return {"values": {m: result["metrics"][m]["value"] for m in METRICS
                        if m in result["metrics"]},
             "named": named, "record": machine, "failures": failures}
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def traced_failures(stdout: str) -> list[str]:
+    """The failed checks of a traced run's output: its last line must be
+    strict JSON, with `correct` true and `metrics` holding every per-layer
+    metric of BENCHMARK.json."""
+    try:
+        result = json.loads(stdout.splitlines()[-1], parse_constant=_reject_constant)
+    except (IndexError, ValueError) as exc:
+        return [f"the last line is no strict JSON result: {exc}"]
+    if not isinstance(result, dict):
+        return ["the last line is no JSON object"]
+    failures = [] if result.get("correct") is True else ["correct is not true"]
+    missing = [m for m in PER_LAYER if m not in result.get("metrics", {})]
+    if missing:
+        failures.append(f"metrics lack {', '.join(missing)}")
+    return failures
+
+
+def traced(checkouts: tuple, args) -> int:
+    """One --trace 1 run per (side, checkout); 1 if any run fails its checks."""
+    failed = False
+    for side, checkout in checkouts:
+        proc, _ = run_bench(checkout, args, trace=1)
+        try:
+            record = json.loads(proc.stdout.splitlines()[-2].removeprefix("record "))
+        except (IndexError, ValueError):
+            record = {"errors": [f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"]}
+        print(f"{side:6s} traced {args.workload} seed {args.seed}: "
+              f"absent_spans {record.get('absent_spans')} "
+              f"absent_metrics {record.get('absent_metrics')}", flush=True)
+        for failure in traced_failures(proc.stdout) + [str(e) for e in record.get("errors", [])]:
+            failed = True
+            print(f"{side:6s} FAILED {failure}", flush=True)
+    return 1 if failed else 0
 
 
 def iqr(values: list[float]) -> float:
@@ -160,9 +219,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", type=Path, help="also append the series to this JSON file")
+    parser.add_argument("--traced", action="store_true",
+                        help="one --trace 1 run per tree, checked, instead of the pairs")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    if args.traced:
+        with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+            export_revision(args.parent, Path(tmp))
+            return traced((("parent", Path(tmp)), ("change", ROOT)), args)
     dirty = subprocess.run(["git", "-C", str(ROOT), "diff", "--quiet", "HEAD"]).returncode
     meta = {"workload": args.workload, "seed": args.seed, "run_seconds": RUN_SECONDS,
             "parent": revision(args.parent),

@@ -5,8 +5,10 @@ Two matrices are derived from a dataset and its feature matrix:
 * inter_norm (R): user-rows by item-cols matrix of train edges, entry
   (u, i) = 1 / sqrt(deg(u) * deg(i)). It is the off-diagonal block of the
   symmetric degree-normalized bipartite adjacency [[0, R], [R^T, 0]], so R
-  and R^T together apply that adjacency to user and item halves; R^T is
-  stored as inter_t.
+  and R^T together apply that adjacency to user and item halves. The model
+  takes R^T products from R's own rows (R.tdot). The explicit transpose is
+  still stored as inter_t; only the benchmark's `sparse.transpose` span
+  and the test oracles read it.
 * sim: item-item similarity graph. Cosine similarities per row are pruned to
   the k' largest off-diagonal entries (ties to the lower index), negatives
   clamped to zero, then symmetrically normalized by row-sum degrees. Pruning
@@ -41,7 +43,7 @@ _WEIGHT_ROWS = 8
 @dataclass(frozen=True)
 class GraphBundle:
     inter_norm: SparseMatrix  # num_users x num_items
-    inter_t: SparseMatrix     # inter_norm transposed, num_items x num_users
+    inter_t: SparseMatrix     # inter_norm transposed, num_items x num_users; no model use
     sim: SparseMatrix         # num_items x num_items
 
 

@@ -14,10 +14,12 @@ The computation graph is fixed:
 ForwardPass caches the intermediates so losses can push gradients with
 respect to any representation back to the parameters through `backward`.
 The bipartite adjacency is symmetric, which lets the backward pass reuse the
-same propagation routine, with the same R / R^T pair, for the embedding
-gradient; the content gradient takes sim^T implicitly (sim.tdot), adding in
-the row order of the explicit transpose. Each propagation layer runs R @ h_i,
-then R^T @ h_u, on the calling thread; the package starts no thread of its own.
+same propagation routine for the embedding gradient. Every R^T and sim^T
+product is taken implicitly from the matrix's own rows (R.tdot, sim.tdot),
+adding in the row order of the explicit transpose, so it keeps the bits of
+R^T's rows while reading the dense operand in order. Each propagation layer
+runs R^T @ h_u, then R @ h_i, on the calling thread; the package starts no
+thread of its own.
 `forward` computes the user side at sorted distinct users U from the slice
 R[U], which `backward` reuses for its user-side R^T products: a train batch's
 users, keeping each row's bits, or for the full pass that rankings take
@@ -96,16 +98,17 @@ class Representations:
     h_items: np.ndarray
 
 
-def lightgcn_propagate(inter_norm: SparseMatrix, inter_t: SparseMatrix,
-                       users: np.ndarray, items: np.ndarray, layers: int,
+def lightgcn_propagate(inter_norm: SparseMatrix, users: np.ndarray, items: np.ndarray,
+                       layers: int,
                        user_rows: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Mean of the (users, items) embeddings and their `layers` successive
     propagations over [[0, R], [R^T, 0]]: (h_u, h_i) <- (R @ h_i, R^T @ h_u),
-    on the calling thread; each layer takes R^T @ h_u first and drops h_u
-    before R @ h_i makes its successor. With user_rows = (U, R[U]), U sorted
-    distinct users (all users, with R, by default), a full-size `users`
-    gives the user mean at U (last R product from R[U]); the rows U of a
-    `users` zero elsewhere give it full size (first R^T product from R[U])."""
+    on the calling thread; each layer takes R^T @ h_u first (R.tdot, the bits
+    of the explicit transpose) and drops h_u before R @ h_i makes its
+    successor. With user_rows = (U, R[U]), U sorted distinct users (all
+    users, with R, by default), a full-size `users` gives the user mean at U
+    (last R product from R[U]); the rows U of a `users` zero elsewhere give
+    it full size (first R^T product from R[U])."""
     scatter = user_rows is not None and users.shape[0] != inter_norm.rows
     rows, r_rows = user_rows or (np.arange(len(users)), inter_norm)
     if scatter:
@@ -117,7 +120,7 @@ def lightgcn_propagate(inter_norm: SparseMatrix, inter_t: SparseMatrix,
     h_u, h_i = users, items
     for layer in range(layers):
         last = not scatter and layer == layers - 1
-        h_t = (r_rows.tdot if scatter and not layer else inter_t.dot)(h_u)
+        h_t = (r_rows if scatter and not layer else inter_norm).tdot(h_u)
         del h_u  # one user-side array at a time besides the mean
         h_u, h_i = (r_rows if last else inter_norm).dot(h_i), h_t
         acc_u += h_u if len(h_u) == len(acc_u) else h_u[rows]
@@ -198,8 +201,8 @@ class ForwardPass:
         # transposed chain is the same propagation applied to the output
         # gradient. It runs before the gradients are allocated, so the
         # full-size user arrays it makes are not held beside them.
-        d_users, d_items = lightgcn_propagate(self.graphs.inter_norm, self.graphs.inter_t,
-                                              d_id_users, d_id_items, self.layers, self._user_rows)
+        d_users, d_items = lightgcn_propagate(self.graphs.inter_norm, d_id_users, d_id_items,
+                                              self.layers, self._user_rows)
         grads = zero_grads(p)
 
         # gate path
@@ -226,8 +229,8 @@ def forward(params: ModelParams, graphs: GraphBundle, feat: FeatureMatrix,
     _check_shapes(params, graphs, feat)
     R = graphs.inter_norm
     rows = (np.arange(R.rows), R) if users is None else (users, R.take_rows(users))
-    h_id_users, h_id_items = lightgcn_propagate(R, graphs.inter_t, params.user_emb,
-                                                params.item_emb, layers, rows)
+    h_id_users, h_id_items = lightgcn_propagate(R, params.user_emb, params.item_emb,
+                                                layers, rows)
 
     h_con, a1, gate = _gate_forward(params, feat.data)
     h_mm_items = item_multimodal(graphs.sim, h_con)

@@ -103,7 +103,11 @@ class SparseMatrix:
 
     def tdot(self, dense: np.ndarray) -> np.ndarray:
         """self^T @ dense, adding rows in increasing order as the explicit transpose, so
-        R[U]^T @ x[U] is R^T @ x bit for bit if x is zero off U (a ±0 term adds nothing)."""
+        R[U]^T @ x[U] is R^T @ x bit for bit if x is zero off U (a ±0 term adds nothing).
+        A wrong operand raises the explicit transpose's DimensionError."""
+        if dense.shape[0] != self.rows:
+            raise DimensionError(
+                f"cannot multiply {self.cols}x{self.rows} by operand with leading dim {dense.shape[0]}")
         return self._scipy.T @ dense
 
     def transpose(self) -> "SparseMatrix":

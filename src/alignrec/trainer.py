@@ -4,10 +4,16 @@ An epoch is one pass over the shuffled train interactions. After every epoch
 the validation split is scored with all-ranking Recall@20; the parameters
 returned by fit are the ones from the best validation epoch (first epoch on
 ties), not the last.
+
+The first train_epoch of a process fixes glibc's malloc thresholds (see
+_keep_freed_heap): a train step's arrays then come from the heap, and the
+pages one step frees stay resident for the next, until the process exits.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -113,10 +119,34 @@ def _epoch_batches(ds: Dataset, rng: np.random.Generator, batch_size: int,
         yield _batch_at(ds, perm[start:start + batch_size], rng, user_train)
 
 
+# glibc's mallopt parameters; 32 MiB is glibc's ceiling for its dynamic mmap
+# threshold on 64-bit, 256 MiB of trim is far above a train step's heap
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_BYTES, _MMAP_BYTES = 256 << 20, 32 << 20
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Once per process: blocks up to 32 MiB come from the heap, and free heap
+    goes back to the system only past 256 MiB, so each train step reuses the
+    pages the last one freed instead of faulting them in again. Both are set:
+    fixing either one stops glibc adjusting both, which would freeze the other
+    where it stands. A C library without mallopt, or none that CDLL(None)
+    opens (Windows), is left as it is; mallopt's result is not read."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
+
+
 def train_epoch(state: TrainState, ds: Dataset, graphs: GraphBundle,
                 feat: FeatureMatrix, cfg: TrainConfig,
                 user_train: np.ndarray | None = None) -> dict:
     """One optimization pass; returns the per-loss epoch means."""
+    _keep_freed_heap()
     if user_train is None:
         user_train = ds.user_train_items()
     state.optimizer.lr = cfg.learning_rate * cfg.lr_decay ** state.epoch

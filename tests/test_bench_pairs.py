@@ -1,15 +1,19 @@
-"""scripts/bench_pairs.py's summary and JSON writer, on a synthetic series."""
+"""scripts/bench_pairs.py's summary and JSON writer, on a synthetic series;
+its fault count and its traced-run checks, on stand-in benchmark scripts."""
 
 import json
+import math
 import statistics
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
-from bench_pairs import BOUNDS, summarize, write_series  # noqa: E402
+from bench_pairs import (BOUNDS, PER_LAYER, run_once, summarize, traced,  # noqa: E402
+                         traced_failures, write_series)
 
 MACHINE = {"nproc": 2, "affinity": [0, 1], "numpy": "2.4.6", "scipy": "1.17.1"}
 
@@ -105,3 +109,87 @@ def test_written_series_holds_pairs_records_and_summary(runs, tmp_path):
     assert all(p[side]["record"] == MACHINE for p in doc["pairs"] for side in ("parent", "change"))
     assert doc["summary"] == json.loads(json.dumps(summarize(runs)))
     assert not list(tmp_path.glob("*.tmp"))
+
+
+# a stand-in perfbench/run.py: touches `pages` fresh pages, then prints the
+# record line, with its own minor faults so far, and a result line
+FAKE_RUN = """
+import json, mmap, resource
+pages = {pages}
+buf = mmap.mmap(-1, max(pages, 1) * 4096)
+for p in range(pages):
+    buf[p * 4096] = 1
+own = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print("record " + json.dumps({{"named_metrics": {{"own_faults": {{"value": own}}}}, "errors": []}}))
+print(json.dumps({{"correct": True, "failed": 0, "metrics": {{"work_per_s": {{"value": 5.0}}}}}}))
+"""
+
+
+def _checkout(root: Path, script: str) -> Path:
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(script, encoding="utf-8")
+    return root
+
+
+def test_minor_faults_are_the_runs_own(tmp_path):
+    args = SimpleNamespace(workload="train-m", seed=11)
+    runs = [run_once(_checkout(tmp_path / str(pages), FAKE_RUN.format(pages=pages)), args)
+            for pages in (0, 20000)]
+    for run in runs:
+        assert run["failures"] == [] and run["values"] == {"work_per_s": 5.0}
+        # the count covers the whole child, so at least what it saw itself
+        assert run["named"]["minor_faults"] >= run["named"]["own_faults"] > 0
+    summary = summarize({"parent": runs[:1], "change": runs[1:]})
+    assert summary["named"]["minor_faults"]["median_ratio"] == (
+        runs[1]["named"]["minor_faults"] / runs[0]["named"]["minor_faults"])
+
+
+def _traced_output(metrics, correct=True):
+    record = {"absent_spans": ["graphs.norm_adjacency"], "absent_metrics": [], "errors": []}
+    result = {"correct": correct, "failed": 0,
+              "metrics": {m: {"value": v, "unit": "ms"} for m, v in metrics.items()}}
+    return "record " + json.dumps(record) + "\n" + json.dumps(result) + "\n"
+
+
+def test_traced_result_with_every_per_layer_metric_passes():
+    assert "sparse.transpose_ms" in PER_LAYER
+    assert traced_failures(_traced_output({m: 1.0 for m in PER_LAYER})) == []
+
+
+def test_traced_result_without_a_per_layer_metric_fails():
+    metrics = {m: 1.0 for m in PER_LAYER if m != "sparse.transpose_ms"}
+    assert traced_failures(_traced_output(metrics)) == ["metrics lack sparse.transpose_ms"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_traced_result_with_a_non_finite_value_fails(value):
+    out = _traced_output(dict({m: 1.0 for m in PER_LAYER}, **{"trace.overhead_pct": value}))
+    failures = traced_failures(out)
+    assert len(failures) == 1 and "no strict JSON result" in failures[0]
+
+
+@pytest.mark.parametrize("stdout, failure", [
+    ("", "no strict JSON result"), ("record {}\nnot json\n", "no strict JSON result"),
+    ("[1, 2]\n", "no JSON object")])
+def test_traced_output_without_a_result_fails(stdout, failure):
+    failures = traced_failures(stdout)
+    assert len(failures) == 1 and failure in failures[0]
+
+
+def test_traced_result_marked_incorrect_fails():
+    out = _traced_output({m: 1.0 for m in PER_LAYER}, correct=False)
+    assert traced_failures(out) == ["correct is not true"]
+
+
+def test_traced_exits_one_if_either_tree_fails(tmp_path, capsys):
+    good = _traced_output({m: 1.0 for m in PER_LAYER})
+    bad = _traced_output({m: math.nan for m in PER_LAYER})
+    sides = [(side, _checkout(tmp_path / side, f"print({out!r}, end='')"))
+             for side, out in (("parent", good), ("change", bad), ("third", good))]
+    args = SimpleNamespace(workload="train-m", seed=11)
+    assert traced(sides[:1], args) == 0
+    assert traced(sides, args) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("parent traced train-m seed 11: absent_spans "
+                        "['graphs.norm_adjacency'] absent_metrics []")
+    assert [line.split()[0] for line in lines if "FAILED" in line] == ["change"]

@@ -23,22 +23,21 @@ class TestLightGCN:
     def test_zero_layers_identity(self, rng):
         inter = SparseMatrix.from_coo(1, 1, [0], [0], [1.0])
         users, items = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
-        out_u, out_i = lightgcn_propagate(inter, inter.transpose(), users, items, 0)
+        out_u, out_i = lightgcn_propagate(inter, users, items, 0)
         assert np.array_equal(out_u, users) and np.array_equal(out_i, items)
 
     def test_single_edge_hand_propagation(self):
         # one user, one item, one edge of weight 1: a layer swaps the halves
         inter = SparseMatrix.from_coo(1, 1, [0], [0], [1.0])
         users, items = np.array([[1.0, 0.0]]), np.array([[0.0, 2.0]])
-        out_u, out_i = lightgcn_propagate(inter, inter.transpose(), users, items, 1)
+        out_u, out_i = lightgcn_propagate(inter, users, items, 1)
         assert np.allclose(out_u[0], [0.5, 1.0], atol=1e-15)
         assert np.allclose(out_i[0], [0.5, 1.0], atol=1e-15)
 
     def test_matches_dense_matrix_power_oracle(self, rng):
         ds, feat, graphs, params, _ = random_instance(rng, num_users=20, num_items=15,
                                                       per_user=5)
-        got = lightgcn_propagate(graphs.inter_norm, graphs.inter_t,
-                                 params.user_emb, params.item_emb, 2)
+        got = lightgcn_propagate(graphs.inter_norm, params.user_emb, params.item_emb, 2)
         adj = dense_norm_adjacency(ds.num_users, ds.num_items, ds.train)
         want = dense_lightgcn(adj, np.concatenate([params.user_emb, params.item_emb]), 2)
         assert np.max(np.abs(np.concatenate(got) - want)) < 1e-10
@@ -52,8 +51,8 @@ class TestLightGCN:
             sp.bmat([[None, to_scipy(graphs.inter_norm)],
                      [to_scipy(graphs.inter_t), None]]))
         for layers in range(4):
-            got = lightgcn_propagate(graphs.inter_norm, graphs.inter_t,
-                                     params.user_emb, params.item_emb, layers)
+            got = lightgcn_propagate(graphs.inter_norm, params.user_emb, params.item_emb,
+                                     layers)
             acc = h = np.concatenate([params.user_emb, params.item_emb])
             for _ in range(layers):
                 h = block.dot(h)

@@ -37,11 +37,12 @@ def _same_bytes(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def _interactions(rng, users=40, items=15):
-    """A normalized-looking interaction matrix with users 3 and 17 empty and
-    weights spread over many binades."""
+def _interactions(rng, users=40, items=15, empty_items=()):
+    """A normalized-looking interaction matrix with users 3 and 17 empty, the
+    columns `empty_items` empty too, and weights spread over many binades."""
     dense = rng.random((users, items)) < 0.3
     dense[[3, 17]] = False
+    dense[:, list(empty_items)] = False
     weights = np.exp(rng.normal(scale=4.0, size=(users, items)))
     return SparseMatrix.from_scipy(np.where(dense, weights, 0.0))
 
@@ -211,8 +212,7 @@ class TestTwoLanePropagation:
     @pytest.mark.parametrize("layers", [0, 1, 2, 3])
     def test_full_products_match_serial_reference(self, rng, layers):
         ds, feat, graphs, params, _ = random_instance(rng, num_users=30, num_items=12)
-        got = lightgcn_propagate(graphs.inter_norm, graphs.inter_t,
-                                 params.user_emb, params.item_emb, layers)
+        got = lightgcn_propagate(graphs.inter_norm, params.user_emb, params.item_emb, layers)
         want = lightgcn_reference(graphs.inter_norm, graphs.inter_t,
                                   params.user_emb, params.item_emb, layers)
         assert all(_same_bytes(a, b) for a, b in zip(got, want))
@@ -224,7 +224,7 @@ class TestTwoLanePropagation:
         users, items = rng.normal(size=(R.rows, 5)), rng.normal(size=(R.cols, 5))
         want_u, want_i = lightgcn_reference(R, Rt, users, items, layers)
         for case, rows in _user_sets(R.rows, rng).items():
-            got_u, got_i = lightgcn_propagate(R, Rt, users, items, layers,
+            got_u, got_i = lightgcn_propagate(R, users, items, layers,
                                               (rows, R.take_rows(rows)))
             assert _same_bytes(got_u, want_u[rows]), case
             assert _same_bytes(got_i, want_i), case
@@ -241,10 +241,32 @@ class TestTwoLanePropagation:
             users[rows] = rng.normal(size=(len(rows), 5))
             if rows.size:
                 users[rows[-1]] = -0.0
-            got = lightgcn_propagate(R, Rt, users[rows], items, layers,
+            got = lightgcn_propagate(R, users[rows], items, layers,
                                      (rows, R.take_rows(rows)))
             want = lightgcn_reference(R, Rt, users, items, layers)
             assert all(_same_bytes(a, b) for a, b in zip(got, want)), case
+
+    @pytest.mark.parametrize("layers", [0, 1, 2, 3])
+    def test_empty_users_and_items_match_explicit_transpose(self, rng, layers):
+        # users 3 and 17 have no items and items 0, 6 and 14 no users: R.tdot
+        # leaves their R^T rows +0.0 as the explicit transpose's empty rows
+        # do, on the full user side and on a batch's that holds both users
+        R = _interactions(rng, empty_items=(0, 6, 14))
+        Rt = R.transpose()
+        assert not np.diff(Rt.indptr)[[0, 6, 14]].any()
+        users, items = rng.normal(size=(R.rows, 5)), rng.normal(size=(R.cols, 5))
+        want_u, want_i = lightgcn_reference(R, Rt, users, items, layers)
+        got_u, got_i = lightgcn_propagate(R, users, items, layers)
+        assert _same_bytes(got_u, want_u) and _same_bytes(got_i, want_i)
+        rows = np.array([0, 3, 5, 17, R.rows - 1])
+        got_u, got_i = lightgcn_propagate(R, users, items, layers, (rows, R.take_rows(rows)))
+        assert _same_bytes(got_u, want_u[rows]) and _same_bytes(got_i, want_i)
+        # the backward pass's form: the user side given at the batch's rows
+        grad = np.zeros_like(users)
+        grad[rows] = rng.normal(size=(len(rows), 5))
+        got = lightgcn_propagate(R, grad[rows], items, layers, (rows, R.take_rows(rows)))
+        want = lightgcn_reference(R, Rt, grad, items, layers)
+        assert all(_same_bytes(a, b) for a, b in zip(got, want))
 
     def test_error_on_the_helper_comes_back_typed(self, rng):
         R = _interactions(rng)
@@ -254,11 +276,11 @@ class TestTwoLanePropagation:
         with pytest.raises(DimensionError) as serial:
             Rt.dot(bad)
         with pytest.raises(DimensionError) as helper:
-            lightgcn_propagate(R, Rt, bad, items, 2)
+            lightgcn_propagate(R, bad, items, 2)
         assert str(helper.value) == str(serial.value)
         # the error leaves nothing behind: the next propagation keeps its bits
         users = rng.normal(size=(R.rows, 3))
-        got = lightgcn_propagate(R, Rt, users, items, 2)
+        got = lightgcn_propagate(R, users, items, 2)
         assert all(_same_bytes(a, b) for a, b in
                    zip(got, lightgcn_reference(R, Rt, users, items, 2)))
 

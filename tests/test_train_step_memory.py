@@ -61,9 +61,8 @@ def test_propagation_holds_one_user_layer_besides_the_mean(rng, layers):
     # dividing the means into new arrays, takes a third user-sized array.
     R = SparseMatrix.from_scipy(
         (rng.random((4000, 1000)) < 0.003) * rng.random((4000, 1000)))
-    Rt = R.transpose()
     users, items = rng.normal(size=(4000, 16)), rng.normal(size=(1000, 16))
-    peak = _peak(lambda: lightgcn_propagate(R, Rt, users, items, layers))
+    peak = _peak(lambda: lightgcn_propagate(R, users, items, layers))
     assert peak < 2 * users.nbytes + 3 * items.nbytes + 65536
 
 

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +14,9 @@ from alignrec.data import Dataset, split_dataset
 from alignrec.errors import DataError
 from alignrec.losses import total_loss
 from alignrec.model import PARAM_NAMES, forward, init_params
+from alignrec import trainer
 from alignrec.optim import Adam, SGD
+from alignrec.synthetic import make_corpus, write_corpus
 from alignrec.trainer import (TrainConfig, TrainState, _batch_at, fit, sample_batch,
                               train_epoch)
 
@@ -255,3 +263,106 @@ class TestAdam:
         for epoch, want in enumerate([1e-2, 5e-3, 2.5e-3]):
             train_epoch(state, ds, graphs, feat, cfg)
             assert state.optimizer.lr == pytest.approx(want, rel=1e-12)
+
+
+@pytest.fixture
+def heap_helper():
+    """trainer._keep_freed_heap with its once-per-process memory emptied
+    before and after the test."""
+    trainer._keep_freed_heap.cache_clear()
+    yield trainer._keep_freed_heap
+    trainer._keep_freed_heap.cache_clear()
+
+
+def _libc(calls, result=1):
+    """A stand-in for ctypes.CDLL whose library records its mallopt calls."""
+    def mallopt(param, value):
+        calls.append((param, value))
+        return result
+    return lambda name: calls.append(name) or SimpleNamespace(mallopt=mallopt)
+
+
+SUBPROCESS_TRAIN = """
+import sys
+from alignrec import cli, trainer
+if sys.argv[1] == "plain":
+    trainer._keep_freed_heap = lambda: None
+code = cli.main(sys.argv[2:])
+print(trainer._keep_freed_heap.cache_info().misses if sys.argv[1] == "kept" else 0)
+sys.exit(code)
+"""
+
+TRAIN_CONFIG = """\
+[paths]
+interactions = interactions.tsv
+features = features.afea
+item_list = items.txt
+output_dir = out
+
+[split]
+k_core = 2
+
+[train]
+max_epochs = 3
+batch_size = 32
+embed_dim = 8
+mlp_hidden = 4
+k_prime = 4
+"""
+
+
+class TestFreedHeap:
+    def test_no_mallopt_in_the_c_library_is_left_alone(self, heap_helper, monkeypatch):
+        monkeypatch.setattr(trainer.ctypes, "CDLL", lambda name: SimpleNamespace())
+        assert heap_helper() is None
+
+    def test_a_library_that_cannot_load_is_left_alone(self, heap_helper, monkeypatch):
+        def missing(name):
+            raise OSError("no C library")
+        monkeypatch.setattr(trainer.ctypes, "CDLL", missing)
+        assert heap_helper() is None
+
+    def test_a_refused_setting_is_quiet(self, heap_helper, monkeypatch, recwarn):
+        calls = []
+        monkeypatch.setattr(trainer.ctypes, "CDLL", _libc(calls, result=0))
+        assert heap_helper() is None
+        assert calls == [None, (-3, 32 << 20), (-1, 256 << 20)]
+        assert not recwarn.list
+
+    def test_set_once_per_process(self, heap_helper, monkeypatch, rng):
+        # glibc's M_MMAP_THRESHOLD (-3) at 32 MiB and M_TRIM_THRESHOLD (-1) at
+        # 256 MiB, both, on the first train_epoch and never again
+        calls = []
+        monkeypatch.setattr(trainer.ctypes, "CDLL", _libc(calls))
+        ds, feat, graphs = _tiny_setup(rng)
+        cfg = TrainConfig(batch_size=8, d_e=4, d_h=3)
+        params = init_params(ds.num_users, ds.num_items, 4, feat.dim, 3, rng)
+        state = TrainState(params=params, optimizer=Adam(params, cfg.learning_rate),
+                           rng=np.random.default_rng(1))
+        for _ in range(3):
+            train_epoch(state, ds, graphs, feat, cfg)
+        heap_helper()
+        assert calls == [None, (-3, 32 << 20), (-1, 256 << 20)]
+
+    def test_training_bytes_do_not_depend_on_the_allocator(self, tmp_path):
+        # two fresh processes train the same corpus, one with the thresholds
+        # fixed and one with glibc's dynamic ones; every file they write is equal
+        src = Path(__file__).resolve().parents[1] / "src"
+        corpus = make_corpus(num_users=60, num_items=30, clusters=3, feat_dim=8,
+                             per_user=10, noise=0.05, seed=3)
+        out = {}
+        for mode in ("kept", "plain"):
+            work = tmp_path / mode
+            work.mkdir()
+            write_corpus(corpus, work)
+            (work / "run.ini").write_text(TRAIN_CONFIG, encoding="utf-8")
+            proc = subprocess.run(
+                [sys.executable, "-c", SUBPROCESS_TRAIN, mode, "train", "--config", "run.ini"],
+                cwd=work, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines()[-1] == {"kept": "1", "plain": "0"}[mode]
+            out[mode] = {p.name: p.read_bytes() for p in sorted((work / "out").iterdir())}
+        assert {"train_log.txt", "checkpoint_best.ackp",
+                "checkpoint_final.ackp"} <= set(out["kept"])
+        assert out["kept"] == out["plain"]
