@@ -15,16 +15,20 @@ Prints each run's end-to-end metrics and the workload's other named metrics
 (from the `record` line, say eval-m's `eval_users_per_s` and
 `protocol_queries_per_s`, which show which calls moved, and `minor_faults`,
 the run's minor page faults: the change in ru_minflt of
-getrusage(RUSAGE_CHILDREN) across it), each pair's
-change/parent ratios, per end-to-end metric the medians, the parent's
-interquartile range, the median ratio, the number of pairs the change won,
-whether the series meets the claim rule (at least nine tenths of the pairs
-won and a median better by more than the parent's interquartile range) and
-whether the change stays within BENCHMARK.json's bound for the metric, and
-per named metric the median ratio. A failed check is printed under
-the run that failed it. Exits 1 if any run failed, at once if a run printed
-no result (an unknown workload, a crash). perfbench/ is only read; the
-temporary directory is removed at the end.
+getrusage(RUSAGE_CHILDREN) across it). `minor_faults` counts the whole run,
+not its timed steps: at M, seed 11, importing takes about 11.8k faults,
+perfbench's corpus write about 43.6k and the set-ups about 18k, so it cannot
+show a train step's faults; README's per-step table is the measure for
+those. Then it prints each pair's change/parent ratios, per end-to-end
+metric the medians, the parent's interquartile range, the median ratio, the
+number of pairs the change won, whether the series meets the claim rule (at
+least nine tenths of the pairs won and a median better by more than the
+parent's interquartile range) and whether the change stays within
+BENCHMARK.json's bound for the metric, and per named metric the median
+ratio. A failed check is printed under the run that failed it. Exits 1 if
+any run failed, at once if a run printed no result (an unknown workload, a
+crash). perfbench/ is only read; the temporary directory is removed at the
+end.
 
 With --out BENCH_<n>.json the series is also appended to that JSON file's
 "series" list, so one file holds a change's series on several workloads:

@@ -12,7 +12,8 @@ GEMM flops. A row's values for the items before its strip come from those
 items' strips. Such a value lies within the row's own band width of the
 row's canonical score, so the band, the gap test and the rescoring are
 score_top_k's. self_top_k keeps each item's k+1 largest such values in a
-running list; self_rank only counts them against the target's score.
+running list, which each strip feeds with the k+1 largest of the item's
+column; self_rank only counts them against the target's score.
 
 Thin immutable wrapper around canonical CSR arrays. scipy does the heavy
 lifting for products; the wrapper pins down the invariants the rest of the
@@ -317,71 +318,23 @@ def gemv_top_k(Q: np.ndarray, U: np.ndarray, exclude, k: int) -> list[np.ndarray
                          lambda r, q, row, width: top_k(U @ q, exclude[r], k))
 
 
-# values per pool of a merge into self_top_k's running lists: each list and
-# its candidates (0.06 MB per array)
-_MERGE = 1 << 13
-
-
-def _keep_largest(keep_vals, keep_rows, floors, items, pool_vals, pool_rows) -> None:
-    """Each of `items`' running lists becomes the k+1 largest of its pool row,
-    unsorted; its floor, their smallest."""
-    k1 = keep_vals.shape[1]
-    best = np.argpartition(pool_vals, pool_vals.shape[1] - k1, axis=1)[:, -k1:]
-    r = np.arange(len(items))[:, None]
-    kept = pool_vals[r, best]
-    keep_vals[items], keep_rows[items], floors[items] = kept, pool_rows[r, best], kept.min(axis=1)
-
-
-def _feed(vals: np.ndarray, first: int, keep_vals: np.ndarray, keep_rows: np.ndarray,
-          floors: np.ndarray) -> None:
+def _feed(vals: np.ndarray, first: int, keep_vals: np.ndarray, keep_rows: np.ndarray) -> None:
     """Merges a strip's values vals[i, j], of row first + i for the j-th later
     item, into each later item's running list of its k+1 largest values
-    (keep_vals, their rows in keep_rows), in place; floors holds each list's
-    smallest. A list that is not full (floor -inf, as in the first strip)
-    pools all the strip's values of its item. Any other list pools only the
-    values strictly above its floor, found by one broadcast compare; they are
-    padded into rows per item. Each pool holds at most about _MERGE values, so
-    the first strip makes no index array of the whole block."""
-    (b, m), k1 = vals.shape, keep_vals.shape[1]
-    hit = vals > floors
-    open_ = np.flatnonzero(floors == -np.inf)
-    hit[:, open_] = False
-    step = max(1, _MERGE // b)
-    for c in range(0, len(open_), step):
-        items = open_[c:c + step]
-        _keep_largest(keep_vals, keep_rows, floors, items,
-                      np.hstack([keep_vals[items], vals[:, items].T]),
-                      np.hstack([keep_rows[items],
-                                 np.broadcast_to(first + np.arange(b), (len(items), b))]))
-    counts = hit.sum(axis=0)
-    pooled = np.cumsum(counts + k1 * (counts > 0))  # the pool of an item: its list and candidates
-    c0 = 0
-    while c0 < m:  # item chunks of at most _MERGE pooled values, or one item
-        c1 = max(int(np.searchsorted(pooled, (pooled[c0 - 1] if c0 else 0) + _MERGE,
-                                     side="right")), c0 + 1)
-        _merge_candidates(vals, hit[:, c0:c1], c0, first, keep_vals, keep_rows, floors)
-        c0 = c1
-
-
-def _merge_candidates(vals, hit, c0, first, keep_vals, keep_rows, floors) -> None:
-    """_feed's merge of the candidates hit[i, j] = vals[i, c0 + j] > floors[c0 + j]:
-    each item's list and candidates padded into one pool row (its transients
-    are freed when it returns, before the next chunk's)."""
-    (b, w), k1 = hit.shape, keep_vals.shape[1]
-    flat = np.flatnonzero(hit)
-    if not flat.size:
-        return
-    cols, rows = np.divmod(np.sort((c0 + flat % w) * b + flat // w), b)  # by item, then row
-    starts = np.flatnonzero(np.diff(cols, prepend=-1))
-    cnt = np.diff(starts, append=len(cols))
-    lists = np.repeat(np.arange(len(starts)), cnt)
-    at = k1 + np.arange(len(cols)) - starts[lists]
-    items = cols[starts]
-    pool_vals = np.full((len(items), k1 + int(cnt.max())), -np.inf)
-    pool_rows = np.zeros(pool_vals.shape, dtype=np.int64)
-    pool_vals[:, :k1], pool_rows[:, :k1] = keep_vals[items], keep_rows[items]
-    pool_vals[lists, at], pool_rows[lists, at] = vals[rows, cols], first + rows
-    _keep_largest(keep_vals, keep_rows, floors, items, pool_vals, pool_rows)
+    (keep_vals, their rows in keep_rows), in place: the items whose column
+    holds a value above their list's smallest, _QUERY_BLOCK at a time, with
+    their column's k+1 largest (the whole column of a strip of at most k+1)."""
+    k1 = keep_vals.shape[1]
+    low = max(len(vals) - k1, 0)
+    items = np.flatnonzero(vals.max(axis=0) > keep_vals.min(axis=1))
+    for c in range(0, len(items), _QUERY_BLOCK):
+        at = items[c:c + _QUERY_BLOCK]
+        r, cols = np.arange(len(at))[:, None], vals[:, at].T
+        rows = np.argpartition(cols, low, axis=1)[:, low:]
+        pool_vals = np.hstack([keep_vals[at], cols[r, rows]])
+        pool_rows = np.hstack([keep_rows[at], first + rows])
+        best = np.argpartition(pool_vals, pool_vals.shape[1] - k1, axis=1)[:, -k1:]
+        keep_vals[at], keep_rows[at] = pool_vals[r, best], pool_rows[r, best]
 
 
 def self_top_k(x: np.ndarray, norms: np.ndarray, k: int) -> list[np.ndarray]:
@@ -392,7 +345,8 @@ def self_top_k(x: np.ndarray, norms: np.ndarray, k: int) -> list[np.ndarray]:
     Its rows take their k+1 largest from their upper GEMM row, merged with a
     running list of the k+1 largest values for the items c < s, which c's
     strip computed: G[c, r] = fl(u_c . x_r) / n_r, u_c = unit(x)[c], n_r =
-    norms[r] (_feed). Nothing is sorted until a row is finished.
+    norms[r]; each strip feeds the later items' lists with their columns' k+1
+    largest values (_feed).
 
     The band, the gap test and the rescoring are _screen_top_k's. Row r's
     upper values lie within E_r = gamma_{d+3} * ||u_r||_1 * M of their exact
@@ -407,12 +361,13 @@ def self_top_k(x: np.ndarray, norms: np.ndarray, k: int) -> list[np.ndarray]:
     give M <= 1 up to rounding; norms of ones divide exactly). So every value
     of row r's merged row is within E_r of a centre its canonical score is
     within E_r of, and row r's width and gap test hold as in _screen_top_k. A
-    value not above a running list's smallest cannot change the list's k+1
-    largest values, so the merged k+1 are those of the whole row; which of
-    several ties at the (k+1)-th place is kept is never returned. A row the
-    gap test leaves open recomputes its full row (a GEMV, within the same
-    E_r) before _rescore; for k >= n - 1 no row has a (k+1)-th candidate and
-    score_top_k ranks them all."""
+    column whose largest value is not above a list's smallest cannot change
+    the list's k+1 largest values, and a column's own k+1 largest hold every
+    value of it that can enter the list, so the merged k+1 are those of the
+    whole row; which of several ties at the (k+1)-th place is kept is never
+    returned. A row the gap test leaves open recomputes its full row (a GEMV,
+    within the same E_r) before _rescore; for k >= n - 1 no row has a
+    (k+1)-th candidate and score_top_k ranks them all."""
     n = len(x)
     if k >= n - 1:
         return score_top_k(x, norms, x, norms, np.arange(n)[:, None], k)
@@ -420,11 +375,10 @@ def self_top_k(x: np.ndarray, norms: np.ndarray, k: int) -> list[np.ndarray]:
     # each item's k+1 largest values from the strips above it, with their
     # rows; -inf pads (row 0) keep a list's smallest at -inf until it is full
     low_vals, low_rows = np.full((n, k + 1), -np.inf), np.zeros((n, k + 1), dtype=np.int64)
-    floors = np.full(n, -np.inf)
     tops = []
     for s, block, gemm in _strips(x, norms):
         e, w = s + len(block), n - s
-        _feed(gemm[:, e - s:], s, low_vals[e:], low_rows[e:], floors[e:])
+        _feed(gemm[:, e - s:], s, low_vals[e:], low_rows[e:])
         widths = slack * np.abs(block).sum(axis=1) + floor
         # each row's k+1 largest upper values (all if fewer), partitioned 16
         # rows at a time: no int64 index array of the whole block

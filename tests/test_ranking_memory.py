@@ -67,9 +67,9 @@ def test_score_top_k_holds_one_query_block(corpus):
 
 def test_knn_build_holds_one_query_block(corpus):
     # self_top_k's strip of GEMM values (0.5x), the running lists of k'+1
-    # values, merge pools of at most 8192 values, the kept columns and the
-    # graph's COO arrays: no unit rows, never a 512-row block of cosines
-    # (0.78x measured; 0.72x with score_top_k's full rows)
+    # values, one 128-item chunk of their strip columns, the kept columns and
+    # the graph's COO arrays: no unit rows, never a 512-row block of cosines
+    # (0.71x measured; 0.72x with score_top_k's full rows)
     _, x = corpus
     feat = FeatureMatrix(x)
     assert _peak_multiple(lambda: build_knn_similarity(feat, 10), x.nbytes) <= 0.95

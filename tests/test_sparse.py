@@ -511,9 +511,11 @@ def test_self_top_k_equals_score_top_k(rng, monkeypatch, n, k):
         assert rescored == []
 
 
-@pytest.mark.parametrize("k", [150, 297])
+@pytest.mark.parametrize("k", [126, 127, 128, 150, 297])
 def test_self_top_k_lists_longer_than_a_strip(rng, k):
-    # k + 1 > 128: an item's list is still filling after the first strip
+    # k + 1 just below, at and above the 128-row strip height: a full strip's
+    # column is partitioned (k = 126) or taken whole, as the 44-row last
+    # strip's always is; for k + 1 > 128 a list still fills after one strip
     x = rng.normal(size=(300, 8))
     x[[20, 140, 260]] = x[7]
     _assert_self_tops(x, k)
